@@ -10,8 +10,9 @@ injected:
    agrees with the table.
 2. **Conservation of heap bytes** — each live machine's DRAM ledger
    equals the footprints of its resident proclets, plus fault ballast,
-   plus destination reservations of in-flight migrations.  A crashed
-   machine holds exactly zero.
+   plus destination reservations of in-flight migrations, plus stored
+   and in-flight checkpoint snapshots.  A crashed machine holds exactly
+   zero.
 3. **Fluid sanity** — for every scheduler: rates are within
    ``[0, demand]``, their sum matches the cached ``load`` aggregate and
    never exceeds capacity, and priority is strict (a hungry class
@@ -20,6 +21,13 @@ injected:
 4. **No permanently-gated proclet** — a MIGRATING proclet always has an
    untriggered gate, and no single gate stays closed longer than
    ``gate_timeout`` virtual seconds.
+5. **No double incarnation** — an id is never simultaneously live and
+   lost, and its incarnation number never regresses.
+6. **Checkpoint byte conservation** — the per-machine view of checkpoint
+   reservations sums exactly to the recovery manager's authoritative
+   held-bytes ledger.
+7. **Recovered-state convergence** — every completed restore matched its
+   expected state (the manager records divergences).
 8. **Clone-set hygiene** (:mod:`repro.hedge`) — every cloned call has
    at most one winner; once a call is decided and virtual time has
    advanced past the decision instant, every losing attempt has
@@ -38,6 +46,15 @@ injected:
    absent from its owner's table unless an active op protects it (no
    orphaned child shards, including across aborts).
 
+Each check is one pass over each kind of runtime state: the locator
+(invariant 1, collecting the resident footprints for 2), the migration
+and checkpoint reservations (shared by 2 and 6), the machines and their
+schedulers (2, 3), the loss/incarnation and clone ledgers (5–8), each
+shard table (9) and the live proclets (4, and 9's orphans).  Its cost
+is O(proclets + shards + schedulers + snapshots) per event.  When one
+state breaks several invariants at once, the one reported is the first
+its pass reaches.
+
 The checker is read-only: schedulers with a *pending* coalesced
 reassignment are skipped for that event (forcing a flush mid-instant
 would perturb the run) and re-checked after the flush lands, which is
@@ -51,14 +68,20 @@ assertion compiled into the kernel.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import Dict, Optional, Set, Tuple
 
+from ..ds.sharding import _Bottom
+from ..runtime.proclet import ProcletStatus
 from . import oracle as _oracle
 
 #: Rate/aggregate slack: a few ulps of a realistic capacity.
 _RATE_EPS = 1e-9
 #: DRAM ledger slack in bytes (footprints are floats; 1 B is generous).
 _MEM_EPS = 1.0
+
+_RUNNING = ProcletStatus.RUNNING
+_MIGRATING = ProcletStatus.MIGRATING
+_DEAD = ProcletStatus.DEAD
 
 
 class InvariantViolation(Exception):
@@ -107,197 +130,190 @@ class InvariantChecker:
     def check(self) -> None:
         """Run every invariant once; raises :class:`InvariantViolation`."""
         self.checks += 1
-        self._check_placement()
-        self._check_memory_conservation()
-        self._check_fluid()
-        self._check_gates()
-        self._check_recovery()
-        self._check_clones()
-        self._check_resharding()
+        resident = self._check_placement()
+        held = self._check_machines(resident)
+        self._check_recovery(held)
+        if self.runtime._clone_calls:
+            self._check_clones()
+        self._check_proclets(self._check_shard_tables())
 
     def _fail(self, what: str) -> None:
         raise InvariantViolation(
             f"t={self.runtime.sim.now:.6f}s: {what}")
 
-    def _check_placement(self) -> None:
+    def _check_placement(self) -> Dict[int, float]:
+        """Invariant 1, in one pass over the locator's residency sets.
+        Returns each machine's resident footprint, keyed by machine id,
+        for invariant 2."""
         loc = self.runtime.locator
+        table = loc._table
         proclets = self.runtime._proclets
-        seen: set = set()
+        placed_on = table.get
+        live = proclets.get
+        resident: Dict[int, float] = {}
+        placed = 0
         for machine, pids in loc._by_machine.items():
+            placed += len(pids)
+            footprint = 0
             for pid in pids:
-                if pid in seen:
-                    self._fail(f"proclet #{pid} double-placed")
-                seen.add(pid)
-                if loc._table.get(pid) is not machine:
+                if placed_on(pid) is not machine:
+                    self._fail_misplaced(machine, pid)
+                proclet = live(pid)
+                if proclet is None:
+                    self._fail(f"locator maps dead proclet #{pid}")
+                if proclet._machine is not machine:
                     self._fail(
-                        f"proclet #{pid} in {machine.name}'s residency set "
-                        f"but table says "
-                        f"{getattr(loc._table.get(pid), 'name', None)}")
-        if seen != set(loc._table):
+                        f"{proclet.name}: locator says {machine.name}, "
+                        f"proclet says "
+                        f"{getattr(proclet._machine, 'name', None)}")
+                footprint += proclet.footprint
+            resident[machine.id] = footprint
+        # Every residency entry agrees with the table, so the sets are
+        # disjoint and cover the table iff the sizes match; the table
+        # holds only live proclets, so it covers them iff sizes match.
+        if placed != len(table):
+            seen = set().union(*loc._by_machine.values())
             self._fail("locator table and residency sets disagree: "
-                       f"{sorted(seen ^ set(loc._table))}")
-        for pid, machine in loc._table.items():
-            proclet = proclets.get(pid)
-            if proclet is None:
-                self._fail(f"locator maps dead proclet #{pid}")
-            if proclet._machine is not machine:
-                self._fail(
-                    f"{proclet.name}: locator says {machine.name}, proclet "
-                    f"says {getattr(proclet._machine, 'name', None)}")
-        for pid, proclet in proclets.items():
-            if pid not in loc._table:
-                self._fail(f"live proclet {proclet.name} missing from "
-                           f"locator")
+                       f"{sorted(seen ^ set(table))}")
+        if len(proclets) != len(table):
+            for pid, proclet in proclets.items():
+                if pid not in table:
+                    self._fail(f"live proclet {proclet.name} missing from "
+                               f"locator")
+        return resident
 
-    def _check_memory_conservation(self) -> None:
+    def _fail_misplaced(self, machine, pid: int) -> None:
+        """Report a residency entry the table disagrees with: a double
+        placement if an earlier (all-agreeing) set already held it."""
         loc = self.runtime.locator
-        migration = self.runtime.migration
-        proclets = self.runtime._proclets
-        for m in self.runtime.cluster.machines:
-            if not m.up:
-                if m.memory.used != 0.0:
-                    self._fail(f"crashed {m.name} holds "
-                               f"{m.memory.used:.0f} B of DRAM")
-                if loc.proclets_on(m):
-                    self._fail(f"crashed {m.name} still hosts proclets "
-                               f"{loc.proclets_on(m)}")
-                continue
-            resident = sum(proclets[pid].footprint
-                           for pid in loc.proclets_on(m))
-            recovery = self.runtime.recovery
-            ckpt = recovery.reserved_on(m) if recovery is not None else 0.0
-            expected = (resident + m.memory.ballast
-                        + migration.inflight_reserved_on(m) + ckpt)
-            if not math.isclose(m.memory.used, expected,
-                                rel_tol=1e-9, abs_tol=_MEM_EPS):
-                self._fail(
-                    f"{m.name} DRAM ledger {m.memory.used:.1f} B != "
-                    f"{expected:.1f} B (residents {resident:.1f} + ballast "
-                    f"{m.memory.ballast:.1f} + in-flight "
-                    f"{migration.inflight_reserved_on(m):.1f} + "
-                    f"checkpoints {ckpt:.1f})")
-            if m.memory.used > m.memory.capacity + _MEM_EPS:
-                self._fail(f"{m.name} DRAM oversubscribed: "
-                           f"{m.memory.used:.0f} / "
-                           f"{m.memory.capacity:.0f} B")
+        for other, pids in loc._by_machine.items():
+            if other is machine:
+                break
+            if pid in pids:
+                self._fail(f"proclet #{pid} double-placed")
+        self._fail(
+            f"proclet #{pid} in {machine.name}'s residency set but table "
+            f"says {getattr(loc._table.get(pid), 'name', None)}")
 
-    def _schedulers(self):
-        for m in self.runtime.cluster.machines:
-            yield m.cpu.sched
-            yield m.nic.tx
-            if m.gpus is not None:
-                yield m.gpus.sched
-            if m.storage is not None:
-                yield m.storage.iops
-                yield m.storage.read_bw
-                yield m.storage.write_bw
-
-    def _check_fluid(self) -> None:
-        for sched in self._schedulers():
-            if sched._dirty:
-                # A coalesced reassignment is pending; it will flush
-                # before time advances and the next event re-checks.
-                continue
-            eps = _RATE_EPS * max(1.0, sched.capacity)
-            total = 0.0
-            hungriest: Optional[int] = None
-            for it in sched._items:
-                rate = it._rate
-                if rate < -eps or rate > it.demand + eps:
-                    self._fail(f"{sched.name}/{it.name}: rate {rate!r} "
-                               f"outside [0, demand={it.demand!r}]")
-                total += rate
-                if rate < it.demand - eps and (hungriest is None
-                                               or it.priority < hungriest):
-                    hungriest = it.priority
-            if total > sched.capacity + eps:
-                self._fail(f"{sched.name}: rates sum to {total!r} > "
-                           f"capacity {sched.capacity!r}")
-            if not math.isclose(total, sched._load,
-                                rel_tol=1e-9, abs_tol=eps):
-                self._fail(f"{sched.name}: cached load {sched._load!r} != "
-                           f"rate sum {total!r}")
-            if hungriest is not None:
-                for it in sched._items:
-                    if it.priority > hungriest and it._rate > eps:
-                        self._fail(
-                            f"{sched.name}/{it.name}: class {it.priority} "
-                            f"served while class {hungriest} is hungry")
-            if self.oracle and sched._items:
-                self.oracle_comparisons += 1
-                divergences = _oracle.compare(sched)
-                if divergences:
-                    self._fail(f"oracle divergence: "
-                               + "; ".join(map(str, divergences)))
-
-    def _check_gates(self) -> None:
-        from ..runtime.proclet import ProcletStatus
-
-        now = self.runtime.sim.now
-        live_gates: set = set()
-        for proclet in self.runtime._proclets.values():
-            if proclet._status is ProcletStatus.DEAD:
-                self._fail(f"{proclet.name} is DEAD but still registered")
-            if proclet._status is ProcletStatus.MIGRATING:
-                gate = proclet._migration_gate
-                if gate is None:
-                    self._fail(f"{proclet.name} MIGRATING without a gate")
-                if gate.triggered:
-                    self._fail(f"{proclet.name} MIGRATING behind an "
-                               f"already-open gate")
-                key = id(gate)
-                live_gates.add(key)
-                first = self._gate_seen.setdefault(key, now)
-                if now - first > self.gate_timeout:
-                    self._fail(
-                        f"{proclet.name} gated for "
-                        f"{now - first:.3f}s > {self.gate_timeout:.3f}s "
-                        f"(permanently gated?)")
-        # Forget gates that opened, so ids can be reused safely.
-        for key in list(self._gate_seen):
-            if key not in live_gates:
-                del self._gate_seen[key]
-
-    def _check_recovery(self) -> None:
-        """Fault-tolerance invariants (cheap no-ops without repro.ft).
-
-        5. **No double incarnation** — an id is never simultaneously
-           live and lost, and its incarnation number never regresses.
-        6. **Checkpoint byte conservation** — the per-machine view of
-           checkpoint reservations sums exactly to the manager's
-           authoritative held-bytes ledger.
-        7. **Recovered-state convergence** — every completed restore
-           matched its expected state (the manager records divergences).
-        """
+    def _check_machines(self, resident: Dict[int, float]) -> float:
+        """Invariants 2 and 3, in one pass over the machines.  Returns
+        the checkpoint bytes the machines hold, for invariant 6."""
         runtime = self.runtime
-        for pid in runtime.lost_proclets():
-            if pid in runtime._proclets:
-                self._fail(f"proclet #{pid} is both live and lost "
-                           f"(double incarnation)")
-        for pid, inc in runtime._incarnations.items():
-            seen = self._incarnation_seen.get(pid, 0)
-            if inc < seen:
-                self._fail(f"proclet #{pid} incarnation regressed "
-                           f"{seen} -> {inc}")
-            self._incarnation_seen[pid] = inc
+        inflight = runtime.migration.inflight_reserved()
+        recovery = runtime.recovery
+        reserved = (recovery.reserved_by_machine()
+                    if recovery is not None else {})
+        held = 0
+        for m in runtime.cluster.machines:
+            memory = m.memory
+            used = memory.used
+            if not m.up:
+                if used != 0.0:
+                    self._fail(f"crashed {m.name} holds "
+                               f"{used:.0f} B of DRAM")
+                if runtime.locator._by_machine.get(m):
+                    self._fail(f"crashed {m.name} still hosts proclets "
+                               f"{runtime.locator.proclets_on(m)}")
+            else:
+                mid = m.id
+                footprints = resident.get(mid, 0)
+                in_flight = inflight.get(mid, 0.0)
+                ckpt = reserved.get(mid, 0.0)
+                held += ckpt
+                expected = footprints + memory.ballast + in_flight + ckpt
+                if not math.isclose(used, expected,
+                                    rel_tol=1e-9, abs_tol=_MEM_EPS):
+                    self._fail(
+                        f"{m.name} DRAM ledger {used:.1f} B != "
+                        f"{expected:.1f} B (residents {footprints:.1f} + "
+                        f"ballast {memory.ballast:.1f} + in-flight "
+                        f"{in_flight:.1f} + checkpoints {ckpt:.1f})")
+                if used > memory.capacity + _MEM_EPS:
+                    self._fail(f"{m.name} DRAM oversubscribed: "
+                               f"{used:.0f} / {memory.capacity:.0f} B")
+            self._check_fluid(m.cpu.sched)
+            self._check_fluid(m.nic.tx)
+            if m.gpus is not None:
+                self._check_fluid(m.gpus.sched)
+            storage = m.storage
+            if storage is not None:
+                self._check_fluid(storage.iops)
+                self._check_fluid(storage.read_bw)
+                self._check_fluid(storage.write_bw)
+        return held
+
+    def _check_fluid(self, sched) -> None:
+        if sched._dirty:
+            # A coalesced reassignment is pending; it will flush before
+            # time advances and the next event re-checks.
+            return
+        items = sched._items
+        capacity = sched.capacity
+        eps = _RATE_EPS * max(1.0, capacity)
+        total = 0.0
+        hungriest: Optional[int] = None
+        for it in items:
+            rate = it._rate
+            demand = it.demand
+            if rate < -eps or rate > demand + eps:
+                self._fail(f"{sched.name}/{it.name}: rate {rate!r} "
+                           f"outside [0, demand={demand!r}]")
+            total += rate
+            if rate < demand - eps and (hungriest is None
+                                        or it.priority < hungriest):
+                hungriest = it.priority
+        if total > capacity + eps:
+            self._fail(f"{sched.name}: rates sum to {total!r} > "
+                       f"capacity {capacity!r}")
+        if not math.isclose(total, sched._load, rel_tol=1e-9, abs_tol=eps):
+            self._fail(f"{sched.name}: cached load {sched._load!r} != "
+                       f"rate sum {total!r}")
+        if hungriest is not None:
+            for it in items:
+                if it.priority > hungriest and it._rate > eps:
+                    self._fail(
+                        f"{sched.name}/{it.name}: class {it.priority} "
+                        f"served while class {hungriest} is hungry")
+        if self.oracle and items:
+            self.oracle_comparisons += 1
+            divergences = _oracle.compare(sched)
+            if divergences:
+                self._fail(f"oracle divergence: "
+                           + "; ".join(map(str, divergences)))
+
+    def _check_recovery(self, held: float) -> None:
+        """Invariants 5–7 (cheap no-ops without repro.ft); *held* is the
+        machines' view of the checkpoint bytes (invariant 6)."""
+        runtime = self.runtime
+        lost = runtime._lost
+        if not runtime._proclets.keys().isdisjoint(lost):
+            pid = min(lost.intersection(runtime._proclets))
+            self._fail(f"proclet #{pid} is both live and lost "
+                       f"(double incarnation)")
+        incarnations = runtime._incarnations
+        seen = self._incarnation_seen
+        if incarnations != seen:
+            for pid, inc in incarnations.items():
+                prev = seen.get(pid, 0)
+                if inc < prev:
+                    self._fail(f"proclet #{pid} incarnation regressed "
+                               f"{prev} -> {inc}")
+                seen[pid] = inc
         recovery = runtime.recovery
         if recovery is None:
             return
-        per_machine = sum(recovery.reserved_on(m)
-                          for m in runtime.cluster.machines)
-        if not math.isclose(per_machine, recovery.checkpoint_bytes_held,
+        if not math.isclose(held, recovery.checkpoint_bytes_held,
                             rel_tol=1e-9, abs_tol=_MEM_EPS):
             self._fail(
                 f"checkpoint bytes not conserved: machines hold "
-                f"{per_machine:.1f} B, manager ledger says "
+                f"{held:.1f} B, manager ledger says "
                 f"{recovery.checkpoint_bytes_held:.1f} B")
         if recovery.convergence_errors:
             self._fail("recovered state diverged: "
                        + "; ".join(recovery.convergence_errors))
 
     def _check_clones(self) -> None:
-        """Clone-set hygiene (invariant 8; cheap no-op without cloned
-        calls in flight)."""
+        """Clone-set hygiene (invariant 8)."""
         now = self.runtime.sim.now
         for call in self.runtime._clone_calls:
             winners = sum(1 for att in call.attempts if att.won)
@@ -327,51 +343,33 @@ class InvariantChecker:
                             f"{call!r}: cancelled clone {att.index} "
                             f"leaked active work item {item.name!r}")
 
-    def _check_resharding(self) -> None:
-        """Reshard integrity (invariant 9; cheap no-op without tracked
-        sharded structures)."""
+    def _check_shard_tables(self) -> Optional[Tuple[Dict[int, Set[int]],
+                                                    Set[int]]]:
+        """Invariant 9's table checks, one pass per tracked structure.
+        Returns each structure's table pids (keyed by ``id``) and the
+        ledger-protected pids for the orphan check, or None when no
+        sharded structure is tracked."""
         runtime = self.runtime
         ledger = getattr(runtime, "reshard_ledger", None)
         if ledger is None or not ledger._structures:
-            return
-        from ..ds.sharding import _Bottom
-        from ..runtime.proclet import ProcletStatus
-
-        structures = ledger.structures()
+            return None
         protected = ledger.protected_ids()
-        lost = set(runtime.lost_proclets())
+        lost = runtime._lost
+        live = runtime._proclets.get
         recovery = runtime.recovery
-        table_pids: Dict[int, set] = {}
-        for ds in structures:
-            shards = list(ds.shards)
-            table_pids[id(ds)] = {getattr(s, "ref", s).proclet_id
-                                  for s in shards}
+        restoring = recovery._restoring if recovery is not None else ()
+        tables: Dict[int, Set[int]] = {}
+        for ds in ledger._structures:
+            shards = ds.shards
             los = getattr(ds, "_los", None)
             if los is not None:
-                # Range-sharded: full key-space coverage at every
-                # instant (routable-keys-always).
-                if not shards:
-                    self._fail(f"{ds.name}: empty routing table "
-                               f"(every key unroutable)")
-                if len(los) != len(shards):
-                    self._fail(f"{ds.name}: lo array has {len(los)} "
-                               f"entries for {len(shards)} shards")
-                if not isinstance(shards[0].lo, _Bottom):
-                    self._fail(
-                        f"{ds.name}: first shard starts at "
-                        f"{shards[0].lo!r}, not BOTTOM — keys below it "
-                        f"are unroutable")
-                for i, shard in enumerate(shards):
-                    if shard.lo != los[i]:
-                        self._fail(f"{ds.name}: shard {i} lower bound "
-                                   f"{shard.lo!r} != lo array {los[i]!r}")
-                    if i > 0 and not los[i - 1] < los[i]:
-                        self._fail(f"{ds.name}: lower bounds out of "
-                                   f"order at {i}: {los[i - 1]!r} !< "
-                                   f"{los[i]!r}")
+                self._check_bounds(ds, shards, los)
+            table = tables[id(ds)] = set()
+            last = len(shards) - 1
             for i, shard in enumerate(shards):
-                pid = getattr(shard, "ref", shard).proclet_id
-                proclet = runtime._proclets.get(pid)
+                pid = shard.ref.proclet_id
+                table.add(pid)
+                proclet = live(pid)
                 if proclet is None:
                     # Lost to a machine failure (recovery's problem) or
                     # destroyed inside a still-settling reshard op (the
@@ -384,14 +382,14 @@ class InvariantChecker:
                     continue
                 if los is None or pid in protected:
                     continue
-                if proclet._status is not ProcletStatus.RUNNING:
+                if proclet._status is not _RUNNING:
                     continue  # gated by an op; ranges settle at cleanup
-                if recovery is not None and recovery.restoring(pid):
+                if pid in restoring:
                     continue
-                lo = shard.lo
-                want_lo = None if isinstance(lo, _Bottom) else lo
-                want_hi = (shards[i + 1].lo if i + 1 < len(shards)
-                           else None)
+                # The bounds check proved that only the first shard
+                # starts at BOTTOM.
+                want_lo = shard.lo if i else None
+                want_hi = shards[i + 1].lo if i < last else None
                 if proclet.range_lo != want_lo \
                         or proclet.range_hi != want_hi:
                     self._fail(
@@ -399,20 +397,85 @@ class InvariantChecker:
                         f"[{proclet.range_lo!r}, {proclet.range_hi!r}) "
                         f"disagrees with the routing table "
                         f"[{want_lo!r}, {want_hi!r})")
-        # No orphaned children: a live shard proclet outside its owner's
-        # routing table is legal only mid-reshard (ledger-protected).
-        for pid, proclet in runtime._proclets.items():
-            owner = getattr(proclet, "shard_owner", None)
-            if owner is None or id(owner) not in table_pids:
-                continue
-            if pid in table_pids[id(owner)]:
-                continue
-            if ledger.protects_child(pid):
-                continue
+        return tables, protected
+
+    def _check_bounds(self, ds, shards, los) -> None:
+        """Range-sharded tables cover the full key space at every
+        instant (routable-keys-always)."""
+        if not shards:
+            self._fail(f"{ds.name}: empty routing table "
+                       f"(every key unroutable)")
+        if len(los) != len(shards):
+            self._fail(f"{ds.name}: lo array has {len(los)} "
+                       f"entries for {len(shards)} shards")
+        if not isinstance(shards[0].lo, _Bottom):
             self._fail(
-                f"{owner.name}: live shard {proclet.name} is missing "
-                f"from the routing table and no active reshard op "
-                f"protects it (orphaned child shard)")
+                f"{ds.name}: first shard starts at {shards[0].lo!r}, "
+                f"not BOTTOM — keys below it are unroutable")
+        prev = None
+        for i, shard in enumerate(shards):
+            lo = los[i]
+            if shard.lo != lo:
+                self._fail(f"{ds.name}: shard {i} lower bound "
+                           f"{shard.lo!r} != lo array {lo!r}")
+            if i > 0 and not prev < lo:
+                self._fail(f"{ds.name}: lower bounds out of order at "
+                           f"{i}: {prev!r} !< {lo!r}")
+            prev = lo
+
+    def _check_proclets(self, tables) -> None:
+        """Invariant 4 and invariant 9's orphan check, in one pass over
+        the live proclets; *tables* is :meth:`_check_shard_tables`'s
+        result."""
+        now = self.runtime.sim.now
+        gate_seen = self._gate_seen
+        live_gates: Set[int] = set()
+        owned = protected = None
+        if tables is not None:
+            owned, protected = tables
+        for pid, proclet in self.runtime._proclets.items():
+            status = proclet._status
+            if status is not _RUNNING:
+                if status is _DEAD:
+                    self._fail(f"{proclet.name} is DEAD but still "
+                               f"registered")
+                if status is _MIGRATING:
+                    gate = proclet._migration_gate
+                    if gate is None:
+                        self._fail(f"{proclet.name} MIGRATING without a "
+                                   f"gate")
+                    if gate.triggered:
+                        self._fail(f"{proclet.name} MIGRATING behind an "
+                                   f"already-open gate")
+                    key = id(gate)
+                    live_gates.add(key)
+                    first = gate_seen.setdefault(key, now)
+                    if now - first > self.gate_timeout:
+                        self._fail(
+                            f"{proclet.name} gated for "
+                            f"{now - first:.3f}s > {self.gate_timeout:.3f}s "
+                            f"(permanently gated?)")
+            if owned is None:
+                continue
+            # No orphaned children: a live shard proclet outside its
+            # owner's routing table is legal only mid-reshard
+            # (ledger-protected).
+            owner = getattr(proclet, "shard_owner", None)
+            if owner is None:
+                continue
+            table = owned.get(id(owner))
+            if table is not None and pid not in table \
+                    and pid not in protected:
+                self._fail(
+                    f"{owner.name}: live shard {proclet.name} is missing "
+                    f"from the routing table and no active reshard op "
+                    f"protects it (orphaned child shard)")
+        # Forget gates that opened, so ids can be reused safely.  Every
+        # live gate was just recorded, so equal sizes mean none opened.
+        if len(gate_seen) != len(live_gates):
+            for key in list(gate_seen):
+                if key not in live_gates:
+                    del gate_seen[key]
 
     def __repr__(self) -> str:
         return (f"<InvariantChecker checks={self.checks} "

@@ -203,17 +203,20 @@ class RecoveryManager:
         checkpoint snapshots (for the memory-conservation invariant).
         Standby heaps are ordinary proclet footprints and need no term.
         """
-        if not machine.up:
-            return 0.0
-        total = 0.0
+        return self.reserved_by_machine().get(machine.id, 0.0)
+
+    def reserved_by_machine(self) -> Dict[int, float]:
+        """:meth:`reserved_on` for every live peer holding checkpoint
+        bytes, keyed by machine id, in one pass over the snapshots."""
+        totals: Dict[int, float] = {}
         for peer, nbytes, inc in self._pending.values():
-            if peer is machine and inc == machine.incarnation:
-                total += nbytes
+            if peer.up and inc == peer.incarnation:
+                totals[peer.id] = totals.get(peer.id, 0.0) + nbytes
         for snap in self._snapshots.values():
-            if snap.peer is machine and \
-                    snap.peer_incarnation == machine.incarnation:
-                total += snap.nbytes
-        return total
+            peer = snap.peer
+            if peer.up and snap.peer_incarnation == peer.incarnation:
+                totals[peer.id] = totals.get(peer.id, 0.0) + snap.nbytes
+        return totals
 
     # -- crash bookkeeping (synchronous, from fail_machine) -------------------
     def _on_machine_failure(self, machine: Machine,

@@ -116,10 +116,17 @@ class MigrationEngine:
     def inflight_reserved_on(self, machine: Machine) -> float:
         """Bytes of *machine*'s DRAM reserved by in-flight migrations
         (for accounting invariants)."""
-        return sum(
-            nbytes for dst, nbytes, inc in self._inflight.values()
-            if dst is machine and inc == machine.incarnation
-        )
+        return self.inflight_reserved().get(machine.id, 0.0)
+
+    def inflight_reserved(self) -> Dict[int, float]:
+        """:meth:`inflight_reserved_on` for every destination holding a
+        reservation, keyed by machine id, in one pass over the in-flight
+        migrations."""
+        totals: Dict[int, float] = {}
+        for dst, nbytes, inc in self._inflight.values():
+            if inc == dst.incarnation:
+                totals[dst.id] = totals.get(dst.id, 0.0) + nbytes
+        return totals
 
     def migrate(self, proclet: Proclet, dst: Machine):
         """Start migrating *proclet* to *dst*; returns the completion

@@ -14,7 +14,7 @@ Two acceptance bars from the robustness milestone:
 
 import pytest
 
-from repro.chaos import ChaosConfig, run_chaos
+from repro.chaos import ChaosConfig, InvariantChecker, run_chaos
 from repro.experiments.autoscale import (
     AUTOSCALE_DATASET,
     AutoscaleRow,
@@ -35,6 +35,15 @@ PINNED_OFF_DIGESTS = {
     42: "af8e8f584a95b7c2e8f7e37779cfec235be27619c6d6f0cf22c6dca44c9935e6",
 }
 
+#: sha256 digests of the benchmark's chaos configuration (autoscaler on,
+#: checkpoint recovery, 0.5 s) on three fault-plan seeds.  The invariant
+#: checker is read-only, so rewriting it must leave these unchanged.
+PINNED_AUTOSCALE_CHECKPOINT_DIGESTS = {
+    0: "9aea61df4f549d31b4aaef20af7232da329ed7559c02a32b5969b009b95bde6c",
+    5: "d207cbf3755667315dc098d5945e66db71121aef5f3f77b4c7346d3bb8d79925",
+    11: "fc0ae6c50557e8a89230a0d1bcf6bef1b1d612fd669e29dba5e405054cb924c5",
+}
+
 
 class TestAutoscalerOffCompat:
     """Not enabling the autoscaler is bit-identical to the pre-autoscaler
@@ -49,6 +58,34 @@ class TestAutoscalerOffCompat:
         assert result.reshard_splits == 0
         assert result.reshard_merges == 0
         assert result.autoscale_decisions == 0
+
+
+class TestAutoscaleCheckpointChaosPinned:
+    """The benchmark's chaos configuration replays its pinned trajectory
+    with the invariant checker auditing every event."""
+
+    @pytest.mark.parametrize("seed",
+                             sorted(PINNED_AUTOSCALE_CHECKPOINT_DIGESTS))
+    def test_digest_with_every_event_checked(self, seed, monkeypatch):
+        checkers = []
+
+        class Recording(InvariantChecker):
+            def attach(self, sim=None):
+                checkers.append(self)
+                return super().attach(sim)
+
+        monkeypatch.setattr("repro.chaos.scenario.InvariantChecker",
+                            Recording)
+        result = run_chaos(ChaosConfig(seed=seed, duration=0.5,
+                                       autoscale=True,
+                                       recovery_policy="checkpoint"))
+        assert result.digest() == PINNED_AUTOSCALE_CHECKPOINT_DIGESTS[seed]
+        (checker,) = checkers
+        assert checker.stride == 1
+        # One check per event, plus run_chaos's final-state check.
+        assert checker.checks == checker.events_seen + 1
+        assert result.invariant_checks == checker.checks
+        assert result.reshard_splits > 0
 
 
 @pytest.fixture(scope="module")
