@@ -10,7 +10,7 @@ sweep/ablation/chaos campaigns run on:
 * :func:`derive_seed` — named-stream seed derivation, so per-run seeds
   are independent of grid order and worker assignment;
 * :class:`ResultCache` — content-addressed on-disk results keyed by
-  spec hash + repro package version;
+  spec hash + :data:`CACHE_VERSION` (package version + source hash);
 * :func:`run_specs` — serial or ``ProcessPoolExecutor`` execution with
   results returned in spec order (serial and parallel runs are
   byte-identical; see :func:`results_digest`).
@@ -19,6 +19,10 @@ See ``docs/parallel.md`` for the hashing scheme, cache layout, and
 determinism guarantees.
 """
 
+import hashlib
+from pathlib import Path
+
+from .. import __version__
 from .cache import ResultCache
 from .engine import (
     KERNEL_KEYS,
@@ -29,9 +33,24 @@ from .engine import (
 )
 from .spec import RunSpec, canonical, derive_seed
 
-#: Version string folded into every spec digest.  Tracks the package
-#: version: a release bump invalidates every cached result wholesale.
-from .. import __version__ as CACHE_VERSION
+
+def _source_digest() -> str:
+    """sha256 over the path and bytes of every module of the package."""
+    root = Path(__file__).resolve().parent.parent
+    h = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        h.update(path.relative_to(root).as_posix().encode())
+        h.update(b"\0")
+        h.update(path.read_bytes())
+        h.update(b"\0")
+    return h.hexdigest()
+
+
+#: Version string folded into every spec digest and cache entry: the
+#: package version plus a hash of the package source, computed once per
+#: process.  Editing any module changes it, so a persistent cache never
+#: serves a result computed by different code.
+CACHE_VERSION = f"{__version__}+src.{_source_digest()[:16]}"
 
 __all__ = [
     "CACHE_VERSION",
