@@ -19,7 +19,6 @@ the same formula.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Dict, List, Optional, Tuple
 
 from ..cluster import Cluster, symmetric_cluster
@@ -28,6 +27,8 @@ from ..hedge.oracle import (Exponential, HyperExp, ServiceDist,
                             compare_cells, tolerance_for)
 from ..units import MS, MiB
 from .common import fmt_table
+# One grid digest for every experiment (CI pins serial == parallel).
+from .serving import cells_digest  # noqa: F401
 
 #: Canonical grid: six one-core servers so clone factors 1/2/3 all
 #: divide the fleet, 1 ms mean service time either exponential or
@@ -156,15 +157,6 @@ def differential(cells: List[Dict]):
     """Diff every simulated cell against the closed form; returns the
     list of :class:`repro.hedge.CloneDivergence` (empty = pass)."""
     return compare_cells(cells)
-
-
-def cells_digest(cells: List[Dict]) -> str:
-    """Deterministic digest of the grid results (CI pins serial ==
-    parallel with this)."""
-    from ..exec.spec import canonical
-
-    blob = repr(canonical(cells)).encode()
-    return hashlib.sha256(blob).hexdigest()
 
 
 def report(cells: List[Dict]) -> str:
