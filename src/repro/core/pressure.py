@@ -86,5 +86,10 @@ class StarvationTracker:
     def is_starving_now(self, proclet_id: int) -> bool:
         return proclet_id in self._starved_since
 
+    @property
+    def empty(self) -> bool:
+        """True when no proclet's starvation clock is running."""
+        return not self._starved_since
+
     def clear(self, proclet_id: int) -> None:
         self._starved_since.pop(proclet_id, None)

@@ -43,6 +43,12 @@ class LocalScheduler:
 
     # -- CPU starvation path ------------------------------------------------
     def _on_cpu_reassign(self, sched) -> None:
+        if sched.starved_count == 0 and self.starvation.empty:
+            # No attached item is starved and no clock is running: the
+            # scan below would observe "not starved" for every proclet
+            # (popping nothing) and arm no check.  O(1) instead of
+            # O(#items) on the common reassign.
+            return
         now = self.qs.sim.now
         seen: Set[int] = set()
         for item in sched.items:
@@ -68,10 +74,13 @@ class LocalScheduler:
     def _check_starved(self, pid: int) -> None:
         self._checks_pending.discard(pid)
         proclet = self.qs.runtime._proclets.get(pid)
-        if proclet is None or proclet.status is not ProcletStatus.RUNNING:
+        if (proclet is None or proclet.status is not ProcletStatus.RUNNING
+                or proclet.machine is not self.machine):
+            # Destroyed, paused mid-migration or already moved: its CPU
+            # work is not attached here, so no later reassign on this
+            # machine would observe it and stop its clock.
+            self.starvation.clear(pid)
             return
-        if proclet.machine is not self.machine:
-            return  # already moved
         if not self.starvation.is_starved(pid, self.config.starvation_patience):
             if self.starvation.is_starving_now(pid):
                 # Starved, but not yet past the patience window (a

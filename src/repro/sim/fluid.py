@@ -39,12 +39,13 @@ entering capacity is not bit-identical to the cached value from their
 last fill — an untouched class reuses its cached rates and per-class
 sum outright, which is exact because a fill is a pure function of the
 member list and the entering capacity.  Aggregates (``load``,
-per-priority rate sums, ``demand_total``) are maintained as caches so
-placement policies and metrics observers read them in O(#priorities) or
-O(1) rather than O(#items), and completion timers are re-armed from
-per-class candidate lists instead of a full item scan.  Superseded
-completion timers are truly cancelled on the simulator queue (see
-:meth:`Simulator.cancel`) instead of being left to fire as no-ops.
+per-priority rate sums, ``demand_total``, ``starved_count``) are
+maintained as caches so placement policies and metrics observers read
+them in O(#priorities) or O(1) rather than O(#items), and completion
+timers are re-armed from per-class candidate lists instead of a full
+item scan.  Superseded completion timers are truly cancelled on the
+simulator queue (see :meth:`Simulator.cancel`) instead of being left to
+fire as no-ops.
 See ``docs/kernel.md`` for the exactness argument.
 
 Water-fill formulation
@@ -81,6 +82,7 @@ retains its no-numpy invariant (see ``metrics/stats.py``).
 from __future__ import annotations
 
 import math
+import operator
 import os
 from typing import Callable, Dict, Iterable, List, Optional
 
@@ -243,6 +245,9 @@ class FluidScheduler:
         self._load = 0.0
         self._demand_total = 0.0
         self._rate_sum: Dict[int, float] = {}
+        # Per-class count of members with ``rate <= _EPS`` (the
+        # ``FluidItem.starved`` predicate), kept beside _rate_sum.
+        self._starved: Dict[int, int] = {}
         # Incremental water-fill state: classes whose demand/membership
         # changed since the last flush, the capacity that entered each
         # class at its last recompute, and each class's completion-ETA
@@ -371,6 +376,7 @@ class FluidScheduler:
         self._dirty_classes.clear()
         self._cap_in.clear()
         self._rate_sum.clear()
+        self._starved.clear()
         self._eta_candidates.clear()
         self._finite.clear()
         self._pending_start.clear()
@@ -416,6 +422,7 @@ class FluidScheduler:
             if not self._buckets[old]:
                 del self._buckets[old]
                 self._rate_sum.pop(old, None)
+                self._starved.pop(old, None)
                 self._cap_in.pop(old, None)
                 self._eta_candidates.pop(old, None)
                 self._finite.pop(old, None)
@@ -454,6 +461,15 @@ class FluidScheduler:
         if self._dirty:
             self._flush()
         return self._load
+
+    @property
+    def starved_count(self) -> int:
+        """Number of attached items receiving no service (``rate <=
+        1e-12``, the :attr:`FluidItem.starved` predicate).  Summed from
+        the per-class counts each fill caches: O(#priority classes)."""
+        if self._dirty:
+            self._flush()
+        return sum(self._starved.values())
 
     @property
     def demand_total(self) -> float:
@@ -529,6 +545,7 @@ class FluidScheduler:
             del self._buckets[prio]
             self._prio_order = sorted(self._buckets)
             self._rate_sum.pop(prio, None)
+            self._starved.pop(prio, None)
             self._cap_in.pop(prio, None)
             self._eta_candidates.pop(prio, None)
             self._finite.pop(prio, None)
@@ -627,7 +644,9 @@ class FluidScheduler:
         capacity, reusing the cached fill produces exactly the floats a
         recompute would — aggregates are re-accumulated in priority
         order from the cached per-class sums, so ``load`` and
-        ``free_capacity`` are bit-identical to the eager engine's.
+        ``free_capacity`` are bit-identical to the eager engine's.  A
+        recomputed class also caches its starved count, which the fill
+        derives without a per-item pass.
         """
         self._free_cache = None
         remaining_cap = self._capacity
@@ -638,6 +657,7 @@ class FluidScheduler:
             self._dirty_classes = set()
         load = 0.0
         rate_sum = self._rate_sum
+        starved_by = self._starved
         cap_in = self._cap_in
         finite = self._finite
         recomputed: List[int] = []
@@ -658,11 +678,14 @@ class FluidScheduler:
                         it._rate = 0.0
                         changed = True
                 rate_sum[prio] = 0.0
+                starved_by[prio] = len(group)
                 self._eta_candidates[prio] = []
                 continue
-            used, group_changed = self._water_fill(group, remaining_cap)
+            used, group_changed, nstarved = self._water_fill(
+                group, remaining_cap)
             changed |= group_changed
             rate_sum[prio] = used
+            starved_by[prio] = nstarved
             if finite.get(prio, 0):
                 self._eta_candidates[prio] = [
                     it for it in group
@@ -732,8 +755,11 @@ class FluidScheduler:
         ``share``.  Float-op for float-op the same computation as the
         vector engine's array kernel.
 
-        Returns ``(used, changed)``: the capacity actually consumed and
-        whether any item's rate moved.
+        Returns ``(used, changed, starved)``: the capacity actually
+        consumed, whether any item's rate moved, and how many members
+        got ``rate <= _EPS`` — all of the equal-share tail when
+        ``share <= _EPS``, plus the constrained members whose demand is
+        ``<= _EPS``, a prefix of the sorted order.
         """
         pending = sorted(group, key=_by_demand)
         n = len(pending)
@@ -746,9 +772,15 @@ class FluidScheduler:
                 break
             csum += d
         changed = False
+        starved = 0
+        if pending[0].demand <= _EPS:
+            while starved < k and pending[starved].demand <= _EPS:
+                starved += 1
         if k < n:
             share = (capacity - csum) / (n - k)
             used = csum + share * (n - k)
+            if share <= _EPS:
+                starved += n - k
             for i in range(k):
                 it = pending[i]
                 d = it.demand
@@ -767,7 +799,7 @@ class FluidScheduler:
                 if it._rate != d:
                     it._rate = d
                     changed = True
-        return used, changed
+        return used, changed, starved
 
     def _schedule_next_completion(self) -> None:
         """Arm the completion timer from the per-class candidate lists.
@@ -840,5 +872,6 @@ class FluidScheduler:
                 f"{' dirty' if self._dirty else ''}>")
 
 
-def _by_demand(item: FluidItem) -> float:
-    return item.demand
+#: Water-fill sort key.  A C-level attribute fetch rather than a Python
+#: function: it runs once per member on every recomputed class.
+_by_demand = operator.attrgetter("demand")

@@ -312,7 +312,8 @@ class VectorFluidScheduler(FluidScheduler):
     def _fill_class(self, prio: int, cap: float):
         """Water-fill one class at entering capacity *cap*.
 
-        Returns ``(used, changed)`` like the scalar ``_water_fill``.
+        Returns ``(used, changed, starved)`` like the scalar
+        ``_water_fill``.
         """
         f = self._class_fill(prio)
         n = f.n
@@ -331,9 +332,15 @@ class VectorFluidScheduler(FluidScheduler):
                     break
                 csum += d
             changed = False
+            starved = 0
+            if d_list[0] <= _EPS:
+                while starved < k and d_list[starved] <= _EPS:
+                    starved += 1
             if k < n:
                 share = (cap - csum) / (n - k)
                 used = csum + share * (n - k)
+                if share <= _EPS:
+                    starved += n - k
                 for i in range(k):
                     s = sl[i]
                     d = d_list[i]
@@ -353,7 +360,7 @@ class VectorFluidScheduler(FluidScheduler):
                     if ratev[s] != d:
                         ratev[s] = d
                         changed = True
-            return used, changed
+            return used, changed, starved
 
         memo = f.memo
         hit = memo.get(cap)
@@ -363,10 +370,15 @@ class VectorFluidScheduler(FluidScheduler):
             # compare the scalar loop makes before each break.
             bad = np.nonzero(f.coef > cap - f.csum_prev)[0]
             k = int(bad[0]) if bad.size else n
+            # Constrained members at demand <= _EPS: a sorted prefix.
+            starved = min(k, int(np.searchsorted(f.d_sorted, _EPS,
+                                                 side="right")))
             if k < n:
                 csum_k = float(f.csum_prev[k])
                 share = (cap - csum_k) / (n - k)
                 used = csum_k + share * (n - k)
+                if share <= _EPS:
+                    starved += n - k
                 rates = f.d_sorted.copy()
                 rates[k:] = share
             else:
@@ -374,13 +386,13 @@ class VectorFluidScheduler(FluidScheduler):
                 rates = f.d_sorted
             if len(memo) >= _MEMO_LIMIT:
                 memo.clear()
-            memo[cap] = hit = (rates, used)
-        rates, used = hit
+            memo[cap] = hit = (rates, used, starved)
+        rates, used, starved = hit
         sl = f.slots_sorted
         if np.array_equal(ratev[sl], rates):
-            return used, False
+            return used, False, starved
         ratev[sl] = rates
-        return used, True
+        return used, True, starved
 
     # -- reassignment ---------------------------------------------------------
     def _reassign(self) -> None:
@@ -399,6 +411,7 @@ class VectorFluidScheduler(FluidScheduler):
                 version[prio] = version.get(prio, 0) + 1
         load = 0.0
         rate_sum = self._rate_sum
+        starved_by = self._starved
         cap_in = self._cap_in
         ratev = self._ratev
         recomputed: List[int] = []
@@ -423,10 +436,13 @@ class VectorFluidScheduler(FluidScheduler):
                         ratev[sl] = 0.0
                         changed = True
                 rate_sum[prio] = 0.0
+                starved_by[prio] = f.n
                 continue
-            used, group_changed = self._fill_class(prio, remaining_cap)
+            used, group_changed, nstarved = self._fill_class(
+                prio, remaining_cap)
             changed |= group_changed
             rate_sum[prio] = used
+            starved_by[prio] = nstarved
             load += used
             remaining_cap -= used
         self._load = load

@@ -76,6 +76,71 @@ class TestLocalStarvationReaction:
         qs.sim.run(until=20 * MS)
         assert ref.machine is m0  # nowhere better to go
 
+    def test_starved_proclet_migrates_when_all_else_is_served(self):
+        """One starved item among served ones: the cached starved count
+        is exactly 1, so the reaction still scans and the proclet
+        flees."""
+        qs = make_qs(enable_global_scheduler=False,
+                     enable_split_merge=False)
+        m0, m1 = qs.machines
+        ref = qs.spawn_compute(machine=m0)
+        ref.call("cp_submit", Task(work=100.0, done=qs.sim.event()))
+        qs.sim.run(until=2 * MS)
+        sched = m0.cpu.sched
+        assert sched.starved_count == 0
+        m0.cpu.hold(threads=4.0, priority=Priority.HIGH)
+        m0.cpu.hold(threads=4.0, priority=Priority.HIGH)
+        assert sched.starved_count == 1
+        assert [it.starved for it in sched.items] == [True, False, False]
+        qs.sim.run(until=qs.sim.now + 5 * MS)
+        assert ref.machine is m1
+        assert ref.proclet.migrations == 1
+        assert qs.local_schedulers[0].starvation.empty
+
+    def test_starvation_relieved_inside_patience_does_not_migrate(self):
+        qs = make_qs(enable_global_scheduler=False,
+                     enable_split_merge=False)
+        m0, _ = qs.machines
+        local = qs.local_schedulers[0]
+        ref = qs.spawn_compute(machine=m0)
+        ref.call("cp_submit", Task(work=100.0, done=qs.sim.event()))
+        qs.sim.run(until=2 * MS)
+        burst = m0.cpu.hold(threads=8.0, priority=Priority.HIGH)
+        qs.sim.run(until=qs.sim.now + qs.config.starvation_patience / 4)
+        assert local.starvation.is_starving_now(ref.proclet_id)
+        m0.cpu.release(burst)
+        qs.sim.run(until=qs.sim.now + 5 * MS)
+        assert ref.machine is m0
+        assert ref.proclet.migrations == 0
+        assert local.migrations_triggered == 0
+        assert local.starvation.empty
+
+    @pytest.mark.parametrize("leave", ["destroy", "migrate"])
+    def test_proclet_leaving_while_starved_leaves_no_tracker_entry(
+            self, leave):
+        """Destroyed, or moved by someone other than the local
+        scheduler, inside the patience window: the proclet's CPU work
+        is gone from this machine, so no reassign here ever observes it
+        again and the pending check must stop its clock."""
+        qs = make_qs(enable_global_scheduler=False,
+                     enable_split_merge=False)
+        m0, m1 = qs.machines
+        local = qs.local_schedulers[0]
+        ref = qs.spawn_compute(machine=m0)
+        ref.call("cp_submit", Task(work=100.0, done=qs.sim.event()))
+        qs.sim.run(until=5 * MS)
+        m0.cpu.hold(threads=8.0, priority=Priority.HIGH)
+        qs.sim.run(until=qs.sim.now + qs.config.starvation_patience / 4)
+        assert not local.starvation.empty
+        if leave == "destroy":
+            qs.runtime.destroy(ref)
+        else:
+            qs.sim.run(until_event=qs.runtime.migrate(ref.proclet, m1))
+            assert ref.machine is m1
+        qs.sim.run(until=qs.sim.now + 5 * MS)
+        assert local.migrations_triggered == 0
+        assert local.starvation.empty
+
     def test_migration_cooldown_limits_pingpong(self):
         qs = make_qs(enable_global_scheduler=False,
                      enable_split_merge=False)
