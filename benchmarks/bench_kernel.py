@@ -119,8 +119,8 @@ def scenario_fairshare(quick: bool):
     change.  Tightened alongside the hot-loop pass: two pollers (one
     per placement tier) on a faster cadence and larger waves, so the
     dispatch loop — not the mutation rate — dominates.  Widened again
-    with the vector core: each completion rebalances the whole wave,
-    so per-item recompute cost is what this gate pins now.
+    so that each completion rebalances the whole wave: per-item
+    recompute cost is what this gate pins now.
     """
     waves = 6 if quick else 16
     per_wave = 320
@@ -240,12 +240,12 @@ def scenario_heartbeats(quick: bool):
     detector's watch set makes the no-news round O(down machines)
     instead of O(fleet), the machine index answers each arrival's
     placement argmax and the churn loop's eligible-machine listing
-    without linear scans, and the probe/ack timers live in the timer
-    wheel.  The per-machine local schedulers and the global rebalancer
+    without linear scans, and the probe/ack timers load the event
+    heap.  The per-machine local schedulers and the global rebalancer
     are switched off so those subsystems' (kernel-independent) stat
     sweeps don't drown the paths under measurement.  Uses only public
-    Quicksand API, so it runs unchanged on kernels that predate all
-    three.
+    Quicksand API, so it runs unchanged on kernels that predate the
+    watch set and the machine index.
     """
     from repro import (ClusterSpec, GiB, MachineSpec, Quicksand,
                        QuicksandConfig)

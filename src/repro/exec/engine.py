@@ -34,8 +34,7 @@ from .spec import RunSpec, canonical
 
 #: Kernel counter names shipped from workers (stable order for merging).
 KERNEL_KEYS = ("events", "cancellations", "tombstones_popped",
-               "compactions", "wheel_inserts", "wheel_cancels",
-               "overflow_to_heap", "cascades")
+               "compactions")
 
 
 def results_digest(values: Iterable[Any]) -> str:

@@ -12,7 +12,7 @@ and settles on the first attempt to complete:
   its active CPU work items are removed from their fluid schedulers
   (capacity returns at the cancellation instant, and the items are
   deregistered from the owner proclet so an in-flight migration cannot
-  resurrect them), the heap/wheel timer it is parked on is tombstoned
+  resurrect them), the heap timer it is parked on is tombstoned
   via :meth:`Simulator.cancel`, and the attempt process is interrupted
   with :class:`CloneCancelled`;
 * a loser that finished in the same virtual instant as the winner (the
@@ -245,7 +245,7 @@ class CloneCall:
                 owner._active_cpu.discard(item)
         # 2. Tombstone the timer the attempt is parked on (retry backoff,
         #    call-overhead or network-hop delay) through the real
-        #    cancellation machinery — the heap/wheel entry is reclaimed,
+        #    cancellation machinery — the heap entry is reclaimed,
         #    not leaked.  Shared events (migration gates, resource
         #    completions) are left alone: interrupt() detaches this
         #    process from them without disturbing other waiters.

@@ -36,7 +36,7 @@ class Event:
     """
 
     __slots__ = ("sim", "callbacks", "_value", "_ok", "_processed",
-                 "_cancelled", "_wheel")
+                 "_cancelled")
 
     def __init__(self, sim: "Simulator"):  # noqa: F821 (forward ref)
         self.sim = sim
@@ -49,9 +49,6 @@ class Event:
         self._ok: bool = True
         self._processed = False
         self._cancelled = False
-        # True while the queue entry lives in the timer wheel rather than
-        # the heap; cancel() uses it to credit the right structure.
-        self._wheel = False
 
     # -- inspection -------------------------------------------------------
     @property
@@ -169,7 +166,6 @@ class Timeout(Event):
         self._value = value
         self._processed = False
         self._cancelled = False
-        self._wheel = False
         self.delay = delay
         sim._schedule(self, delay)
 

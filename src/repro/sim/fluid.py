@@ -59,31 +59,18 @@ split the leftover capacity evenly (rate = one identical ``share``
 float).  The test is a prefix-sum: member ``i`` is constrained iff
 ``d[i] * (n - i) <= capacity - csum[i]`` where ``csum[i]`` is the sum of
 demands before ``i``.  This closed form is chosen over the classic
-sequential ``cap -= rate`` loop because every float operation in it maps
-one-to-one onto a numpy kernel (stable argsort, sequential cumsum,
-elementwise multiply/divide), which is what lets the optional vector
-core (below) produce bit-identical trajectories.
-
-Vector core
------------
-
-``REPRO_VECTOR_FLUID=1`` (or ``FluidScheduler(..., vector=True)``)
-selects :class:`repro.sim.vecfluid.VectorFluidScheduler`, a
-struct-of-arrays numpy engine behind this exact API: per-item
-remaining/rate/demand live in flat arrays indexed by stable slots,
-fills and completion scans run as array kernels, and
-:class:`FluidItem` becomes a thin handle.  Trajectories are
-bit-identical with the toggle on or off (enforced like the timer
-wheel's gate, by chaos digest replay); when numpy is not installed the
-toggle silently keeps this pure-python engine, so the core library
-retains its no-numpy invariant (see ``metrics/stats.py``).
+sequential ``cap -= rate`` loop because it is a fixed sequence of float
+operations (stable sort, running sum, one multiply and compare per
+member, one division) that the brute-force oracle in the property
+suite repeats operation for operation.  Cached and recomputed fills are
+therefore bit-identical to the oracle, not merely close, and the tests
+compare rates with ``==``.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import os
 from typing import Callable, Dict, Iterable, List, Optional
 
 from .errors import UnboundResource
@@ -93,32 +80,6 @@ from .simulator import Simulator
 _EPS = 1e-12
 #: Work remaining below this is considered complete (guards float drift).
 _DONE_TOL = 1e-9
-
-
-def _vector_default() -> bool:
-    return os.environ.get("REPRO_VECTOR_FLUID", "0").strip().lower() \
-        in ("1", "true", "on", "yes")
-
-
-#: Lazily resolved VectorFluidScheduler class, or False once resolution
-#: failed (numpy absent) so the import is attempted at most once.
-_VEC_CLS = None
-
-
-def _vector_cls():
-    global _VEC_CLS
-    if _VEC_CLS is None:
-        try:
-            from .vecfluid import VectorFluidScheduler
-            _VEC_CLS = VectorFluidScheduler
-        except ImportError:
-            _VEC_CLS = False
-    return _VEC_CLS or None
-
-
-def vector_supported() -> bool:
-    """True when the optional numpy vector core is importable."""
-    return _vector_cls() is not None
 
 
 class FluidItem:
@@ -197,36 +158,9 @@ class FluidItem:
 
 
 class FluidScheduler:
-    """Strict-priority, max-min-fair rate scheduler over one capacity.
+    """Strict-priority, max-min-fair rate scheduler over one capacity."""
 
-    Constructing ``FluidScheduler(...)`` may actually build a
-    :class:`repro.sim.vecfluid.VectorFluidScheduler` — the numpy
-    struct-of-arrays engine — when ``vector=True`` is passed or the
-    ``REPRO_VECTOR_FLUID`` environment variable enables it (and numpy is
-    importable; otherwise this pure-python engine is used silently).
-    The two produce bit-identical trajectories.
-    """
-
-    #: True on the numpy vector engine subclass.
-    vectorized = False
-    #: Item class the engine hands out (the vector engine substitutes a
-    #: slot-backed handle subclass).
-    _item_cls = FluidItem
-
-    def __new__(cls, sim: Simulator, capacity: float = 0.0,
-                name: str = "fluid", vector: Optional[bool] = None):
-        if cls is FluidScheduler:
-            want = _vector_default() if vector is None else vector
-            if want:
-                vec = _vector_cls()
-                if vec is not None:
-                    return object.__new__(vec)
-        return object.__new__(cls)
-
-    def __init__(self, sim: Simulator, capacity: float, name: str = "fluid",
-                 vector: Optional[bool] = None):
-        # ``vector`` is consumed by __new__; accepted here so the
-        # signature matches the constructor call.
+    def __init__(self, sim: Simulator, capacity: float, name: str = "fluid"):
         if capacity < 0:
             raise ValueError(f"negative capacity: {capacity}")
         self.sim = sim
@@ -303,8 +237,8 @@ class FluidScheduler:
             raise ValueError(f"negative work: {work}")
         if demand <= 0:
             raise ValueError(f"demand must be positive: {demand}")
-        item = self._item_cls(self, name or f"{self.name}-item", work, demand,
-                              priority, owner=owner)
+        item = FluidItem(self, name or f"{self.name}-item", work, demand,
+                         priority, owner=owner)
         if work <= _DONE_TOL:
             item._sched = None
             item.remaining = 0.0
@@ -317,8 +251,8 @@ class FluidScheduler:
     def hold(self, demand: float, priority: int = 1, name: str = "",
              owner=None) -> FluidItem:
         """Submit an unbounded item that runs until cancelled."""
-        item = self._item_cls(self, name or f"{self.name}-hold", math.inf,
-                              demand, priority, owner=owner)
+        item = FluidItem(self, name or f"{self.name}-hold", math.inf,
+                         demand, priority, owner=owner)
         self._insert(item)
         return item
 
@@ -382,15 +316,10 @@ class FluidScheduler:
         self._pending_start.clear()
         self._structure_changed = True
         for item in items:
-            self._discard(item)
             item._sched = None
             item._rate = 0.0
             item.done.fail(exc)
         self._mark_dirty()
-
-    def _discard(self, item: FluidItem) -> None:
-        """Engine hook: per-item teardown during :meth:`fail_all` (the
-        vector engine releases the item's array slot here)."""
 
     # -- tuning ---------------------------------------------------------------
     def set_demand(self, item: FluidItem, demand: float) -> None:
@@ -400,13 +329,8 @@ class FluidScheduler:
             raise ValueError(f"demand must be positive: {demand}")
         self._demand_total += float(demand) - item.demand
         item.demand = float(demand)
-        self._set_demand_hook(item)
         self._dirty_classes.add(item.priority)
         self._mark_dirty()
-
-    def _set_demand_hook(self, item: FluidItem) -> None:
-        """Engine hook: mirror a demand change into engine state before
-        the flush (the vector engine updates its demand array)."""
 
     def set_priority(self, item: FluidItem, priority: int) -> None:
         if item._sched is not self:
@@ -617,19 +541,21 @@ class FluidScheduler:
                 served[prio] = served.get(prio, 0.0) + rs * elapsed
                 total += rs
         self.served_integral += total * elapsed
-        self._advance_remaining(elapsed)
-
-    def _advance_remaining(self, elapsed: float) -> None:
-        """Engine hook: decrement every served item's remaining work by
-        ``rate * elapsed`` (clamped at zero; holds stay infinite)."""
+        # Served items lose ``rate * elapsed`` of work, clamped at zero
+        # (``r if r > 0.0 else 0.0`` is ``max(0.0, r)`` without the
+        # builtin call); holds stay infinite.
+        inf = math.inf
         finite = self._finite
         buckets = self._buckets
         for prio in self._prio_order:
             if finite.get(prio, 0):
                 for it in buckets[prio]:
                     rate = it._rate
-                    if rate > 0.0 and it.remaining != math.inf:
-                        it.remaining = max(0.0, it.remaining - rate * elapsed)
+                    if rate > 0.0:
+                        left = it.remaining
+                        if left != inf:
+                            left -= rate * elapsed
+                            it.remaining = left if left > 0.0 else 0.0
 
     def _reassign(self) -> None:
         """Recompute rates for classes whose inputs changed; reschedule
@@ -753,7 +679,7 @@ class FluidScheduler:
         demand, ``k`` = first index whose demand exceeds an equal split
         of what would remain, everyone from ``k`` on gets one identical
         ``share``.  Float-op for float-op the same computation as the
-        vector engine's array kernel.
+        brute-force oracle in ``tests/property/test_incremental_fluid``.
 
         Returns ``(used, changed, starved)``: the capacity actually
         consumed, whether any item's rate moved, and how many members
@@ -814,14 +740,16 @@ class FluidScheduler:
         if self._timer is not None:
             self.sim.cancel(self._timer)
             self._timer = None
-        eta = math.inf
+        inf = eta = math.inf
         candidates = self._eta_candidates
         for prio in self._prio_order:
             for it in candidates.get(prio, ()):
                 rate = it._rate
-                if rate > _EPS and it.remaining != math.inf:
-                    eta = min(eta, it.remaining / rate)
-        if eta is math.inf:
+                if rate > _EPS and it.remaining != inf:
+                    t = it.remaining / rate
+                    if t < eta:
+                        eta = t
+        if eta is inf:
             return
         self._arm_timer(eta)
 
@@ -837,21 +765,17 @@ class FluidScheduler:
         ev.callbacks = [self._on_timer_cb]
         self._timer = ev
 
-    def _find_finished(self) -> List[FluidItem]:
-        """Engine hook: items whose work is (float-tolerantly) done, in
-        submission order.  An item is done when under a nanosecond of
-        service remains: the absolute tolerance alone is not enough
-        because work values can be huge (bytes), making float error
-        exceed any fixed epsilon."""
-        return [
-            it for it in self._items
-            if it.remaining <= max(_DONE_TOL, it._rate * 1e-9)
-        ]
-
     def _on_timer(self, _ev: Optional[Event] = None) -> None:
         self._timer = None
         self._settle()
-        finished = self._find_finished()
+        # Finished items, in submission order: under a nanosecond of
+        # service remains.  The absolute tolerance alone is not enough
+        # because work values can be huge (bytes), making float error
+        # exceed any fixed epsilon.
+        finished = [
+            it for it in self._items
+            if it.remaining <= _DONE_TOL or it.remaining <= it._rate * 1e-9
+        ]
         for it in finished:
             self._remove(it)
             it._sched = None

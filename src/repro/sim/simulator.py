@@ -6,33 +6,19 @@ deterministic simulator.  Time is a ``float`` in *seconds* of virtual time;
 no wall-clock API is consulted anywhere, so runs are exactly reproducible
 given a seed.
 
-Scheduled events can be *cancelled* (:meth:`Simulator.cancel`): the queue
-entry is tombstoned rather than removed, skipped for free when popped,
-and the heap is compacted once the dead/live ratio crosses a threshold.
-The fluid scheduler uses this to retire superseded completion timers
-instead of letting them bloat the heap.
-
-Timer wheel
------------
-
-Near-future events (heartbeat probes, watchdogs, pollers — anything due
-within :data:`_WHEEL_SPAN` slots of :data:`_SLOT_WIDTH` seconds) are kept
-in a hashed timer wheel instead of the binary heap: insert appends to a
-per-slot list (O(1)) and cancel is a tombstone that the slot drain
-discards wholesale, so a cancel-heavy periodic workload never pays heap
-sift or compaction costs.  Events past the wheel window overflow to the
-heap as before.  Dispatch compares the actual ``(when, priority, seq)``
-tuples across both structures, and a drained slot is sorted on exactly
-those tuples, so the total event order — including same-timestamp
-tie-breaks — is bit-identical to the heap-only kernel.  The wheel can be
-disabled with ``REPRO_TIMER_WHEEL=0`` (or ``timer_wheel=False``); digests
-must not differ either way.
+The event queue is one binary heap of ``(when, priority, seq, event)``
+tuples, so dispatch order is total: time first, then priority (URGENT
+before NORMAL), then scheduling order.  Scheduled events can be
+*cancelled* (:meth:`Simulator.cancel`): the heap entry is tombstoned
+rather than removed and skipped for free when popped, and the heap is
+compacted in one pass once the dead/live ratio crosses
+:data:`_COMPACT_DEAD_RATIO`.  The fluid scheduler uses this to retire
+superseded completion timers instead of letting them bloat the heap.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 from typing import Any, Dict, Generator, Iterable, Optional
 
 from .errors import StopSimulation
@@ -49,28 +35,6 @@ _COMPACT_MIN_DEAD = 64
 #: to useful work regardless of queue size.
 _COMPACT_DEAD_RATIO = 1.0
 
-#: Timer-wheel slot width in seconds.  A power of two, so scaling a
-#: timestamp by ``1 / _SLOT_WIDTH`` is exact in binary floating point
-#: and slot assignment is a pure monotone function of the timestamp.
-#: ~1 ms: wide enough that a slot drain amortizes its (Python-level)
-#: bookkeeping over several timers of a sub-ms poller workload, narrow
-#: enough that a drained slot's C sort stays tiny.  Slot routing never
-#: affects dispatch order — entries are merged on their full
-#: ``(when, priority, seq)`` tuples — so the width is purely a
-#: throughput knob.
-_SLOT_WIDTH = 2.0 ** -10
-_INV_SLOT = 2.0 ** 10
-
-#: Number of slots the wheel covers ahead of its floor (~1 s).
-#: Events farther out than this go to the heap.
-_WHEEL_SPAN = 1024
-
-
-def _wheel_default() -> bool:
-    return os.environ.get("REPRO_TIMER_WHEEL", "1").strip().lower() \
-        not in ("0", "false", "off", "no")
-
-
 #: Called as ``fn(sim)`` on every new Simulator (see set_tracer_factory).
 _tracer_factory = None
 
@@ -83,10 +47,6 @@ _KERNEL_TOTALS = {
     "cancellations": 0,
     "tombstones_popped": 0,
     "compactions": 0,
-    "wheel_inserts": 0,
-    "wheel_cancels": 0,
-    "overflow_to_heap": 0,
-    "cascades": 0,
 }
 
 
@@ -119,24 +79,14 @@ class Simulator:
         Initial virtual time (seconds).
     seed:
         Master seed for the simulator's named RNG streams.
-    timer_wheel:
-        Route near-future events through the timer wheel (default: the
-        ``REPRO_TIMER_WHEEL`` environment variable, on unless set to
-        ``0``/``false``/``off``/``no``).  Trajectories are bit-identical
-        either way; the wheel only changes constant factors.
     """
 
     __slots__ = ("_now", "_queue", "_seq", "_processed_events", "_dead",
                  "_cancellations", "_tombstones_popped", "_compactions",
                  "_running", "_pending_flushes", "_observers", "random",
-                 "tracer", "_wheel_on", "_wheel", "_slot_heap", "_due",
-                 "_due_idx", "_wheel_floor", "_wheel_floor_end",
-                 "_wheel_limit", "_wheel_len",
-                 "_dead_wheel", "_wheel_inserts", "_wheel_cancels",
-                 "_cascades", "__weakref__")
+                 "tracer", "__weakref__")
 
-    def __init__(self, start: float = 0.0, seed: int = 0,
-                 timer_wheel: Optional[bool] = None):
+    def __init__(self, start: float = 0.0, seed: int = 0):
         self._now = float(start)
         self._queue: list = []  # (time, priority, seq, event)
         self._seq = 0
@@ -146,28 +96,6 @@ class Simulator:
         self._tombstones_popped = 0
         self._compactions = 0
         self._running = False   # True while run()/step() is executing
-        # Timer wheel: absolute slot index -> unsorted entry list.  The
-        # floor is the last drained slot; entries at or below it (and
-        # beyond the window) go to the heap, so every wheel slot is
-        # strictly in the future of the drained one.
-        self._wheel_on = _wheel_default() if timer_wheel is None \
-            else bool(timer_wheel)
-        self._wheel: Dict[int, list] = {}
-        self._slot_heap: list = []      # min-heap of populated slot indices
-        self._due: list = []            # sorted entries of the drained slot
-        self._due_idx = 0
-        self._wheel_floor = int(self._now * _INV_SLOT)
-        # First instant routable to the wheel.  With the wheel disabled
-        # it is +inf, so _schedule's single range test rejects every
-        # event without a separate feature check.
-        self._wheel_floor_end = ((self._wheel_floor + 1) * _SLOT_WIDTH
-                                 if self._wheel_on else float("inf"))
-        self._wheel_limit = (self._wheel_floor + _WHEEL_SPAN) * _SLOT_WIDTH
-        self._wheel_len = 0             # entries in wheel slots + _due
-        self._dead_wheel = 0            # tombstoned entries in the wheel
-        self._wheel_inserts = 0
-        self._wheel_cancels = 0
-        self._cascades = 0
         # Fluid schedulers with a coalesced reassignment pending; always
         # drained before virtual time advances (see _drain_flushes).
         self._pending_flushes: list = []
@@ -195,14 +123,13 @@ class Simulator:
     # -- heap diagnostics ---------------------------------------------------
     @property
     def queued(self) -> int:
-        """Live (non-tombstoned) events waiting in heap or wheel."""
-        return (len(self._queue) - self._dead
-                + self._wheel_len - self._dead_wheel)
+        """Live (non-tombstoned) events waiting in the heap."""
+        return len(self._queue) - self._dead
 
     @property
     def dead_entries(self) -> int:
-        """Tombstoned entries awaiting pop, drain, or compaction."""
-        return self._dead + self._dead_wheel
+        """Tombstoned entries awaiting pop or compaction."""
+        return self._dead
 
     @property
     def compactions(self) -> int:
@@ -216,25 +143,17 @@ class Simulator:
 
     @property
     def tombstones_popped(self) -> int:
-        """Dead entries discarded by dispatch or slot drains (vs
-        compaction)."""
+        """Dead entries discarded by dispatch (vs compaction)."""
         return self._tombstones_popped
 
     def heap_stats(self) -> Dict[str, int]:
         """Event-queue diagnostics as a dict (see ``repro.metrics``)."""
         return {
             "queued": self.queued,
-            "dead_entries": self._dead + self._dead_wheel,
+            "dead_entries": self._dead,
             "compactions": self._compactions,
             "cancellations": self._cancellations,
             "tombstones_popped": self._tombstones_popped,
-            "wheel_inserts": self._wheel_inserts,
-            "wheel_cancels": self._wheel_cancels,
-            # Every schedule either wheels or heaps, so the overflow
-            # count is derived rather than maintained on the hot path.
-            "overflow_to_heap": (self._seq - self._wheel_inserts
-                                 if self._wheel_on else 0),
-            "cascades": self._cascades,
         }
 
     # -- observation --------------------------------------------------------
@@ -289,26 +208,8 @@ class Simulator:
         if delay < 0:
             raise ValueError(f"cannot schedule into the past: delay={delay}")
         self._seq += 1
-        when = self._now + delay
-        entry = (when, priority, self._seq, event)
-        # Wheel-routable window: [floor_end, limit).  Both bounds are
-        # exact multiples of the power-of-two slot width, so the float
-        # compares agree exactly with slot-index arithmetic.  floor_end
-        # is +inf with the wheel off, making the common heap path a
-        # single compare.
-        if self._wheel_floor_end <= when < self._wheel_limit:
-            idx = int(when * _INV_SLOT)
-            slot = self._wheel.get(idx)
-            if slot is None:
-                self._wheel[idx] = [entry]
-                heapq.heappush(self._slot_heap, idx)
-            else:
-                slot.append(entry)
-            event._wheel = True
-            self._wheel_len += 1
-            self._wheel_inserts += 1
-            return
-        heapq.heappush(self._queue, entry)
+        heapq.heappush(self._queue,
+                       (self._now + delay, priority, self._seq, event))
 
     def call_at(self, when: float, fn, *args) -> Event:
         """Run ``fn(*args)`` at absolute virtual time *when*."""
@@ -328,30 +229,23 @@ class Simulator:
     def cancel(self, event: Event) -> bool:
         """Tombstone a scheduled-but-unprocessed *event*.
 
-        The event's callbacks will never run; its queue entry is skipped
-        when popped (or reclaimed in bulk by a slot drain or heap
-        compaction).  Returns True if the event was live and is now
-        cancelled, False if it was never scheduled, already processed,
-        or already cancelled.
+        The event's callbacks will never run; its heap entry is skipped
+        when popped (or reclaimed in bulk by compaction).  Returns True if
+        the event was live and is now cancelled, False if it was never
+        scheduled, already processed, or already cancelled.
 
-        A wheel-resident cancel is pure bookkeeping: the tombstone is
-        discarded wholesale when its slot drains, before any sorting.
-        Heap compaction is batched: a cancel issued from inside the
-        dispatch loop (the common case — schedulers retiring superseded
-        timers from event callbacks) only marks the tombstone; the loop
-        itself compacts at most once per dispatch when the dead/live
-        ratio crosses :data:`_COMPACT_DEAD_RATIO`.  Cancels issued
-        outside a run compact eagerly.
+        Compaction is batched: a cancel issued from inside the dispatch
+        loop (the common case — schedulers retiring superseded timers
+        from event callbacks) only marks the tombstone; the loop itself
+        compacts at most once per dispatch when the dead/live ratio
+        crosses :data:`_COMPACT_DEAD_RATIO`.  Cancels issued outside a
+        run compact eagerly.
         """
         if (event._value is PENDING or event._processed
                 or event._cancelled):
             return False
         event._cancelled = True
         self._cancellations += 1
-        if event._wheel:
-            self._dead_wheel += 1
-            self._wheel_cancels += 1
-            return True
         self._dead += 1
         if (not self._running and self._dead > _COMPACT_MIN_DEAD
                 and self._dead > _COMPACT_DEAD_RATIO
@@ -361,48 +255,11 @@ class Simulator:
 
     def _compact(self) -> None:
         """Drop tombstoned heap entries and re-heapify (in place, so
-        aliases held by the run loop stay valid).  Wheel tombstones are
-        reclaimed by slot drains instead."""
+        aliases held by the run loop stay valid)."""
         self._queue[:] = [e for e in self._queue if not e[3]._cancelled]
         heapq.heapify(self._queue)
         self._dead = 0
         self._compactions += 1
-
-    # -- wheel drain ---------------------------------------------------------
-    def _advance_wheel(self):
-        """Head entry of the wheel side (cascading slots into the sorted
-        due-list as needed), or None when the wheel is empty.
-
-        Tombstoned entries are filtered out *before* the sort — a
-        cancelled wheel timer is never ordered, popped, or compacted.
-        The due-list keeps the exact ``(when, priority, seq)`` tuple
-        order within the slot, and slots drain in index order, so the
-        merged stream preserves the global heap order bit-for-bit.
-        """
-        due = self._due
-        di = self._due_idx
-        while di >= len(due):
-            slot_heap = self._slot_heap
-            if not slot_heap:
-                return None
-            idx = heapq.heappop(slot_heap)
-            live = self._wheel.pop(idx)
-            if self._dead_wheel:
-                entries = live
-                live = [e for e in entries if not e[3]._cancelled]
-                dropped = len(entries) - len(live)
-                if dropped:
-                    self._dead_wheel -= dropped
-                    self._wheel_len -= dropped
-                    self._tombstones_popped += dropped
-            live.sort()
-            self._due = due = live
-            self._due_idx = di = 0
-            self._wheel_floor = idx
-            self._wheel_floor_end = (idx + 1) * _SLOT_WIDTH
-            self._wheel_limit = (idx + _WHEEL_SPAN) * _SLOT_WIDTH
-            self._cascades += 1
-        return due[di]
 
     # -- execution ----------------------------------------------------------
     def _drain_flushes(self) -> None:
@@ -424,25 +281,12 @@ class Simulator:
         self._running = True
         try:
             while True:
-                if not self._wheel_len:
-                    wh = None
-                elif self._due_idx < len(self._due):
-                    wh = self._due[self._due_idx]
-                else:
-                    wh = self._advance_wheel()
-                if queue:
-                    head = queue[0]
-                    use_heap = wh is None or head < wh
-                    if not use_heap:
-                        head = wh
-                elif wh is not None:
-                    head = wh
-                    use_heap = False
-                else:
+                if not queue:
                     if self._pending_flushes:
                         self._drain_flushes()
                         continue
                     return
+                head = queue[0]
                 if self._pending_flushes and head[0] > self._now:
                     self._drain_flushes()
                     continue
@@ -451,20 +295,12 @@ class Simulator:
                         * (len(queue) - self._dead)):
                     self._compact()
                     continue
+                heapq.heappop(queue)
                 event = head[3]
-                if use_heap:
-                    heapq.heappop(queue)
-                    if event._cancelled:
-                        self._dead -= 1
-                        self._tombstones_popped += 1
-                        continue
-                else:
-                    self._due_idx += 1
-                    self._wheel_len -= 1
-                    if event._cancelled:
-                        self._dead_wheel -= 1
-                        self._tombstones_popped += 1
-                        continue
+                if event._cancelled:
+                    self._dead -= 1
+                    self._tombstones_popped += 1
+                    continue
                 when = head[0]
                 assert when >= self._now, "event queue went backwards"
                 self._now = when
@@ -485,18 +321,7 @@ class Simulator:
             heapq.heappop(queue)
             self._dead -= 1
             self._tombstones_popped += 1
-        wh = self._advance_wheel()
-        while wh is not None and wh[3]._cancelled:
-            self._due_idx += 1
-            self._wheel_len -= 1
-            self._dead_wheel -= 1
-            self._tombstones_popped += 1
-            wh = self._advance_wheel()
-        if queue and (wh is None or queue[0] < wh):
-            return queue[0][0]
-        if wh is not None:
-            return wh[0]
-        return float("inf")
+        return queue[0][0] if queue else float("inf")
 
     def run(self, until: Optional[float] = None,
             until_event: Optional[Event] = None) -> Any:
@@ -519,16 +344,13 @@ class Simulator:
             until_event.subscribe(stop_hit.append)
 
         # Hot loop: local aliases avoid repeated attribute lookups on the
-        # schedule->pop->_process path.  Each iteration resolves the
-        # earliest entry across the heap and the wheel by comparing the
-        # actual (when, priority, seq) tuples — the merged order is the
-        # heap-only order, bit for bit.  Pending coalesced reassignments
+        # schedule->pop->_process path.  Pending coalesced reassignments
         # are drained whenever time is about to advance (or the queue
         # drains), so they are observationally equivalent to eager
-        # per-mutation recomputation.  Dead heap entries accumulated by
+        # per-mutation recomputation.  Dead entries accumulated by
         # in-loop cancels are reclaimed here, at most one batched
         # compaction per dispatch, once the dead/live ratio crosses the
-        # threshold; dead wheel entries are discarded by slot drains.
+        # threshold.
         queue = self._queue
         pop = heapq.heappop
         flushes = self._pending_flushes
@@ -538,42 +360,17 @@ class Simulator:
         cancels_before = self._cancellations
         compactions_before = self._compactions
         popped_before = self._tombstones_popped
-        wheel_before = self._wheel_inserts
-        wheel_cancels_before = self._wheel_cancels
-        seq_before = self._seq
-        cascades_before = self._cascades
         self._running = True
         try:
             while True:
                 if stop_hit:
                     break
-                # _wheel_len counts every entry still inside the wheel
-                # side (due-list remainder + slots, live or dead), so a
-                # single truthiness check skips the whole wheel probe on
-                # heap-only workloads.
-                if self._wheel_len:
-                    due = self._due
-                    di = self._due_idx
-                    if di < len(due):
-                        wh = due[di]
-                    else:
-                        wh = self._advance_wheel()
-                        di = self._due_idx
-                else:
-                    wh = None
-                if queue:
-                    head = queue[0]
-                    use_heap = wh is None or head < wh
-                    if not use_heap:
-                        head = wh
-                elif wh is not None:
-                    head = wh
-                    use_heap = False
-                else:
+                if not queue:
                     if flushes:
                         self._drain_flushes()
                         continue
                     break
+                head = queue[0]
                 if flushes and head[0] > self._now:
                     self._drain_flushes()
                     continue  # flushing may have enqueued new events
@@ -584,20 +381,12 @@ class Simulator:
                     continue
                 if head[0] > horizon:
                     break
+                pop(queue)
                 event = head[3]
-                if use_heap:
-                    pop(queue)
-                    if event._cancelled:
-                        self._dead -= 1
-                        self._tombstones_popped += 1
-                        continue
-                else:
-                    self._due_idx = di + 1
-                    self._wheel_len -= 1
-                    if event._cancelled:
-                        self._dead_wheel -= 1
-                        self._tombstones_popped += 1
-                        continue
+                if event._cancelled:
+                    self._dead -= 1
+                    self._tombstones_popped += 1
+                    continue
                 self._now = head[0]
                 self._processed_events += 1
                 # Inlined Event._process (no subclass overrides it): one
@@ -621,14 +410,6 @@ class Simulator:
             totals["tombstones_popped"] += \
                 self._tombstones_popped - popped_before
             totals["compactions"] += self._compactions - compactions_before
-            totals["wheel_inserts"] += self._wheel_inserts - wheel_before
-            totals["wheel_cancels"] += \
-                self._wheel_cancels - wheel_cancels_before
-            if self._wheel_on:
-                totals["overflow_to_heap"] += \
-                    (self._seq - seq_before) \
-                    - (self._wheel_inserts - wheel_before)
-            totals["cascades"] += self._cascades - cascades_before
 
         if until is not None and not stop_hit:
             self._now = max(self._now, until)

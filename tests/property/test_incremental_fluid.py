@@ -11,6 +11,10 @@ The cached ``starved_count`` must equal a scan of ``item.starved``
 after every operation, ``fail_all`` included.
 """
 
+import math
+from types import SimpleNamespace
+
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -198,3 +202,123 @@ def test_starved_count_matches_item_scan(ops):
         _apply(sched, held, parked, op)
         assert sched.starved_count == sum(it.starved for it in sched.items)
         assert sched.starved_count == brute_force_starved(sched)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ops=_ops)
+def test_free_capacity_matches_brute_force(ops):
+    """``free_capacity(p)`` is the capacity left after every class at or
+    above priority ``p``: bit-identical to the oracle's load over just
+    those classes, a memo hit included; ``demand_total`` tracks the
+    attached demands."""
+    sim = Simulator()
+    sched = FluidScheduler(sim, 4.0, name="cpu")
+    held, parked = [], []
+    for op in ops:
+        _apply(sched, held, parked, op)
+    for prio in list(range(5)) * 2:
+        _, used = brute_force_rates(SimpleNamespace(
+            items=[it for it in sched.items if it.priority <= prio],
+            capacity=sched.capacity))
+        assert sched.free_capacity(priority=prio) == max(
+            0.0, sched.capacity - used)
+    assert sched.demand_total == pytest.approx(
+        sum(it.demand for it in sched.items), abs=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dems=st.lists(demands, min_size=33, max_size=60),
+       caps=st.lists(capacities, min_size=1, max_size=6))
+def test_starved_count_on_wide_classes(dems, caps):
+    """One wide class refilled at a series of capacities, each visited
+    twice: the cached starved count matches the oracle every time."""
+    sched = FluidScheduler(Simulator(), 4.0, name="cpu")
+    for d in dems:
+        sched.hold(demand=d, priority=1)
+    for cap in caps + caps:
+        sched.set_capacity(cap)
+        assert sched.starved_count == brute_force_starved(sched)
+
+
+_jobs = st.lists(
+    st.tuples(
+        st.floats(0.05, 2.0),    # work
+        st.floats(0.1, 3.0),     # demand
+        st.integers(0, 2),       # priority
+        st.floats(0.0, 0.5),     # submit delay from previous job
+    ),
+    min_size=1, max_size=25,
+)
+
+
+def _engine_timeline(jobs, caps):
+    """Submit the jobs from a process (every third one also resets the
+    capacity) and record each job's completion instant."""
+    sim = Simulator()
+    sched = FluidScheduler(sim, 2.5, name="cpu")
+    items = []
+
+    def driver():
+        for i, (work, demand, prio, gap) in enumerate(jobs):
+            items.append(sched.submit(work=work, demand=demand,
+                                      priority=prio))
+            if caps and i % 3 == 2:
+                sched.set_capacity(caps[i % len(caps)])
+            yield sim.timeout(gap)
+
+    sim.process(driver())
+    sim.run()
+    return [it.finished_at for it in items]
+
+
+class _Job:
+    """A bare oracle work item, hashed by identity like a FluidItem."""
+
+    def __init__(self, work, demand, priority):
+        self.remaining = work
+        self.demand = demand
+        self.priority = priority
+        self.finished_at = None
+
+
+def _oracle_timeline(jobs, caps):
+    """The same schedule, stepped from event to event with every rate
+    recomputed from scratch by the brute-force fill."""
+    arrivals, at = [], 0.0
+    for i, (work, demand, prio, gap) in enumerate(jobs):
+        cap = caps[i % len(caps)] if caps and i % 3 == 2 else None
+        arrivals.append((at, _Job(work, demand, prio), cap))
+        at += gap
+    order = [job for _, job, _ in arrivals]
+    capacity, now, active = 2.5, 0.0, []
+    while arrivals or active:
+        while arrivals and arrivals[0][0] <= now:
+            _, job, cap = arrivals.pop(0)
+            active.append(job)
+            if cap is not None:
+                capacity = cap
+        rates, _ = brute_force_rates(
+            SimpleNamespace(items=active, capacity=capacity))
+        step = min([j.remaining / rates[j] for j in active
+                    if rates[j] > _EPS] + [math.inf])
+        if arrivals:
+            step = min(step, arrivals[0][0] - now)
+        now += step
+        for j in list(active):
+            j.remaining -= rates[j] * step
+            if j.remaining <= max(1e-9, rates[j] * 1e-9):
+                active.remove(j)
+                j.finished_at = now
+    return [job.finished_at for job in order]
+
+
+@settings(max_examples=25, deadline=None)
+@given(jobs=_jobs,
+       caps=st.lists(st.floats(0.5, 6.0), min_size=0, max_size=4))
+def test_completion_timeline_matches_oracle(jobs, caps):
+    """Staggered submissions across three priorities with capacity
+    changes: every job completes when a from-scratch fluid simulation
+    says it does."""
+    engine = _engine_timeline(jobs, caps)
+    assert engine == pytest.approx(_oracle_timeline(jobs, caps),
+                                   rel=1e-9, abs=1e-9)

@@ -1,6 +1,9 @@
 """Unit tests for the fluid scheduler (CPU/NIC/IOPS rate model)."""
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -363,3 +366,22 @@ class TestWaterFillDeterminism:
         for rate_vec, finish in runs[1:]:
             assert rate_vec == pytest.approx(ref_rates, rel=1e-12)
             assert finish == pytest.approx(ref_finish, rel=1e-12)
+
+
+def test_core_import_does_not_pull_numpy():
+    """The core library keeps its no-numpy invariant: importing repro
+    and driving the fluid scheduler must not import numpy."""
+    code = (
+        "import sys\n"
+        "import repro\n"
+        "from repro.sim import FluidScheduler, Simulator\n"
+        "s = FluidScheduler(Simulator(), 4.0)\n"
+        "s.hold(demand=1.0)\n"
+        "s.sync()\n"
+        "assert 'numpy' not in sys.modules, 'numpy leaked into core import'\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__)))), "src")
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)

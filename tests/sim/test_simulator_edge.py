@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.sim import Simulator
+from repro.sim.events import NORMAL, URGENT
 
 
 @pytest.fixture
@@ -112,6 +113,58 @@ class TestEventOrderingAtSameTime:
         assert sim.now == 1.0
 
 
+def _lcg(seed=12345):
+    """Deterministic pseudorandom floats in [0, 1) (no global RNG)."""
+    state = seed
+    while True:
+        state = (state * 6364136223846793005 + 1442695040888963407) % (1 << 64)
+        yield (state >> 11) / float(1 << 53)
+
+
+class TestHeapOrdering:
+    def test_storm_fires_live_timers_in_when_seq_order(self, sim):
+        """Random sub-ms, sub-second and multi-second timers, every
+        seventh cancelled: the live ones fire exactly in ``(when,
+        scheduling order)`` order, each at its own instant, and the
+        cancelled ones never."""
+        rnd = _lcg()
+        fired = []
+        scheduled = []
+        events = []
+        for i in range(400):
+            r = next(rnd)
+            if r < 0.3:
+                delay = next(rnd) * 5e-4
+            elif r < 0.8:
+                delay = next(rnd) * 0.9
+            else:
+                delay = 1.0 + next(rnd) * 3.0
+            ev = sim.timeout(delay)
+            ev.subscribe(lambda _e, i=i: fired.append((sim.now, i)))
+            scheduled.append((delay, i))
+            events.append(ev)
+        for i in range(0, 400, 7):
+            assert sim.cancel(events[i])
+        sim.run()
+        expected = sorted((when, i) for when, i in scheduled if i % 7)
+        assert fired == expected
+        assert sim.processed_events == len(expected)
+        assert sim.queued == 0
+        assert sim.dead_entries == 0
+
+    def test_same_instant_orders_by_priority_then_seq(self, sim):
+        """Ties at one timestamp break by priority (URGENT first), then
+        by scheduling order."""
+        log = []
+        for i in range(20):
+            ev = sim.event()
+            sim._schedule(ev, 0.01, priority=URGENT if i % 3 else NORMAL)
+            ev.subscribe(lambda _e, i=i: log.append(i))
+        sim.run()
+        assert log == ([i for i in range(20) if i % 3]
+                       + [i for i in range(20) if not i % 3])
+
+
 class TestCancellation:
     def test_cancel_skips_callbacks(self, sim):
         fired = []
@@ -120,6 +173,19 @@ class TestCancellation:
         sim.run()
         assert fired == []
         assert ev.cancelled
+
+    def test_cancelled_timer_never_fires_and_leaves_nothing_queued(self,
+                                                                   sim):
+        fired = []
+        ev = sim.timeout(0.01)
+        ev.subscribe(lambda _e: fired.append("no"))
+        assert sim.cancel(ev)
+        assert sim.queued == 0
+        sim.run()
+        assert fired == []
+        assert sim.queued == 0
+        assert sim.dead_entries == 0
+        assert sim.tombstones_popped == 1
 
     def test_cancel_twice_returns_false(self, sim):
         ev = sim.call_in(1.0, lambda: None)
@@ -177,12 +243,8 @@ class TestHeapCompaction:
         sim.timeout(1.0)
         sim.cancel(sim.timeout(2.0))
         stats = sim.heap_stats()
-        # 1.0 s and 2.0 s are beyond the wheel window, so both inserts
-        # overflow to the heap.
         assert stats == {"queued": 1, "dead_entries": 1, "compactions": 0,
-                         "cancellations": 1, "tombstones_popped": 0,
-                         "wheel_inserts": 0, "wheel_cancels": 0,
-                         "overflow_to_heap": 2, "cascades": 0}
+                         "cancellations": 1, "tombstones_popped": 0}
 
     def test_repr_shows_heap_diagnostics(self, sim):
         sim.cancel(sim.timeout(1.0))
