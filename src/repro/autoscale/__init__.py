@@ -7,18 +7,15 @@ oscillate; and a two-phase reshard protocol (prepare → commit →
 cleanup, with explicit rollback on machine failure at any phase) so no
 human ever chooses shard counts and no crash ever strands a key.
 
-Enable with :meth:`repro.core.Quicksand.enable_autoscaler`; without
-that call nothing here runs and trajectories are bit-identical to
-builds predating this package.
+Enable the loop with :meth:`repro.core.Quicksand.enable_autoscaler`.
+The reshard protocol (:mod:`repro.autoscale.reshard`) runs every shard
+split and merge whichever controller asks for it.
 """
 
 from .config import AutoscaleConfig
 from .controller import ShardAutoscaler
-from .reshard import reshard_merge, reshard_split
 
 __all__ = [
     "AutoscaleConfig",
     "ShardAutoscaler",
-    "reshard_merge",
-    "reshard_split",
 ]

@@ -122,10 +122,7 @@ class ShardAutoscaler:
         m = self.qs.metrics
         route_counts = getattr(ds, "route_counts", None)
         for shard in list(ds.shards):
-            # Range-sharded structures hold Shard entries (``.ref``);
-            # the sharded queue holds proclet refs directly.
-            ref = getattr(shard, "ref", shard)
-            pid = ref.proclet_id
+            pid = ds._shard_ref(shard).proclet_id
             rate = self._update_rate(pid, now, route_counts)
             proclet = runtime._proclets.get(pid)
             if proclet is None:
@@ -190,9 +187,7 @@ class ShardAutoscaler:
         if policy.oversized(heap, self.max_shard_bytes):
             return "split", (f"bytes {heap:.0f} > "
                              f"{self.max_shard_bytes:.0f}")
-        # Queue shards expose ``length`` instead of ``object_count``.
-        objects = getattr(proclet, "object_count",
-                          getattr(proclet, "length", 0))
+        objects = proclet.object_count
         if cfg.max_shard_objects is not None \
                 and objects > cfg.max_shard_objects:
             return "split", (f"objects {objects} > "

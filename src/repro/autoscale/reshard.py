@@ -1,26 +1,27 @@
-"""Two-phase, crash-safe reshard protocol for range-sharded structures.
+"""The split/merge protocol: two-phase, crash-safe, journaled.
 
-The legacy split path (``Quicksand._split_memory_proc`` + the
-structure's completion subscriber) publishes the child only after its
-process event settles, and relies on ad-hoc cleanup when a machine dies
-mid-copy.  This module is the designed-for-failure replacement the
-autoscaler drives:
+Every shard split and merge in the system (§3.3) runs here, whatever
+the structure (map, vector, queue, store) and whoever asked (the
+:class:`~repro.autoscale.ShardAutoscaler` loop, the paper's heap-change
+:class:`~repro.core.splitmerge.ShardSizeController`, the store's own
+size trigger, or a test).  Callers use ``ds.reshard_split_by_id`` /
+``ds.reshard_merge_by_id``; each structure mixes in
+:class:`ReshardHooks` and supplies only what differs by shape.
 
 ``PREPARE``
     Gate the donor shard (reusing the migration-gate mechanism, so
     callers block rather than fail), carve off the moving half, spawn
-    the child *gated* on a health-eligible machine, and copy the bytes.
+    the child *gated* on a health-eligible machine, and move the bytes.
     The old routing table stays authoritative throughout — this is the
     dual-route window, accounted against
     :meth:`MigrationEngine.note_gate_window` so tests can prove no key
     was unroutable for longer than one migration gate.
 
 ``COMMIT``
-    The atomic range-map flip: insert the child (split) or retire the
-    donor (merge) in the routing table.  No simulator yield separates
-    the table update from the range push-down, so no observer — the
-    chaos invariant checker runs after *every* event — ever sees a
-    half-flipped table.
+    The atomic routing flip: publish the child (split) or retire the
+    donor (merge).  No simulator yield separates the table update from
+    the range push-down, so no observer — the chaos invariant checker
+    runs after *every* event — ever sees a half-flipped table.
 
 ``CLEANUP``
     Open the gates, retire the donor proclet (merge), settle the
@@ -35,58 +36,130 @@ authoritative, which the chaos invariants verify after every event.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Any, Generator, List, Optional, Tuple
 
 from ..runtime.errors import MachineFailed
 from ..runtime.proclet import ProcletStatus
 from ..runtime.reshard import ReshardPhase
 
 
-def reshard_split(ds, proclet_id: int, driver: str = "autoscale"):
-    """Split shard *proclet_id* of structure *ds* through the two-phase
-    protocol; returns the completion process event (value:
-    ``(split_key, child_ref)`` or ``None`` when declined/aborted), or
-    ``None`` when the shard is unknown."""
-    idx = ds._find_by_id(proclet_id)
-    if idx is None:
+class ReshardHooks:
+    """The structure-specific half of the protocol.
+
+    A host class provides ``qs``, ``name`` and ``shards`` (its routing
+    table) and implements :meth:`_publish_split` and
+    :meth:`_publish_merge`.  The other hooks default to range-sharded
+    DRAM shards (maps, vectors); the queue and the store override what
+    differs.  Shard proclets provide ``object_count``,
+    ``install(items)`` and ``extract_all()``.
+    """
+
+    qs: Any
+    name: str
+    shards: List[Any]
+
+    def reshard_split_by_id(self, proclet_id: int):
+        """Split the named shard; returns the completion event (value
+        ``(split_key, child_ref)``, or ``None`` when declined or rolled
+        back), or ``None`` when the shard is unknown."""
+        idx = self._find_by_id(proclet_id)
+        if idx is None:
+            return None
+        return self.qs.sim.process(_split_proc(self, self.shards[idx]),
+                                   name=f"reshard-split:{self.name}")
+
+    def reshard_merge_by_id(self, proclet_id: int):
+        """Merge the named shard into its partner; returns the
+        completion event (value ``True`` or ``None``), or ``None`` when
+        there is nothing to merge."""
+        idx = self._find_by_id(proclet_id)
+        if idx is None or len(self.shards) < 2:
+            return None
+        partner = self._merge_partner(idx)
+        if partner is None:
+            return None
+        return self.qs.sim.process(
+            _merge_proc(self, self.shards[idx], partner),
+            name=f"reshard-merge:{self.name}")
+
+    # -- hooks ----------------------------------------------------------------
+    def _shard_ref(self, shard):
+        """The proclet ref of one routing-table entry."""
+        return shard.ref
+
+    def _find_by_id(self, proclet_id: int) -> Optional[int]:
+        for i, shard in enumerate(self.shards):
+            if self._shard_ref(shard).proclet_id == proclet_id:
+                return i
         return None
-    shard = ds.shards[idx]
-    return ds.qs.sim.process(_split_proc(ds, shard, driver),
-                             name=f"reshard-split:{ds.name}")
 
-
-def reshard_merge(ds, proclet_id: int, driver: str = "autoscale"):
-    """Merge shard *proclet_id* into its preferred partner through the
-    two-phase protocol; returns the completion event (value ``True`` or
-    ``None``), or ``None`` when there is nothing to merge."""
-    idx = ds._find_by_id(proclet_id)
-    if idx is None or len(ds.shards) < 2:
+    def _merge_partner(self, idx: int):
+        """Prefer the left neighbour (keeps ranges contiguous)."""
+        if idx > 0:
+            return self.shards[idx - 1]
+        if idx + 1 < len(self.shards):
+            return self.shards[idx + 1]
         return None
-    shard = ds.shards[idx]
-    partner = ds._merge_partner(idx)
-    if partner is None:
-        return None
-    return ds.qs.sim.process(_merge_proc(ds, shard, partner, driver),
-                             name=f"reshard-merge:{ds.name}")
+
+    def _carve(self, src) -> Tuple[Any, list, float]:
+        """Remove the moving half from *src*:
+        ``(split_key, items, nbytes)``."""
+        split_key = src.split_point()
+        items, nbytes = src.extract_upper(split_key)
+        return split_key, items, nbytes
+
+    def _place_child(self, child, nbytes: float):
+        """The machine to host *child* with *nbytes* of data, or None."""
+        need = nbytes + child.BASE_FOOTPRINT
+        # With recovery enabled best_for_memory only considers machines
+        # the failure detector holds ALIVE.
+        dst = self.qs.placement.best_for_memory(need)
+        if dst is None or not dst.memory.can_fit(need):
+            return None
+        return dst
+
+    def _merge_fits(self, src, dst) -> bool:
+        """May survivor *dst* absorb donor *src*?"""
+        return dst.machine.memory.can_fit(src.heap_bytes)
+
+    def _move(self, src, dst, nbytes: float, name: str) -> Generator:
+        """Ship *nbytes* of shard data from machine *src* to *dst*."""
+        if dst is not src and nbytes > 0:
+            yield self.qs.cluster.fabric.transfer(src, dst, nbytes,
+                                                  name=name)
+
+    def _publish_split(self, shard, split_key, child_ref) -> None:
+        """COMMIT of a split: route ``[split_key, ...)`` to the child."""
+        raise NotImplementedError
+
+    def _publish_merge(self, shard, partner) -> None:
+        """COMMIT of a merge: *partner* takes over *shard*'s range."""
+        raise NotImplementedError
 
 
-def _split_proc(ds, shard, driver: str) -> Generator:
+def _sizing_owner(qs) -> dict:
+    """The trace line's ``driver`` field: which controller owns shard
+    sizing (the chaos digests hash these lines)."""
+    return {"driver": "autoscale" if qs.autoscaler is not None
+            else "heap-change"}
+
+
+def _split_proc(ds, shard) -> Generator:
     qs = ds.qs
     sim = qs.sim
     runtime = qs.runtime
     ledger = runtime.reshard_ledger
-    src = runtime._proclets.get(shard.ref.proclet_id)
+    src = runtime._proclets.get(ds._shard_ref(shard).proclet_id)
     if src is None or src.status is not ProcletStatus.RUNNING \
             or src.object_count < 2:
         return None
 
-    op = ledger.begin("split", ds, src.id, driver=driver)
+    op = ledger.begin("split", ds, src.id)
     tr = sim.tracer
     span = None
     if tr is not None:
         span = tr.begin("reshard", f"split {src.name}",
-                        track=f"proclet:{src.name}", kind="split",
-                        driver=driver)
+                        track=f"proclet:{src.name}", kind="split")
     m = qs.metrics
 
     def abort(reason: str, outcome: str):
@@ -116,15 +189,12 @@ def _split_proc(ds, shard, driver: str) -> Generator:
         close_gate_window()
         return abort("stale: shard shrank below two keys", "stale")
 
-    split_key = src.split_point()
-    items, nbytes = src.extract_upper(split_key)
+    split_key, items, nbytes = ds._carve(src)
     child = type(src)()
     child.shard_owner = ds
-    # Health-gated placement: with recovery enabled best_for_memory only
-    # considers machines the failure detector holds ALIVE.
-    dst = qs.placement.best_for_memory(nbytes + child.BASE_FOOTPRINT)
-    if dst is None or not dst.memory.can_fit(nbytes + child.BASE_FOOTPRINT):
-        src.install(items)  # rollback: nowhere to put the upper half
+    dst = ds._place_child(child, nbytes)
+    if dst is None:
+        src.install(items)  # rollback: nowhere to put the moving half
         qs._unblock(src, gate)
         close_gate_window()
         return abort("no room for the child shard", "no-room")
@@ -145,25 +215,22 @@ def _split_proc(ds, shard, driver: str) -> Generator:
             close_gate_window()
         return abort(reason, "machine-failed")
 
-    if dst is not src.machine:
-        try:
-            yield qs.cluster.fabric.transfer(
-                src.machine, dst, nbytes, name=f"reshard:{src.name}")
-        except MachineFailed:
-            return rollback_to_parent("machine failed during transfer")
-        if src.status is not ProcletStatus.MIGRATING \
-                or child.status is not ProcletStatus.MIGRATING:
-            return rollback_to_parent("endpoint died during transfer")
+    try:
+        yield from ds._move(src.machine, dst, nbytes,
+                            f"reshard:{src.name}")
+    except MachineFailed:
+        return rollback_to_parent("machine failed during transfer")
+    if src.status is not ProcletStatus.MIGRATING \
+            or child.status is not ProcletStatus.MIGRATING:
+        return rollback_to_parent("endpoint died during transfer")
     child.install(items)
 
     # -- COMMIT (atomic: no yields until the gates reopen) ------------------
     ledger.advance(op, ReshardPhase.COMMIT)
-    from ..ds.sharding import Shard
-
-    ds._insert_shard(Shard(lo=split_key, ref=child_ref))
+    ds._publish_split(shard, split_key, child_ref)
     qs.splits += 1
     if m is not None:
-        m.count("quicksand.splits.memory")
+        m.count(f"quicksand.splits.{src.kind.value}")
         m.count("autoscale.reshard.split.commit")
 
     # -- CLEANUP ------------------------------------------------------------
@@ -174,36 +241,36 @@ def _split_proc(ds, shard, driver: str) -> Generator:
     ledger.complete(op)
     runtime.tracer.emit(
         "reshard", f"split {src.name} at {split_key!r} -> {child.name}",
-        moved_bytes=int(nbytes), dst=dst.name, driver=driver)
+        moved_bytes=int(nbytes), dst=dst.name, **_sizing_owner(qs))
     if tr is not None:
         tr.end(span, moved_bytes=int(nbytes), dst=dst.name,
                new=child.name)
     return split_key, child_ref
 
 
-def _merge_proc(ds, shard, partner, driver: str) -> Generator:
+def _merge_proc(ds, shard, partner) -> Generator:
     qs = ds.qs
     sim = qs.sim
     runtime = qs.runtime
     ledger = runtime.reshard_ledger
-    src = runtime._proclets.get(shard.ref.proclet_id)       # merging away
-    dst = runtime._proclets.get(partner.ref.proclet_id)     # survivor
+    donor_ref = ds._shard_ref(shard)
+    src = runtime._proclets.get(donor_ref.proclet_id)       # merging away
+    dst = runtime._proclets.get(ds._shard_ref(partner).proclet_id)
     if src is None or dst is None or src is dst:
         return None
     if src.status is not ProcletStatus.RUNNING \
             or dst.status is not ProcletStatus.RUNNING:
         return None
-    if not dst.machine.memory.can_fit(src.heap_bytes):
+    if not ds._merge_fits(src, dst):
         return None
 
-    op = ledger.begin("merge", ds, src.id, driver=driver)
+    op = ledger.begin("merge", ds, src.id)
     ledger.add_child(op, dst.id)
     tr = sim.tracer
     span = None
     if tr is not None:
         span = tr.begin("reshard", f"merge {src.name} -> {dst.name}",
-                        track=f"proclet:{dst.name}", kind="merge",
-                        driver=driver)
+                        track=f"proclet:{dst.name}", kind="merge")
     m = qs.metrics
 
     def abort(reason: str, outcome: str):
@@ -243,32 +310,24 @@ def _merge_proc(ds, shard, partner, driver: str) -> Generator:
         return abort("endpoint machine failed in prepare", "machine-failed")
 
     items, nbytes = src.extract_all()
-    if dst.machine is not src.machine and nbytes > 0:
-        try:
-            yield qs.cluster.fabric.transfer(
-                src.machine, dst.machine, nbytes,
-                name=f"reshard:{src.name}")
-        except MachineFailed:
-            unblock_survivors(reinstall=True)
-            return abort("machine failed during transfer", "machine-failed")
-        if src.status is not ProcletStatus.MIGRATING \
-                or dst.status is not ProcletStatus.MIGRATING:
-            unblock_survivors(reinstall=True)
-            return abort("endpoint died during transfer", "machine-failed")
+    try:
+        yield from ds._move(src.machine, dst.machine, nbytes,
+                            f"reshard:{src.name}")
+    except MachineFailed:
+        unblock_survivors(reinstall=True)
+        return abort("machine failed during transfer", "machine-failed")
+    if src.status is not ProcletStatus.MIGRATING \
+            or dst.status is not ProcletStatus.MIGRATING:
+        unblock_survivors(reinstall=True)
+        return abort("endpoint died during transfer", "machine-failed")
     dst.install(items)
 
-    # -- COMMIT (atomic range-map flip) -------------------------------------
+    # -- COMMIT (atomic routing flip) ---------------------------------------
     ledger.advance(op, ReshardPhase.COMMIT)
-    shard_idx = ds.shards.index(shard)
-    partner_idx = ds.shards.index(partner)
-    if shard_idx < partner_idx:
-        # Survivor absorbs a left donor's range (including BOTTOM).
-        partner.lo = shard.lo
-        ds._los[partner_idx] = shard.lo
-    ds._remove_shard(shard)
+    ds._publish_merge(shard, partner)
     qs.merges += 1
     if m is not None:
-        m.count("quicksand.merges.memory")
+        m.count(f"quicksand.merges.{src.kind.value}")
         m.count("autoscale.reshard.merge.commit")
 
     # -- CLEANUP ------------------------------------------------------------
@@ -276,11 +335,11 @@ def _merge_proc(ds, shard, partner, driver: str) -> Generator:
     qs._unblock(dst, dst_gate)
     qs._unblock(src, src_gate)
     close_gate_window()
-    runtime.destroy(shard.ref)
+    runtime.destroy(donor_ref)
     ledger.complete(op)
     runtime.tracer.emit(
         "reshard", f"merge {src.name} -> {dst.name}",
-        moved_bytes=int(nbytes), driver=driver)
+        moved_bytes=int(nbytes), **_sizing_owner(qs))
     if tr is not None:
         tr.end(span, moved_bytes=int(nbytes))
     return True

@@ -39,8 +39,9 @@ injected:
    tracked sharded structure: the routing table covers the full key
    space at every instant (first bound is BOTTOM, bounds strictly
    sorted, parallel arrays agree — *routable-keys-always*); every table
-   entry resolves to a live or recoverably-lost proclet (a destroyed
-   entry is legal only inside an active, ledger-protected reshard op);
+   entry resolves to a live or recoverably-lost proclet (a merge
+   retires its donor from the table before destroying it, so even an
+   active reshard op never excuses a destroyed entry);
    each settled shard proclet's enforced ``range_lo``/``range_hi``
    agrees with its table neighbours; and no live shard proclet is
    absent from its owner's table unless an active op protects it (no
@@ -366,18 +367,19 @@ class InvariantChecker:
                 self._check_bounds(ds, shards, los)
             table = tables[id(ds)] = set()
             last = len(shards) - 1
+            shard_ref = ds._shard_ref
             for i, shard in enumerate(shards):
-                pid = shard.ref.proclet_id
+                pid = shard_ref(shard).proclet_id
                 table.add(pid)
                 proclet = live(pid)
                 if proclet is None:
-                    # Lost to a machine failure (recovery's problem) or
-                    # destroyed inside a still-settling reshard op (the
-                    # legacy merge's completion-subscriber window).
-                    if pid not in lost and pid not in protected:
+                    # Lost to a machine failure is recovery's problem.
+                    # A merge retires its donor from the table before it
+                    # destroys it, so anything else is a dangling entry.
+                    if pid not in lost:
                         self._fail(
                             f"{ds.name}: routing table entry #{pid} is "
-                            f"destroyed with no active reshard op "
+                            f"destroyed but not lost to a machine failure "
                             f"(unroutable range)")
                     continue
                 if los is None or pid in protected:

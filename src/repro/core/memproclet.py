@@ -18,6 +18,7 @@ import bisect
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..cluster import OutOfMemory
 from ..runtime import Payload, ProcletRef
 from ..runtime.errors import WrongShard
 from ..units import US
@@ -103,9 +104,15 @@ class MemoryProclet(ResourceProclet):
         old = self._objects.get(key)
         if old is not None:
             self.heap_free(old[0])
-        else:
+        try:
+            ctx.alloc(nbytes)
+        except OutOfMemory:
+            # A failed put leaves the shard as it was.
+            if old is not None:
+                self.heap_alloc(old[0])
+            raise
+        if old is None:
             bisect.insort(self._keys, key)
-        ctx.alloc(nbytes)
         self._objects[key] = (float(nbytes), value)
         return old is None
 

@@ -13,8 +13,9 @@ from __future__ import annotations
 import collections
 from typing import Any, Deque, Generator, List, Optional, Tuple
 
+from ..autoscale.reshard import ReshardHooks
 from ..cluster import Machine
-from ..runtime import MachineFailed, Payload, ProcletStatus
+from ..runtime import Payload, ProcletStatus
 from ..units import US
 from ..core.resource import ResourceKind, ResourceProclet
 
@@ -61,6 +62,10 @@ class QueueShardProclet(ResourceProclet):
         return len(self._items)
 
     # -- split/merge primitives (queue-specific, §3.3) --------------------------
+    @property
+    def object_count(self) -> int:
+        return len(self._items)
+
     def extract_back_half(self) -> Tuple[List[Tuple[float, Any]], float]:
         n = len(self._items) // 2
         moved = [self._items.pop() for _ in range(n)]
@@ -70,7 +75,7 @@ class QueueShardProclet(ResourceProclet):
             self.heap_free(total)
         return moved, total
 
-    def extract_everything(self) -> Tuple[List[Tuple[float, Any]], float]:
+    def extract_all(self) -> Tuple[List[Tuple[float, Any]], float]:
         moved = list(self._items)
         self._items.clear()
         total = sum(nbytes for nbytes, _v in moved)
@@ -78,14 +83,14 @@ class QueueShardProclet(ResourceProclet):
             self.heap_free(total)
         return moved, total
 
-    def install_items(self, items: List[Tuple[float, Any]]) -> None:
+    def install(self, items: List[Tuple[float, Any]]) -> None:
         total = sum(nbytes for nbytes, _v in items)
         if total > 0:
             self.heap_alloc(total)
         self._items.extend(items)
 
 
-class ShardedQueue:
+class ShardedQueue(ReshardHooks):
     """Multi-shard FIFO connecting pipeline stages."""
 
     def __init__(self, qs, name: str = "queue", initial_shards: int = 1,
@@ -251,189 +256,37 @@ class ShardedQueue:
                 return value
         return None
 
-    # -- controller protocol (oversize queue shards split, §4) ---------------------
-    def split_shard_by_id(self, proclet_id: int):
-        shard = self._ref_by_id(proclet_id)
-        if shard is None:
-            return None
-        return self.qs.sim.process(self._split_proc(shard),
-                                   name=f"{self.name}.split")
-
-    def _split_proc(self, shard) -> Generator:
-        src = shard.proclet
-        if src.status is not ProcletStatus.RUNNING or src.length < 2:
-            return None
-        ledger = self.qs.runtime.reshard_ledger
-        op = ledger.begin("split", self, src.id, driver="legacy")
-        tr = self.qs.sim.tracer
-        span = None
-        if tr is not None:
-            span = tr.begin("split", f"split {src.name}",
-                            track=f"proclet:{src.name}", kind="queue")
-        gate = self.qs._block(src)
-        yield self.qs.sim.timeout(self.qs.config.split_overhead)
-        if src.status is ProcletStatus.DEAD:
-            ledger.abort(op, "source machine failed in prepare")
-            if tr is not None:
-                tr.end(span, outcome="machine-failed")
-            return None
-        items, nbytes = src.extract_back_half()
-        dst = self.qs.placement.best_for_memory(
-            nbytes + QueueShardProclet.BASE_FOOTPRINT)
-        if dst is None:
-            src.install_items(items)
-            self.qs._unblock(src, gate)
-            ledger.abort(op, "no room for the child shard")
-            if tr is not None:
-                tr.end(span, outcome="no-room")
-            return None
-        # Build the new shard fully (spawn, gate, move bytes, install)
-        # BEFORE publishing it to the shard list and the controller —
-        # otherwise the controller may see an empty registered shard and
-        # merge it away mid-split, losing the extracted items.
-        new = QueueShardProclet()
-        new.shard_owner = self
-        new_ref = self.qs.spawn(new, dst,
-                                name=f"{self.name}.q{len(self.shards)}")
-        ledger.add_child(op, new_ref.proclet_id)
-        new_gate = self.qs._block(new)
-        if dst is not src.machine:
-            try:
-                yield self.qs.cluster.fabric.transfer(
-                    src.machine, dst, nbytes, name=f"{self.name}.split")
-            except MachineFailed:
-                # An endpoint crashed mid-copy: abandon the split.  A
-                # dead endpoint's gate was opened by the fail path; a
-                # surviving source keeps its items.
-                if new.status is not ProcletStatus.DEAD:
-                    self.qs.runtime.destroy(new_ref)
-                if src.status is not ProcletStatus.DEAD:
-                    src.install_items(items)
-                    self.qs._unblock(src, gate)
-                ledger.abort(op, "endpoint failed during copy")
-                if tr is not None:
-                    tr.end(span, outcome="machine-failed")
-                return None
-        new.install_items(items)
-        self.qs._unblock(new, new_gate)
-        self.qs._unblock(src, gate)
-        self.shards.append(new_ref)
-        ledger.complete(op)
-        if self.qs.shard_controller is not None:
-            self.qs.shard_controller.register(new_ref, self)
-        self.qs.splits += 1
-        if tr is not None:
-            tr.end(span, moved_bytes=int(nbytes), dst=dst.name,
-                   new=new.name)
-        return new_ref
-
+    # -- reshard hooks (oversize queue shards split, §4) ------------------------
+    # Queue shards have no key ranges: a split moves the back half of the
+    # FIFO to a new shard, a merge appends the donor's items to its
+    # partner, and the shard list holds bare refs.
     def wants_merge(self, proclet_id: int) -> bool:
         if len(self.shards) <= self._initial_shards:
             return False
-        shard = self._ref_by_id(proclet_id)
-        return shard is not None and shard.proclet.length == 0
+        idx = self._find_by_id(proclet_id)
+        return idx is not None and self.shards[idx].proclet.length == 0
 
-    def merge_shard_by_id(self, proclet_id: int):
-        shard = self._ref_by_id(proclet_id)
-        if shard is None or len(self.shards) <= self._initial_shards:
+    def _shard_ref(self, shard):
+        return shard
+
+    def _merge_partner(self, idx: int):
+        if len(self.shards) <= self._initial_shards:
             return None
-        return self.qs.sim.process(self._merge_proc(shard),
-                                   name=f"{self.name}.merge")
+        return super()._merge_partner(idx)
 
-    def _merge_proc(self, shard) -> Generator:
-        src = shard.proclet
-        if src.status is not ProcletStatus.RUNNING \
-                or all(s is shard for s in self.shards):
-            return None
-        ledger = self.qs.runtime.reshard_ledger
-        op = ledger.begin("merge", self, src.id, driver="legacy")
-        tr = self.qs.sim.tracer
-        span = None
-        if tr is not None:
-            span = tr.begin("merge", f"merge {src.name}",
-                            track=f"proclet:{src.name}", kind="queue")
-        gate = self.qs._block(src)
-        yield self.qs.sim.timeout(self.qs.config.split_overhead)
-        if src.status is ProcletStatus.DEAD:
-            # The source died while gated (machine failure); the fail
-            # path already opened the gate, and the items died with it.
-            ledger.abort(op, "source machine failed in prepare")
-            if tr is not None:
-                tr.end(span, outcome="machine-failed")
-            return None
+    def _carve(self, src):
+        items, nbytes = src.extract_back_half()
+        return None, items, nbytes
 
-        def pick_survivor():
-            # Chosen fresh after every yield: a shard picked before a
-            # wait may itself have been merged away (and destroyed) in
-            # the meantime, and installing into a dead shard loses items.
-            return next(
-                (s for s in self.shards
-                 if s is not shard
-                 and s.proclet.status is ProcletStatus.RUNNING),
-                None)
+    def _publish_split(self, shard, split_key, child_ref) -> None:
+        self.shards.append(child_ref)
+        if self.qs.shard_controller is not None:
+            self.qs.shard_controller.register(child_ref, self)
 
-        def abort():
-            src.install_items(items)
-            self.qs._unblock(src, gate)
-            ledger.abort(op, "no live survivor shard")
-            if tr is not None:
-                tr.end(span, outcome="aborted")
-            return None
-
-        items, nbytes = src.extract_everything()
-        survivor = pick_survivor()
-        if survivor is None:
-            return abort()
-        if survivor.machine is not src.machine and nbytes > 0:
-            try:
-                yield self.qs.cluster.fabric.transfer(
-                    src.machine, survivor.machine, nbytes,
-                    name=f"{self.name}.merge")
-            except MachineFailed:
-                # An endpoint crashed mid-copy.  If the source survives
-                # it keeps its items; if it died they die with it.
-                if src.status is not ProcletStatus.DEAD:
-                    return abort()
-                ledger.abort(op, "source machine failed during copy")
-                if tr is not None:
-                    tr.end(span, outcome="machine-failed")
-                return None
-            survivor = pick_survivor()  # may have died during the copy
-            if survivor is None:
-                return abort()
-        ledger.add_child(op, survivor.proclet_id)
-        survivor.proclet.install_items(items)
-        self.qs._unblock(src, gate)
+    def _publish_merge(self, shard, partner) -> None:
         self.shards.remove(shard)
         if self.qs.shard_controller is not None:
             self.qs.shard_controller.unregister(shard)
-        self.qs.runtime.destroy(shard)
-        ledger.complete(op)
-        self.qs.merges += 1
-        if tr is not None:
-            tr.end(span, moved_bytes=int(nbytes),
-                   survivor=survivor.name)
-        return True
-
-    # -- autoscaler protocol --------------------------------------------------
-    # The queue's own split/merge already follow the crash-safe shape the
-    # two-phase protocol formalises (gate, build fully before publishing,
-    # rollback into a surviving source), so the autoscaler drives them
-    # directly instead of the range-map protocol in
-    # :mod:`repro.autoscale.reshard` (queues have no key ranges).
-    def reshard_split_by_id(self, proclet_id: int,
-                            driver: str = "autoscale"):
-        return self.split_shard_by_id(proclet_id)
-
-    def reshard_merge_by_id(self, proclet_id: int,
-                            driver: str = "autoscale"):
-        return self.merge_shard_by_id(proclet_id)
-
-    def _ref_by_id(self, proclet_id: int):
-        for ref in self.shards:
-            if ref.proclet_id == proclet_id:
-                return ref
-        return None
 
     def destroy(self) -> None:
         for ref in list(self.shards):

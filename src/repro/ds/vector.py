@@ -15,7 +15,7 @@ from typing import Any, Optional
 from ..cluster import Machine
 from ..core.prefetch import PrefetchingReader
 from ..sim import Event
-from .sharding import Shard, ShardedBase
+from .sharding import ShardedBase
 
 
 class ShardedVector(ShardedBase):
@@ -76,26 +76,16 @@ class ShardedVector(ShardedBase):
             )
 
     # -- split policy overrides ----------------------------------------------------
-    def split_shard_by_id(self, proclet_id: int):
-        """Seal-don't-split for the tail shard (append-path optimization)."""
+    def reshard_split_by_id(self, proclet_id: int):
+        """Seal-don't-split for the tail shard (append-path
+        optimization): sealing is instantaneous bookkeeping, so the
+        two-phase protocol would be pure overhead for the tail."""
         idx = self._find_by_id(proclet_id)
         if idx is None:
             return None
         if idx == len(self.shards) - 1:
             return self._seal_tail()
-        return super().split_shard_by_id(proclet_id)
-
-    def reshard_split_by_id(self, proclet_id: int,
-                            driver: str = "autoscale"):
-        """The seal-don't-split tail rule applies to the autoscaler's
-        protocol too: sealing is instantaneous bookkeeping, so the
-        two-phase machinery would be pure overhead for the tail."""
-        idx = self._find_by_id(proclet_id)
-        if idx is None:
-            return None
-        if idx == len(self.shards) - 1:
-            return self._seal_tail()
-        return super().reshard_split_by_id(proclet_id, driver=driver)
+        return super().reshard_split_by_id(proclet_id)
 
     def _seal_tail(self):
         """Open a fresh, empty tail shard; no data moves.
@@ -114,9 +104,9 @@ class ShardedVector(ShardedBase):
                        track=f"proclet:{shard_name}", kind="vector-seal",
                        machine=new.proclet.machine.name)
         # Sealing is instantaneous bookkeeping; return a completed event
-        # so the controller's busy-tracking protocol still works.
+        # with a split's value so the controllers treat both alike.
         ev = self.qs.sim.event()
-        ev.succeed(new.ref)
+        ev.succeed((new.lo, new.ref))
         return ev
 
     def wants_merge(self, proclet_id: int) -> bool:

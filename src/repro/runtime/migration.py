@@ -170,8 +170,8 @@ class MigrationEngine:
         t0 = sim.now
         proclet._status = ProcletStatus.MIGRATING
         proclet._migration_gate = sim.event()
-        # Heap size is snapshotted once: reserve, copy, and release must
-        # agree on one number even if accounting shifts mid-flight.
+        # Heap size is snapshotted once for the reservation and the copy;
+        # the commit settles any heap change made mid-flight.
         nbytes = proclet.footprint
 
         tr = sim.tracer
@@ -295,9 +295,20 @@ class MigrationEngine:
             self._release_inflight(proclet)
             raise _fail(f"{proclet.name}: {exc}", cause=exc)
 
-        # Commit: move accounting and location.
+        # Commit: move accounting and location.  Heap changes made while
+        # the proclet was in flight were charged to the source; they move
+        # with it.
+        grown = proclet.footprint - nbytes
+        if grown > 0 and not dst.memory.can_fit(grown):
+            self._release_inflight(proclet)
+            raise _fail(f"{proclet.name}: heap grew {grown:.0f} B "
+                        f"mid-migration and {dst.name} cannot fit it")
         self._inflight.pop(proclet.id, None)
-        src.memory.release(nbytes)
+        src.memory.release(nbytes + grown)
+        if grown > 0:
+            dst.memory.reserve(grown)
+        elif grown < 0:
+            dst.memory.release(-grown)
         proclet._machine = dst
         self.runtime.locator.move(proclet.id, dst)
 

@@ -1,14 +1,16 @@
 """Reshard ledger: runtime-level bookkeeping for shard split/merge.
 
-Every structural change to a sharded data structure — whether driven by
-the legacy heap-change controller, an experiment script, or the
-:mod:`repro.autoscale` control loop — registers a :class:`ReshardOp`
-here for its whole lifetime.  The ledger is what makes resharding
-*auditable*: the chaos invariant checker runs after every simulator
-event and needs to distinguish a child proclet that is mid-handoff
-(spawned but not yet published in its structure's routing table) from a
-genuinely orphaned one, and an aborted operation that rolled back
-cleanly from one that leaked state.
+Every structural change to a sharded data structure runs through the
+one two-phase protocol in :mod:`repro.autoscale.reshard` — whoever
+asked for it: the heap-change size controller, the autoscaler loop,
+the sharded store's size trigger or an experiment script — and that
+protocol registers a :class:`ReshardOp` here for the op's whole
+lifetime.  The ledger is what makes resharding *auditable*: the chaos
+invariant checker runs after every simulator event and needs to
+distinguish a child proclet that is mid-handoff (spawned but not yet
+published in its structure's routing table) from a genuinely orphaned
+one, and an aborted operation that rolled back cleanly from one that
+leaked state.
 
 The module is deliberately dependency-free within the runtime package
 (no proclet/machine imports) so that both :mod:`repro.runtime.runtime`
@@ -55,10 +57,10 @@ class ReshardOp:
 
     __slots__ = ("op_id", "kind", "structure", "parent_id", "child_id",
                  "phase", "started_at", "phase_at", "settled_at",
-                 "abort_reason", "driver")
+                 "abort_reason")
 
     def __init__(self, op_id: int, kind: str, structure: Any,
-                 parent_id: int, now: float, driver: str):
+                 parent_id: int, now: float):
         self.op_id = op_id
         self.kind = kind                  # "split" | "merge"
         self.structure = structure        # the owning ShardedBase (or None)
@@ -69,7 +71,6 @@ class ReshardOp:
         self.phase_at = now               # entry time of current phase
         self.settled_at: Optional[float] = None
         self.abort_reason: Optional[str] = None
-        self.driver = driver              # "legacy" | "autoscale" | ...
 
     @property
     def active(self) -> bool:
@@ -120,12 +121,12 @@ class ReshardLedger:
         return list(self._structures)
 
     # -- operation lifecycle ------------------------------------------------
-    def begin(self, kind: str, structure: Any, parent_id: int,
-              driver: str = "legacy") -> ReshardOp:
+    def begin(self, kind: str, structure: Any,
+              parent_id: int) -> ReshardOp:
         if kind not in ("split", "merge"):
             raise ValueError(f"unknown reshard kind {kind!r}")
         op = ReshardOp(self._next_op, kind, structure, parent_id,
-                       self.sim.now, driver)
+                       self.sim.now)
         self._next_op += 1
         self._active[op.op_id] = op
         self.counters[f"{kind}_started"] += 1

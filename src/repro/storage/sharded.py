@@ -18,8 +18,9 @@ import bisect
 from dataclasses import dataclass
 from typing import Any, Generator, List, Optional, Tuple
 
+from ..autoscale.reshard import ReshardHooks
 from ..cluster import Machine
-from ..runtime import Payload, ProcletStatus
+from ..runtime import Payload
 from ..runtime.errors import WrongShard
 from ..sim import Event
 from ..units import GiB, US
@@ -160,7 +161,7 @@ class _StoreShard:
         return self.ref.proclet
 
 
-class ShardedStore:
+class ShardedStore(ReshardHooks):
     """Ordered persistent map over storage-proclet shards."""
 
     def __init__(self, qs, name: str = "store",
@@ -262,110 +263,64 @@ class ShardedStore:
         return [s.ref.machine for s in self.shards]
 
     # -- adaptive split/merge (§3.3 applied to storage) ---------------------------
+    # The store keeps its own size trigger; the split/merge itself is the
+    # shared two-phase protocol (repro.autoscale.reshard).
     def _note_size_change(self, proclet: StoreShardProclet) -> None:
         if self._busy:
             return
         if proclet.stored_bytes > self.max_shard_bytes:
             self._busy = True
-            self.qs.sim.call_in(0.0, self._start_split, proclet)
+            self.qs.sim.call_in(0.0, self._start, self.reshard_split_by_id,
+                                proclet.id)
         elif (proclet.stored_bytes < self.min_shard_bytes
               and len(self.shards) > 1):
             self._busy = True
-            self.qs.sim.call_in(0.0, self._start_merge, proclet)
+            self.qs.sim.call_in(0.0, self._start, self.reshard_merge_by_id,
+                                proclet.id)
 
-    def _shard_of(self, proclet) -> Optional[_StoreShard]:
-        for shard in self.shards:
-            if shard.ref.proclet_id == proclet.id:
-                return shard
-        return None
-
-    def _start_split(self, proclet) -> None:
-        ev = self.qs.sim.process(self._split_proc(proclet),
-                                 name=f"{self.name}.split")
-        ev.subscribe(lambda e: self._op_done(e))
-
-    def _start_merge(self, proclet) -> None:
-        ev = self.qs.sim.process(self._merge_proc(proclet),
-                                 name=f"{self.name}.merge")
-        ev.subscribe(lambda e: self._op_done(e))
+    def _start(self, reshard, proclet_id: int) -> None:
+        ev = reshard(proclet_id)
+        if ev is None:
+            self._busy = False
+            return
+        ev.subscribe(self._op_done)
 
     def _op_done(self, event) -> None:
         self._busy = False
         if not event.ok:
             raise event.value
 
-    def _split_proc(self, src: StoreShardProclet) -> Generator:
-        shard = self._shard_of(src)
-        if (shard is None or src.status is not ProcletStatus.RUNNING
-                or src.object_count < 2):
-            return None
-        gate = self.qs._block(src)
-        yield self.qs.sim.timeout(self.qs.config.split_overhead)
-        split_key = src.split_point()
-        # Pick a destination device with room for the upper half.
-        upper_estimate = src.stored_bytes / 2.0
-        dst = self.qs.placement.best_for_storage(upper_estimate)
-        if dst is None:
-            self.qs._unblock(src, gate)
-            return None
-        items, nbytes = src.extract_upper(split_key)
-        new_shard = self._spawn_shard(split_key, dst)
-        # Persistent split = device read + fabric transfer + device write.
-        if nbytes > 0:
-            yield self.qs.sim.process(
-                src.machine.storage.read(nbytes), name="split-read")
-            if dst is not src.machine:
-                yield self.qs.cluster.fabric.transfer(
-                    src.machine, dst, nbytes, name=f"{self.name}.split")
-            yield self.qs.sim.process(
-                dst.storage.write(nbytes), name="split-write")
-        new_shard.proclet.install(items)
-        idx = self.shards.index(shard)
-        self.shards.insert(idx + 1, new_shard)
-        self._refresh_ranges()
-        self.qs._unblock(src, gate)
-        self.splits += 1
-        return new_shard.ref
+    # -- reshard hooks ---------------------------------------------------------------
+    def _place_child(self, child, nbytes: float):
+        return self.qs.placement.best_for_storage(nbytes)
 
-    def _merge_proc(self, src: StoreShardProclet) -> Generator:
-        shard = self._shard_of(src)
-        if (shard is None or len(self.shards) < 2
-                or src.status is not ProcletStatus.RUNNING):
-            return None
-        idx = self.shards.index(shard)
-        partner = self.shards[idx - 1] if idx > 0 else self.shards[1]
-        dst_p = partner.proclet
-        if dst_p.status is not ProcletStatus.RUNNING:
-            return None
-        if (dst_p.stored_bytes + src.stored_bytes
-                > 0.7 * self.max_shard_bytes):
-            return None
-        if dst_p.machine.storage.free < src.stored_bytes:
-            return None
-        gate = self.qs._block(src)
-        yield self.qs.sim.timeout(self.qs.config.split_overhead)
-        items, nbytes = src.extract_all()
+    def _merge_fits(self, src, dst) -> bool:
+        return (dst.stored_bytes + src.stored_bytes
+                <= 0.7 * self.max_shard_bytes
+                and dst.machine.storage.free >= src.stored_bytes)
+
+    def _move(self, src, dst, nbytes: float, name: str) -> Generator:
+        """Moving persistent bytes costs a device read, the fabric
+        transfer, and a device write."""
         if nbytes > 0:
-            yield self.qs.sim.process(
-                src.machine.storage.read(nbytes), name="merge-read")
-            if dst_p.machine is not src.machine:
-                yield self.qs.cluster.fabric.transfer(
-                    src.machine, dst_p.machine, nbytes,
-                    name=f"{self.name}.merge")
-            yield self.qs.sim.process(
-                dst_p.machine.storage.write(nbytes), name="merge-write")
-        dst_p.install(items)
-        self.qs._unblock(src, gate)
-        # The survivor absorbs the merged range.
-        if idx > 0:
-            pass  # partner keeps its lo; src's range folds upward into it
-        else:
+            yield self.qs.sim.process(src.storage.read(nbytes),
+                                      name=f"{name}:read")
+            yield from super()._move(src, dst, nbytes, name)
+            yield self.qs.sim.process(dst.storage.write(nbytes),
+                                      name=f"{name}:write")
+
+    def _publish_split(self, shard, split_key, child_ref) -> None:
+        self.shards.insert(self.shards.index(shard) + 1,
+                           _StoreShard(lo=split_key, ref=child_ref))
+        self._refresh_ranges()
+        self.splits += 1
+
+    def _publish_merge(self, shard, partner) -> None:
+        if self.shards.index(shard) < self.shards.index(partner):
             partner.lo = shard.lo
         self.shards.remove(shard)
         self._refresh_ranges()
-        self.qs.runtime.destroy(shard.ref)
         self.merges += 1
-        return True
 
     def destroy(self) -> None:
         for shard in list(self.shards):

@@ -287,3 +287,154 @@ class TestServicePreservation:
         from repro.runtime.proclet import ProcletStatus
         for s in m.shards:
             assert s.proclet.status is ProcletStatus.RUNNING
+
+
+class TestCommitDuringMigration:
+    def test_split_commit_while_index_migrates_conserves_dram(self):
+        """A commit charges the new routing-table entry to the index
+        proclet; when the index is mid-migration that heap change must
+        move with it (regression: the source kept the entry's bytes)."""
+        from repro.ds.sharding import INDEX_ENTRY_BYTES
+        from repro.runtime.proclet import ProcletStatus
+
+        qs = make_quiet_qs(split_overhead=10 * US)
+        checker = checked(qs)
+        m = qs.sharded_map(name="kv")
+        fill(qs, m, 8)
+        index = m.index_ref.proclet
+        donor = m.shards[0]
+        # A child next to its donor needs no transfer: the commit lands
+        # one split overhead in, well inside the index's migration.
+        qs.placement.best_for_memory = lambda *a, **k: donor.ref.machine
+        other = next(x for x in qs.machines if x is not index.machine)
+        migration = qs.runtime.migrate(index, other)
+        split = m.reshard_split_by_id(donor.ref.proclet_id)
+        assert qs.run(until_event=split) is not None
+        assert index.status is ProcletStatus.MIGRATING
+        qs.run(until_event=migration)
+        assert index.machine is other
+        assert index.heap_bytes == 2 * INDEX_ENTRY_BYTES
+        assert sum(x.memory.used for x in qs.machines) == pytest.approx(
+            sum(p.footprint for p in qs.runtime._proclets.values()))
+        assert checker.checks > 0
+
+
+class TestQueueProtocol:
+    """Queue shards reshard through the same protocol: a split moves
+    the back half of the FIFO, a merge appends to the partner."""
+
+    def _queue(self, qs, n=8):
+        q = qs.sharded_queue(name="q", initial_shards=1)
+        for i in range(n):
+            qs.run(until_event=q.push(i, ITEM))
+        return q
+
+    def test_split_commits_back_half(self):
+        qs = make_quiet_qs()
+        checker = checked(qs)
+        q = self._queue(qs)
+        donor = q.shards[0]
+        force_cross_machine(qs, donor.machine)
+        _key, child = qs.run(until_event=q.reshard_split_by_id(
+            donor.proclet_id))
+        assert q.shards == [donor, child]
+        assert donor.proclet.length == child.proclet.length == 4
+        assert qs.runtime.reshard_ledger.counters["split_committed"] == 1
+        got = sorted(qs.run(until_event=q.pop()) for _ in range(8))
+        assert got == list(range(8))
+        assert checker.checks > 0
+
+    def test_child_crash_mid_transfer_rolls_back(self):
+        qs = make_quiet_qs()
+        checker = checked(qs)
+        q = self._queue(qs)
+        donor = q.shards[0]
+        dst = force_cross_machine(qs, donor.machine)
+        ledger = qs.runtime.reshard_ledger
+        ev = q.reshard_split_by_id(donor.proclet_id)
+        step_until(qs, lambda: any(op.child_id is not None
+                                   for op in ledger.active_ops()))
+        qs.runtime.fail_machine(dst)
+        assert qs.run(until_event=ev) is None
+        assert ledger.counters["split_aborted"] == 1
+        assert ledger.active_count() == 0
+        assert q.shards == [donor]
+        # The back half went back where it came from, in FIFO order.
+        got = [qs.run(until_event=q.pop()) for _ in range(8)]
+        assert got == list(range(8))
+        assert checker.checks > 0
+
+    def test_survivor_crash_mid_transfer_reinstalls_donor(self):
+        qs = make_quiet_qs()
+        checker = checked(qs)
+        q = self._queue(qs)
+        survivor = q.shards[0]
+        force_cross_machine(qs, survivor.machine)
+        _key, donor = qs.run(until_event=q.reshard_split_by_id(
+            survivor.proclet_id))
+        ledger = qs.runtime.reshard_ledger
+        ev = q.reshard_merge_by_id(donor.proclet_id)
+        t0 = qs.sim.now
+        step_until(qs, lambda: ledger.active_count() == 1
+                   and qs.sim.now > t0 + qs.config.split_overhead)
+        qs.runtime.fail_machine(survivor.machine)
+        assert qs.run(until_event=ev) is None
+        assert ledger.counters["merge_aborted"] == 1
+        assert q.shards == [survivor, donor]
+        assert donor.proclet.length == 4
+        assert checker.checks > 0
+
+
+class TestStoreProtocol:
+    """The sharded store reshards through the same protocol; moving a
+    shard's persistent bytes adds a device read and write."""
+
+    def _store(self, qs, n=8):
+        from repro.storage import ShardedStore
+
+        st = ShardedStore(qs, name="st", max_shard_bytes=1024 * MiB,
+                          min_shard_bytes=1 * KiB)
+        for i in range(n):
+            qs.run(until_event=st.write(f"k{i}", ITEM, i))
+        return st
+
+    def _qs(self):
+        from ..conftest import storage_machine
+
+        return make_quiet_qs(machines=[storage_machine(name="s0"),
+                                       storage_machine(name="s1")])
+
+    def test_split_commits_and_charges_devices(self):
+        qs = self._qs()
+        st = self._store(qs)
+        donor = st.shards[0]
+        split_key, child = qs.run(until_event=st.reshard_split_by_id(
+            donor.ref.proclet_id))
+        assert [s.lo for s in st.shards] == [None, split_key]
+        assert child.machine is not donor.ref.machine
+        assert st.splits == 1
+        assert child.proclet.range_lo == split_key
+        assert sum(m.storage.used for m in qs.machines) == 8 * ITEM
+        for i in range(8):
+            assert qs.run(until_event=st.read(f"k{i}")) == i
+
+    def test_child_crash_mid_move_rolls_back(self):
+        qs = self._qs()
+        st = self._store(qs)
+        donor = st.shards[0]
+        src = donor.ref.machine
+        dst = next(m for m in qs.machines if m is not src)
+        ledger = qs.runtime.reshard_ledger
+        ev = st.reshard_split_by_id(donor.ref.proclet_id)
+        step_until(qs, lambda: any(op.child_id is not None
+                                   for op in ledger.active_ops()))
+        child_id = ledger.active_ops()[0].child_id
+        qs.runtime.fail_machine(dst)
+        assert qs.run(until_event=ev) is None
+        assert ledger.counters["split_aborted"] == 1
+        assert child_id not in qs.runtime._proclets
+        assert st.shard_count == 1 and st.splits == 0
+        assert donor.proclet.object_count == 8
+        assert src.storage.used == 8 * ITEM
+        for i in range(8):
+            assert qs.run(until_event=st.read(f"k{i}")) == i

@@ -465,7 +465,24 @@ class TestReshardCorruptionDetected:
         qs.runtime.destroy(victim)  # outside any reshard op
         with pytest.raises(InvariantViolation,
                            match=f"entry #{victim.proclet_id} is destroyed "
-                                 r"with no active reshard op \(unroutable"):
+                                 r"but not lost to a machine failure "
+                                 r"\(unroutable"):
+            checker.check()
+
+    def test_destroyed_donor_under_active_op_unroutable(self, qs):
+        """An active reshard op does not excuse a destroyed table entry:
+        the protocol retires a merge donor from the table before it
+        destroys it."""
+        checker = checked(qs)
+        m = sharded_map(qs)
+        donor, survivor = m.shards[1].ref, m.shards[0].ref
+        ledger = qs.runtime.reshard_ledger
+        op = ledger.begin("merge", m, donor.proclet_id)
+        ledger.add_child(op, survivor.proclet_id)
+        qs.runtime.destroy(donor)  # still in the table
+        with pytest.raises(InvariantViolation,
+                           match=f"entry #{donor.proclet_id} is destroyed "
+                                 r"but not lost"):
             checker.check()
 
     def test_lost_entry_is_legal(self, qs):

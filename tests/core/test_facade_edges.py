@@ -75,11 +75,13 @@ class TestSchedulerSwitches:
 class TestSplitMergeEdges:
     def test_split_memory_on_busy_proclet_returns_none(self, qs_quiet):
         qs = qs_quiet
-        ref = qs.spawn_memory(machine=qs.machines[0])
+        m = qs.sharded_map(initial_machine=qs.machines[0])
         for i in range(8):
-            qs.run(until_event=ref.call("mp_put", i, 1 * MiB, None))
-        first = qs.split_memory(ref)
-        second = qs.split_memory(ref)  # starts while first holds the gate
+            qs.run(until_event=m.put(i, None, 1 * MiB))
+        pid = m.shards[0].ref.proclet_id
+        first = m.reshard_split_by_id(pid)
+        # The second starts while the first holds the gate.
+        second = m.reshard_split_by_id(pid)
         r1 = qs.run(until_event=first)
         r2 = qs.run(until_event=second)
         outcomes = [r1, r2]
@@ -87,12 +89,13 @@ class TestSplitMergeEdges:
 
     def test_merge_with_self_nonsensical_but_safe(self, qs_quiet):
         qs = qs_quiet
-        a = qs.spawn_memory(machine=qs.machines[0])
-        qs.run(until_event=a.call("mp_put", 1, 1024, None))
-        # merging a proclet into itself: blocked by the gate logic
-        result = qs.run(until_event=qs.merge_memory(a, a))
-        # Either declined or degenerate-success; the proclet must survive.
-        assert a.proclet.object_count >= 1 or result is None
+        m = qs.sharded_map(initial_machine=qs.machines[0])
+        qs.run(until_event=m.put(1, None, 1024))
+        a = m.shards[0].ref
+        # A lone shard has no partner: there is nothing to merge into,
+        # and the shard survives.
+        assert m.reshard_merge_by_id(a.proclet_id) is None
+        assert a.proclet.object_count == 1
 
     def test_compute_split_preserves_source_object(self, qs_quiet):
         qs = qs_quiet

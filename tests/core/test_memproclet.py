@@ -94,6 +94,49 @@ class TestObjectStore:
         assert stats["heap_bytes"] == 512
 
 
+class TestFailedPut:
+    """A put whose allocation fails leaves the shard as it was."""
+
+    def _tight_shard(self, qs):
+        m0 = qs.machines[0]
+        ref = qs.spawn_memory(machine=m0)
+        run(qs, ref.call("mp_put", 1, 1 * MiB, "one"))
+        run(qs, ref.call("mp_put", 3, 1 * MiB, "three"))
+        m0.memory.reserve(m0.memory.free - 1 * MiB)
+        return ref, m0
+
+    def _assert_unchanged(self, ref, m0, used):
+        p = ref.proclet
+        assert p.keys == [1, 3]
+        assert sorted(p._objects) == [1, 3]
+        assert p.heap_bytes == 2 * MiB
+        assert m0.memory.used == used
+
+    def test_failed_insert_leaves_no_key(self, qs):
+        from repro.cluster import OutOfMemory
+
+        ref, m0 = self._tight_shard(qs)
+        used = m0.memory.used
+        with pytest.raises(OutOfMemory):
+            run(qs, ref.call("mp_put", 2, 4 * MiB, "two"))
+        self._assert_unchanged(ref, m0, used)
+        # The split primitives see a consistent shard (no key without
+        # an object behind it).
+        items, nbytes = ref.proclet.extract_upper(ref.proclet.split_point())
+        assert [k for k, _n, _v in items] == [3]
+        assert nbytes == 1 * MiB
+
+    def test_failed_overwrite_keeps_old_object(self, qs):
+        from repro.cluster import OutOfMemory
+
+        ref, m0 = self._tight_shard(qs)
+        used = m0.memory.used
+        with pytest.raises(OutOfMemory):
+            run(qs, ref.call("mp_put", 3, 4 * MiB, "bigger"))
+        self._assert_unchanged(ref, m0, used)
+        assert run(qs, ref.call("mp_get", 3)) == "three"
+
+
 class TestSplitPrimitives:
     def _filled(self, qs, n=10, size=1 * MiB):
         ref = qs.spawn_memory()

@@ -1,4 +1,7 @@
-"""Tests for the Quicksand facade: placement, split/merge primitives."""
+"""Tests for the Quicksand facade: placement, split/merge primitives.
+
+Memory shards split and merge only through the sharded structures'
+two-phase protocol, so those tests drive it through a sharded map."""
 
 import pytest
 
@@ -73,16 +76,24 @@ class TestPlacement:
         assert ref.machine is m0
 
 
-class TestSplitMemory:
-    def _filled_shard(self, qs, n=16, size=1 * MiB, machine=None):
-        ref = qs.spawn_memory(machine=machine)
-        for k in range(n):
-            qs.sim.run(until_event=ref.call("mp_put", k, size, f"v{k}"))
-        return ref
+def _map_shard(qs, n=16, size=1 * MiB, machine=None):
+    """A one-shard sharded map holding keys ``0..n-1``; memory shards
+    split and merge only through the map's two-phase protocol."""
+    m = qs.sharded_map(name="kv", initial_machine=machine)
+    for k in range(n):
+        qs.sim.run(until_event=m.put(k, f"v{k}", size))
+    return m, m.shards[0].ref
 
+
+def _place_children_on(qs, machine):
+    qs.placement.best_for_memory = lambda *a, **k: machine
+
+
+class TestSplitMemory:
     def test_split_halves_bytes(self, qs):
-        ref = self._filled_shard(qs, n=16)
-        result = qs.sim.run(until_event=qs.split_memory(ref))
+        m, ref = _map_shard(qs, n=16)
+        result = qs.sim.run(until_event=m.reshard_split_by_id(
+            ref.proclet_id))
         split_key, new_ref = result
         assert ref.proclet.heap_bytes == pytest.approx(8 * MiB)
         assert new_ref.proclet.heap_bytes == pytest.approx(8 * MiB)
@@ -90,8 +101,9 @@ class TestSplitMemory:
         assert qs.splits == 1
 
     def test_split_preserves_all_objects(self, qs):
-        ref = self._filled_shard(qs, n=10)
-        _key, new_ref = qs.sim.run(until_event=qs.split_memory(ref))
+        m, ref = _map_shard(qs, n=10)
+        _key, new_ref = qs.sim.run(until_event=m.reshard_split_by_id(
+            ref.proclet_id))
         total = ref.proclet.object_count + new_ref.proclet.object_count
         assert total == 10
         # and every key readable from the right shard
@@ -101,11 +113,11 @@ class TestSplitMemory:
             assert v == f"v{k}"
 
     def test_split_blocks_invocations_until_done(self, qs):
-        ref = self._filled_shard(qs, n=64, size=1 * MiB,
-                                 machine=qs.machines[0])
+        m, ref = _map_shard(qs, n=64, size=1 * MiB, machine=qs.machines[0])
         # Force the new half to the other machine so the transfer is slow
         # enough to observe the gate.
-        split_ev = qs.split_memory(ref, dst=qs.machines[1])
+        _place_children_on(qs, qs.machines[1])
+        split_ev = m.reshard_split_by_id(ref.proclet_id)
         qs.sim.run(until=qs.sim.now + 150e-6)  # inside the split window
         assert ref.proclet.status is ProcletStatus.MIGRATING
         read = ref.call("mp_get", 0)
@@ -114,9 +126,9 @@ class TestSplitMemory:
         qs.sim.run(until_event=read)  # unblocked after split
 
     def test_split_too_small_returns_none(self, qs):
-        ref = qs.spawn_memory()
-        qs.sim.run(until_event=ref.call("mp_put", 1, 10, None))
-        assert qs.sim.run(until_event=qs.split_memory(ref)) is None
+        m, ref = _map_shard(qs, n=1, size=10)
+        assert qs.sim.run(until_event=m.reshard_split_by_id(
+            ref.proclet_id)) is None
 
     def test_split_in_place_when_cluster_is_tight(self):
         """With one nearly-full machine the split still succeeds locally:
@@ -125,34 +137,39 @@ class TestSplitMemory:
             MachineSpec(name="only", cores=4, dram_bytes=1 * GiB),
         ], enable_local_scheduler=False, enable_global_scheduler=False,
             enable_split_merge=False)
-        ref = qs.spawn_memory()
-        for k in range(8):
-            qs.sim.run(until_event=ref.call("mp_put", k, 64 * MiB, None))
-        m = qs.machines[0]
-        m.memory.reserve(m.memory.free - 1 * MiB)
-        split_key, new_ref = qs.sim.run(until_event=qs.split_memory(ref))
-        assert new_ref.machine is m
+        m, ref = _map_shard(qs, n=8, size=64 * MiB)
+        machine = qs.machines[0]
+        machine.memory.reserve(machine.memory.free - 1 * MiB)
+        split_key, new_ref = qs.sim.run(until_event=m.reshard_split_by_id(
+            ref.proclet_id))
+        assert new_ref.machine is machine
         assert ref.proclet.object_count + new_ref.proclet.object_count == 8
 
     def test_split_to_full_destination_undoes(self, qs):
-        ref = self._filled_shard(qs, n=8, machine=qs.machines[0])
+        m, ref = _map_shard(qs, n=8, machine=qs.machines[0])
         m1 = qs.machines[1]
         m1.memory.reserve(m1.memory.free - 1 * KiB)
-        result = qs.sim.run(until_event=qs.split_memory(ref, dst=m1))
+        _place_children_on(qs, m1)
+        result = qs.sim.run(until_event=m.reshard_split_by_id(
+            ref.proclet_id))
         assert result is None
         assert ref.proclet.object_count == 8
         assert ref.proclet.status is ProcletStatus.RUNNING
+        assert m.shard_count == 1
 
 
 class TestMergeMemory:
+    def _two_shards(self, qs, size):
+        """Keys 0..3 on m0, keys 4..7 on m1."""
+        m, left = _map_shard(qs, n=8, size=size, machine=qs.machines[0])
+        _place_children_on(qs, qs.machines[1])
+        qs.sim.run(until_event=m.reshard_split_by_id(left.proclet_id))
+        assert [s.ref.machine for s in m.shards] == qs.machines
+        return m, left, m.shards[1].ref
+
     def test_merge_moves_objects_and_destroys_source(self, qs):
-        a = qs.spawn_memory(machine=qs.machines[0])
-        b = qs.spawn_memory(machine=qs.machines[1])
-        for k in range(4):
-            qs.sim.run(until_event=a.call("mp_put", k, 100 * KiB, k))
-        for k in range(4, 8):
-            qs.sim.run(until_event=b.call("mp_put", k, 100 * KiB, k))
-        ok = qs.sim.run(until_event=qs.merge_memory(a, b))
+        m, a, b = self._two_shards(qs, 100 * KiB)
+        ok = qs.sim.run(until_event=m.reshard_merge_by_id(b.proclet_id))
         assert ok is True
         assert a.proclet.object_count == 8
         assert qs.merges == 1
@@ -162,14 +179,13 @@ class TestMergeMemory:
             qs.sim.run(until_event=b.call("mp_get", 4))
 
     def test_merge_declined_when_destination_full(self, qs):
-        a = qs.spawn_memory(machine=qs.machines[0])
-        b = qs.spawn_memory(machine=qs.machines[1])
-        qs.sim.run(until_event=b.call("mp_put", 0, 100 * MiB, None))
+        m, a, b = self._two_shards(qs, 25 * MiB)
         m0 = qs.machines[0]
         m0.memory.reserve(m0.memory.free - 1 * MiB)
-        result = qs.sim.run(until_event=qs.merge_memory(a, b))
+        result = qs.sim.run(until_event=m.reshard_merge_by_id(b.proclet_id))
         assert result is None
-        assert b.proclet.object_count == 1
+        assert b.proclet.object_count == 4
+        assert m.shard_count == 2
 
 
 class TestSplitCompute:

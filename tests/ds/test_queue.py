@@ -129,10 +129,11 @@ class TestBurstAbsorption:
         assert q.shard_count == 1  # back to the initial footprint
 
     def test_concurrent_merges_do_not_orphan_a_shard(self, qs):
-        """Two shards merging at once: the second merge's survivor must
-        be re-chosen after the overhead wait, because the shard picked
-        before the wait may itself have been merged away (regression:
-        this left a shard permanently gated and lost its items)."""
+        """Two merges at once into the same survivor: the second is
+        declined while the first holds the survivor's gate (regression:
+        a survivor chosen before the overhead wait could itself be
+        merged away, leaving a shard permanently gated and its items
+        lost)."""
         from repro.runtime import ProcletStatus
 
         # Controller off: this test scripts the two merges itself.
@@ -144,12 +145,13 @@ class TestBurstAbsorption:
         q._add_shard()
         q0, q1, q2 = q.shards
         qs.sim.run(until_event=q2.call("qp_push", 1 * KiB, "survive-me"))
-        # Merge q0 first (its survivor is q1), then q2 — whose survivor,
-        # chosen naively up front, would be the soon-to-be-destroyed q0.
-        ev0 = q.merge_shard_by_id(q0.proclet_id)
-        ev2 = q.merge_shard_by_id(q2.proclet_id)
+        # Both merges pick q1 as their survivor.
+        ev0 = q.reshard_merge_by_id(q0.proclet_id)
+        ev2 = q.reshard_merge_by_id(q2.proclet_id)
         qs.sim.run(until_event=qs.sim.all_of([ev0, ev2]))
-        assert q.shard_count == 1
+        assert ev0.value is True
+        assert ev2.value is None  # q1 was gated by the first merge
+        assert q.shards == [q1, q2]
         assert all(s.proclet.status is ProcletStatus.RUNNING
                    for s in q.shards)
         assert qs.sim.run(until_event=q.try_pop()) == "survive-me"

@@ -114,20 +114,22 @@ def test_explicit_split_merge_roundtrip_conserves(split_sizes):
     qs = make_qs(enable_local_scheduler=False,
                  enable_global_scheduler=False,
                  enable_split_merge=False)
-    ref = qs.spawn_memory(machine=qs.machines[0])
+    m = qs.sharded_map(initial_machine=qs.machines[0])
     total = 0
     for i, kib in enumerate(split_sizes):
-        qs.sim.run(until_event=ref.call("mp_put", i, kib * KiB, i))
+        qs.sim.run(until_event=m.put(i, i, kib * KiB))
         total += kib * KiB
-    result = qs.sim.run(until_event=qs.split_memory(ref))
+    ref = m.shards[0].ref
+    result = qs.sim.run(until_event=m.reshard_split_by_id(ref.proclet_id))
     assert result is not None
     _split_key, new_ref = result
     assert ref.proclet.heap_bytes + new_ref.proclet.heap_bytes == \
         pytest.approx(total)
-    ok = qs.sim.run(until_event=qs.merge_memory(ref, new_ref))
+    ok = qs.sim.run(until_event=m.reshard_merge_by_id(new_ref.proclet_id))
     assert ok is True
+    assert m.shard_count == 1
     assert ref.proclet.heap_bytes == pytest.approx(total)
     assert ref.proclet.object_count == len(split_sizes)
     for i in range(len(split_sizes)):
-        assert qs.sim.run(until_event=ref.call("mp_get", i)) == i
+        assert qs.sim.run(until_event=m.get(i)) == i
     assert _total_reserved(qs) == pytest.approx(_total_footprint(qs))

@@ -178,6 +178,42 @@ class TestMigrationSemantics:
         result = rt.sim.run(until_event=ref.call("ping"))
         assert result == "big"
 
+    @pytest.mark.parametrize("delta", [+2 * MiB, -2 * MiB])
+    def test_heap_change_mid_migration_moves_with_the_proclet(self, rt,
+                                                              delta):
+        m0, m1 = rt.cluster.machines
+        ref = rt.spawn(Holder(heap=10 * MiB), m0)
+        rt.sim.run(until=0.001)
+        ev = rt.migrate(ref, m1)
+        rt.sim.run(until=rt.sim.now + 100e-6)  # mid-copy
+        p = ref.proclet
+        assert p.status is ProcletStatus.MIGRATING
+        if delta > 0:
+            p.heap_alloc(delta)
+        else:
+            p.heap_free(-delta)
+        rt.sim.run(until_event=ev)
+        assert p.machine is m1
+        assert m0.memory.used == 0
+        assert m1.memory.used == pytest.approx(p.footprint)
+
+    def test_heap_grown_mid_migration_that_no_longer_fits_aborts(self, rt):
+        m0, m1 = rt.cluster.machines
+        ref = rt.spawn(Holder(heap=10 * MiB), m0)
+        rt.sim.run(until=0.001)
+        ev = rt.migrate(ref, m1)
+        rt.sim.run(until=rt.sim.now + 100e-6)  # mid-copy
+        p = ref.proclet
+        p.heap_alloc(2 * MiB)
+        m1.memory.reserve(m1.memory.free - 1 * MiB)
+        used1 = m1.memory.used - (p.footprint - 2 * MiB)
+        with pytest.raises(MigrationFailed, match="cannot fit"):
+            rt.sim.run(until_event=ev)
+        assert p.machine is m0
+        assert p.status is ProcletStatus.RUNNING
+        assert m0.memory.used == pytest.approx(p.footprint)
+        assert m1.memory.used == pytest.approx(used1)
+
     def test_migration_metrics_recorded(self, rt):
         m0, m1 = rt.cluster.machines
         ref = rt.spawn(Holder(heap=1 * MiB), m0)

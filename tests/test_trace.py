@@ -88,6 +88,7 @@ class TestTraceIntegration:
         for i in range(48):
             qs.run(until_event=m.put(f"k{i:03d}", None, 64 * KiB))
         qs.run(until=qs.sim.now + 0.1)
-        splits = qs.runtime.tracer.by_category("split")
+        splits = [e for e in qs.runtime.tracer.by_category("reshard")
+                  if e.message.startswith("split ")]
         assert splits
         assert any("moved_bytes" in e.fields for e in splits)
