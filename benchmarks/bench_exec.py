@@ -17,7 +17,7 @@ import os
 import time
 
 from repro.exec import ResultCache, run_specs
-from repro.experiments.sweep_burst import build_specs, run_sweep_exec
+from repro.experiments.sweep_burst import build_specs
 from repro.units import MS
 
 try:
@@ -50,10 +50,10 @@ def test_warm_cache_skips_unchanged_grid(tmp_path, benchmark):
 
 
 def test_parallel_sweep_digest_matches_serial(benchmark):
-    kwargs = {"bursts": _BURSTS, "periods_per_run": 6}
-    _points, serial = run_sweep_exec(jobs=1, **kwargs)
-    _points, parallel = benchmark.pedantic(
-        run_sweep_exec, kwargs=dict(kwargs, jobs=2), rounds=1, iterations=1,
+    specs = build_specs(bursts=_BURSTS, periods_per_run=6)
+    serial = run_specs(specs, jobs=1)
+    parallel = benchmark.pedantic(
+        run_specs, args=(specs,), kwargs={"jobs": 2}, rounds=1, iterations=1,
     )
     assert parallel.digest() == serial.digest()
     assert parallel.kernel_totals() == serial.kernel_totals()
@@ -64,7 +64,7 @@ def test_parallel_sweep_digest_matches_serial(benchmark):
 
 def main() -> None:  # pragma: no cover - measurement entry point
     cores = os.cpu_count() or 1
-    kwargs = {"periods_per_run": 12}
+    specs = build_specs(periods_per_run=12)
     out = {
         "cores": cores,
         "bursts_ms": [b * 1e3 for b in _BURSTS],
@@ -79,7 +79,7 @@ def main() -> None:  # pragma: no cover - measurement entry point
     for _ in range(3):
         for jobs in (1, 4):
             t0 = time.perf_counter()
-            _points, rep = run_sweep_exec(jobs=jobs, **kwargs)
+            rep = run_specs(specs, jobs=jobs)
             best[jobs] = min(best[jobs], time.perf_counter() - t0)
             digest[jobs] = rep.digest()
     for jobs in (1, 4):

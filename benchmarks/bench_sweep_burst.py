@@ -7,19 +7,20 @@ the idle window shrinks toward the migration latency, and near-parity
 when the window is only ~2x the migration time.
 """
 
-from repro.experiments.sweep_burst import report, run_sweep
+from repro.exec import run_specs
+from repro.experiments.sweep_burst import (build_specs, points_from_cells,
+                                           report)
 from repro.units import MS
 
 from .conftest import record_report
 
 
 def test_burst_period_sweep(benchmark):
-    points = benchmark.pedantic(
-        run_sweep,
-        kwargs={"bursts": [0.5 * MS, 1 * MS, 2 * MS, 10 * MS],
-                "periods_per_run": 10},
-        rounds=1, iterations=1,
-    )
+    specs = build_specs(bursts=[0.5 * MS, 1 * MS, 2 * MS, 10 * MS],
+                        periods_per_run=10)
+    run = benchmark.pedantic(run_specs, args=(specs,), rounds=1,
+                             iterations=1)
+    points = points_from_cells(run.values())
     by_burst = {p.burst: p for p in points}
     # Long windows: the paper's ~2x.
     assert by_burst[10 * MS].gain > 1.8

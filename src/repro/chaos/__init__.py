@@ -34,7 +34,8 @@ from .differential import differential_task
 from .injector import ChaosInjector
 from .invariants import InvariantChecker, InvariantViolation
 from .oracle import Divergence, compare, max_min_rates, reference_rates
-from .scenario import ChaosConfig, ChaosResult, run_chaos, run_chaos_summary
+from .scenario import (ChaosConfig, ChaosResult, chaos_grid_specs,
+                       run_chaos, run_chaos_summary)
 
 __all__ = [
     "ChaosConfig",
@@ -55,6 +56,7 @@ __all__ = [
     "NicRestore",
     "PartitionHeal",
     "RandomFaultPlan",
+    "chaos_grid_specs",
     "compare",
     "differential_task",
     "max_min_rates",

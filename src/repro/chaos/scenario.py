@@ -279,6 +279,27 @@ def run_chaos_summary(**config_kwargs) -> dict:
     }
 
 
+def chaos_grid_specs(seeds, policies=(None,), prefix: str = "chaos",
+                     **config_kwargs) -> list:
+    """RunSpecs of :func:`run_chaos_summary` over *policies* x *seeds*.
+
+    *config_kwargs* are further :class:`ChaosConfig` fields shared by
+    every cell; the run name records the seed, the recovery policy and
+    whether the autoscaler is on."""
+    from ..exec import RunSpec
+
+    return [
+        RunSpec(run_chaos_summary,
+                dict(config_kwargs, seed=seed, recovery_policy=policy),
+                name=f"{prefix}.seed={seed}"
+                     + (f".rec={policy}" if policy else "")
+                     + (".autoscale" if config_kwargs.get("autoscale")
+                        else ""))
+        for policy in policies
+        for seed in seeds
+    ]
+
+
 class _Workload:
     """The mixed workload a chaos scenario runs underneath the faults."""
 

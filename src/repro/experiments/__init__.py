@@ -12,18 +12,12 @@ from . import (
     serving,
     sweep_burst,
 )
-from .autoscale import (
-    AutoscaleRow,
-    run_autoscale_fig2,
-    run_autoscale_grid,
-)
-from .cloning import run_cloning, run_cloning_exec
-from .fig1_filler import Fig1Config, Fig1Result, run_fig1, run_fig1_both
+from .autoscale import AutoscaleRow
+from .fig1_filler import Fig1Config, Fig1Result, run_fig1
 from .fig2_imbalance import Fig2Row, run_fig2, run_fig2_config
 from .fig3_gpu_adapt import Fig3Config, Fig3Result, run_fig3
-from .recovery import RecoveryRow, run_recovery_ablation, run_recovery_fig2
-from .serving import run_serving, run_serving_exec
-from .sweep_burst import SweepPoint, run_sweep
+from .recovery import RecoveryRow, run_recovery_fig2
+from .sweep_burst import SweepPoint
 
 __all__ = [
     "AutoscaleRow",
@@ -40,21 +34,12 @@ __all__ = [
     "fig3_gpu_adapt",
     "recovery",
     "RecoveryRow",
-    "run_recovery_ablation",
     "run_recovery_fig2",
     "SweepPoint",
-    "run_autoscale_fig2",
-    "run_autoscale_grid",
     "run_fig1",
-    "run_fig1_both",
     "run_fig2",
     "run_fig2_config",
-    "run_cloning",
-    "run_cloning_exec",
     "run_fig3",
-    "run_serving",
-    "run_serving_exec",
-    "run_sweep",
     "serving",
     "sweep_burst",
 ]

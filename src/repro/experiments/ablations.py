@@ -319,24 +319,9 @@ def build_specs() -> list:
             for name, fn in ABLATIONS]
 
 
-def run_ablation_grid(jobs: int = 1, cache=None):
-    """Run every ablation through the execution engine.
-
-    Returns ``(results_by_name, ExecReport)`` with results in the
-    registry's (stable) order."""
-    from ..exec import run_specs
-
-    report = run_specs(build_specs(), jobs=jobs, cache=cache)
-    names = [name for name, _fn in ABLATIONS]
-    return dict(zip(names, report.values())), report
-
-
-def format_report(results) -> str:
-    pf = results["prefetch"]
-    gran = results["granularity"]
-    sp = results["split"]
-    hy = results["hybrid"]
-    tl = results["twolevel"]
+def report(results) -> str:
+    """Render the ablation results, given in :data:`ABLATIONS` order."""
+    pf, gran, sp, hy, tl = results
     lines = ["ABLATIONS"]
     lines.append(
         f"ABL-PREFETCH  with={pf.with_prefetch_s:.2f}s "
@@ -365,16 +350,3 @@ def format_report(results) -> str:
         f"none={tl.none_goodput_cores:.2f}"
     )
     return "\n".join(lines)
-
-
-def report_all(jobs: int = 1, cache=None) -> str:  # pragma: no cover
-    results, _report = run_ablation_grid(jobs=jobs, cache=cache)
-    return format_report(results)
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(report_all())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

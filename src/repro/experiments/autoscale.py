@@ -22,21 +22,20 @@ Two questions, per the robustness milestone:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional
 
 from ..apps.dnn import BatchPipeline, DatasetSpec
 from ..core import Quicksand, QuicksandConfig
 from ..units import KiB
 from .common import fmt_table
-from .fig2_imbalance import PAPER_CONFIGS, cluster_for
+from .fig2_imbalance import cluster_for
 
 #: Scaled-down Fig. 2 dataset for the comparison runs (same shape as
 #: the recovery experiments' dataset: enough churn to force splits).
 AUTOSCALE_DATASET = DatasetSpec(count=2000, mean_bytes=256 * KiB,
                                 mean_cpu=0.02)
 
-#: Default chaos fault grid for ``run_autoscale_grid``.
-DEFAULT_GRID_SEEDS = (1, 2, 3, 5, 7)
+#: Recovery policies of the autoscaled chaos fault grid.
 DEFAULT_GRID_POLICIES = (None, "restart", "checkpoint")
 
 
@@ -87,42 +86,6 @@ def run_autoscale_config(name: str, machines,
     )
 
 
-def run_autoscale_fig2(dataset: Optional[DatasetSpec] = None,
-                       configs=None, seed: int = 0) -> List[AutoscaleRow]:
-    """The parity comparison over the Fig. 2 machine configurations."""
-    rows = []
-    for name, machines in (configs or PAPER_CONFIGS):
-        rows.append(run_autoscale_config(name, machines, dataset, seed))
-    return rows
-
-
-def run_autoscale_grid(seeds: Sequence[int] = DEFAULT_GRID_SEEDS,
-                       policies=DEFAULT_GRID_POLICIES,
-                       duration: float = 0.4, jobs: int = 1,
-                       cache: Optional[str] = None) -> Tuple[List[dict],
-                                                             object]:
-    """The chaos fault grid with the autoscaler on: (rows, ExecReport).
-
-    Every cell runs the full invariant battery (reshard integrity
-    included) after every simulator event; a violation raises inside
-    the worker and fails the grid.
-    """
-    from ..chaos import run_chaos_summary
-    from ..exec import RunSpec, run_specs
-
-    specs = [
-        RunSpec(run_chaos_summary,
-                {"seed": seed, "duration": duration, "autoscale": True,
-                 "recovery_policy": policy},
-                name=f"autoscale.chaos.seed={seed}"
-                     + (f".rec={policy}" if policy else ""))
-        for policy in policies
-        for seed in seeds
-    ]
-    report = run_specs(specs, jobs=jobs, cache=cache)
-    return list(report.values()), report
-
-
 def report(rows: List[AutoscaleRow], grid: Optional[List[dict]] = None,
            ) -> str:
     table = fmt_table(
@@ -152,11 +115,3 @@ def report(rows: List[AutoscaleRow], grid: Optional[List[dict]] = None,
                 f"checks={row['invariant_checks']} "
                 f"digest={row['digest'][:16]}...")
     return "\n".join(lines)
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(report(run_autoscale_fig2()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -128,31 +128,6 @@ def build_specs(loads=DEFAULT_LOADS, clones=DEFAULT_CLONES,
     return specs
 
 
-def run_cloning_exec(loads=DEFAULT_LOADS, clones=DEFAULT_CLONES,
-                     dists: Tuple[ServiceDist, ...] = (DIST_EXP,
-                                                       DIST_HYPER),
-                     seeds=(0,), servers: int = DEFAULT_SERVERS,
-                     duration: float = DEFAULT_DURATION,
-                     warmup: float = DEFAULT_WARMUP, seed: int = 0,
-                     jobs: int = 1, cache=None):
-    """The grid through the execution engine: (cells, report)."""
-    from ..exec import run_specs
-
-    specs = build_specs(loads, clones, dists, seeds, servers, duration,
-                        warmup, seed)
-    report_ = run_specs(specs, jobs=jobs, cache=cache)
-    return list(report_.values()), report_
-
-
-def run_cloning(loads=DEFAULT_LOADS, clones=DEFAULT_CLONES,
-                dists: Tuple[ServiceDist, ...] = (DIST_EXP, DIST_HYPER),
-                seeds=(0,), jobs: int = 1, cache=None,
-                seed: int = 0) -> List[Dict]:
-    cells, _report = run_cloning_exec(loads, clones, dists, seeds,
-                                      seed=seed, jobs=jobs, cache=cache)
-    return cells
-
-
 def differential(cells: List[Dict]):
     """Diff every simulated cell against the closed form; returns the
     list of :class:`repro.hedge.CloneDivergence` (empty = pass)."""
@@ -185,11 +160,3 @@ def report(cells: List[Dict]) -> str:
         table,
         f"differential vs closed-form M/G/1-PS cloning oracle: {verdict}",
     ])
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(report(run_cloning()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -102,17 +102,6 @@ def run_fig1(config: Fig1Config = Fig1Config()) -> Fig1Result:
     )
 
 
-def run_fig1_both(seed: int = 0,
-                  duration: float = 200 * MS) -> Tuple[Fig1Result,
-                                                       Fig1Result]:
-    """Fungible vs. static, same workload and seed."""
-    fungible = run_fig1(Fig1Config(fungible=True, seed=seed,
-                                   duration=duration))
-    static = run_fig1(Fig1Config(fungible=False, seed=seed,
-                                 duration=duration))
-    return fungible, static
-
-
 def report(fungible: Fig1Result, static: Fig1Result) -> str:
     """Paper-comparable summary of the Fig. 1 reproduction."""
     rows = [
@@ -147,12 +136,3 @@ def report(fungible: Fig1Result, static: Fig1Result) -> str:
         fmt_series(fungible.goodput_timeline, max_rows=25),
     ]
     return "\n".join(lines)
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    fungible, static = run_fig1_both()
-    print(report(fungible, static))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -140,11 +140,3 @@ def report(rows: List[Fig2Row]) -> str:
         "(paper: 26.1 -> 26.4/26.6/26.5 s)"
     )
     return "\n".join(lines)
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(report(run_fig2()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

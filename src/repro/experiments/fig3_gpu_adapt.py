@@ -173,11 +173,3 @@ def _member_plot(result: Fig3Result) -> str:
         [(t, float(v)) for t, v in result.member_trace],
         height=8, label="compute proclets over time (the Fig. 3 y-axis):",
     )
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(report(run_fig3()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -289,17 +289,6 @@ def run_recovery_fig2(policy: Optional[str] = None,
     )
 
 
-def run_recovery_ablation(seed: int = 0,
-                          kill_at: float = 0.4) -> List[RecoveryRow]:
-    """The headline table: unkilled baseline, then the same kill under
-    every recovery policy."""
-    rows = [run_recovery_fig2(policy=None, kill_at=None, seed=seed)]
-    for pol in ("none", "restart", "checkpoint", "replicate", "lineage"):
-        rows.append(run_recovery_fig2(policy=pol, kill_at=kill_at,
-                                      seed=seed))
-    return rows
-
-
 def report(rows: List[RecoveryRow]) -> str:
     """Render the ablation as the REPORT.md table."""
     base = next((r for r in rows if r.killed is None), rows[0])

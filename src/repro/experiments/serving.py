@@ -112,29 +112,6 @@ def build_specs(seeds: Sequence[int] = DEFAULT_SEEDS,
     return specs
 
 
-def run_serving_exec(seeds: Sequence[int] = DEFAULT_SEEDS,
-                     machines: int = DEFAULT_MACHINES,
-                     cores: float = DEFAULT_CORES,
-                     n_tenants: int = DEFAULT_TENANTS,
-                     duration: float = DEFAULT_DURATION,
-                     warmup: float = DEFAULT_WARMUP, seed: int = 0,
-                     jobs: int = 1, cache=None):
-    """The grid through the execution engine: (cells, report)."""
-    from ..exec import run_specs
-
-    specs = build_specs(seeds, machines, cores, n_tenants, duration,
-                        warmup, seed)
-    report_ = run_specs(specs, jobs=jobs, cache=cache)
-    return list(report_.values()), report_
-
-
-def run_serving(seeds: Sequence[int] = DEFAULT_SEEDS, jobs: int = 1,
-                cache=None, seed: int = 0, **kwargs) -> List[Dict]:
-    cells, _report = run_serving_exec(seeds, seed=seed, jobs=jobs,
-                                      cache=cache, **kwargs)
-    return cells
-
-
 def by_mode(cells: List[Dict]) -> Dict[str, List[Dict]]:
     out: Dict[str, List[Dict]] = {mode: [] for mode in MODES}
     for cell in cells:
@@ -193,11 +170,3 @@ def report(cells: List[Dict]) -> str:
         f"worst p99 fungible {fung_p99 / MS:.1f} ms vs static "
         f"{stat_p99 / MS:.1f} ms",
     ])
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(report(run_serving()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

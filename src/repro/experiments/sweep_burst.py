@@ -15,7 +15,7 @@ mechanism implies but never plots.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from ..apps import FillerApp, PhasedApp
 from ..cluster import ClusterSpec, MachineSpec
@@ -70,7 +70,7 @@ def run_cell(burst: float, fungible: bool, duration: float,
     """One grid cell as a picklable, cacheable task (see ``repro.exec``).
 
     Returns plain data so results hash canonically and survive the
-    worker boundary; :func:`run_sweep` reassembles them into
+    worker boundary; :func:`points_from_cells` reassembles them into
     :class:`SweepPoint` rows."""
     goodput, migrations = _run_one(burst, fungible, duration, seed)
     return {"burst": burst, "fungible": bool(fungible),
@@ -118,31 +118,6 @@ def points_from_cells(cells: List[Dict[str, float]]) -> List[SweepPoint]:
     ]
 
 
-def run_sweep_exec(bursts: List[float] = DEFAULT_BURSTS,
-                   periods_per_run: int = 12, seed: int = 0,
-                   jobs: int = 1,
-                   cache=None) -> Tuple[List[SweepPoint], "ExecReport"]:
-    """The sweep through the execution engine: returns (points, report).
-
-    ``jobs=1`` with no cache is bit-identical to the historical serial
-    path; ``jobs=N`` fans cells out across worker processes; a cache
-    makes re-runs of an unchanged grid pure disk reads."""
-    from ..exec import run_specs
-
-    specs = build_specs(bursts, periods_per_run, seed)
-    report = run_specs(specs, jobs=jobs, cache=cache)
-    return points_from_cells(report.values()), report
-
-
-def run_sweep(bursts: List[float] = DEFAULT_BURSTS,
-              periods_per_run: int = 12, seed: int = 0, jobs: int = 1,
-              cache=None) -> List[SweepPoint]:
-    """Measure fungible vs static goodput at each burst period."""
-    points, _report = run_sweep_exec(bursts, periods_per_run, seed,
-                                     jobs=jobs, cache=cache)
-    return points
-
-
 def report(points: List[SweepPoint]) -> str:
     rows = [(f"{p.burst * 1e3:g}", f"{p.fungible_goodput_cores:.2f}",
              f"{p.static_goodput_cores:.2f}", f"{p.gain:.2f}x",
@@ -160,11 +135,3 @@ def report(points: List[SweepPoint]) -> str:
         "expected shape: gain ~2x for bursts >> migration latency,",
         "degrading toward 1x as idle windows shrink to the migration time",
     ])
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(report(run_sweep()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -9,6 +9,7 @@ smaller samples (calibration in docs/cloning.md)."""
 
 import pytest
 
+from repro.exec import run_specs
 from repro.experiments.cloning import (
     DIST_EXP,
     DIST_HYPER,
@@ -17,16 +18,15 @@ from repro.experiments.cloning import (
     differential,
     report,
     run_cell,
-    run_cloning_exec,
 )
 from repro.units import MS
 
 
 @pytest.fixture(scope="module")
 def grid():
-    cells, _report = run_cloning_exec(loads=(0.5,), clones=(1, 2),
-                                      seeds=(0, 1), duration=2.0, jobs=2)
-    return cells
+    specs = build_specs(loads=(0.5,), clones=(1, 2), seeds=(0, 1),
+                        duration=2.0)
+    return run_specs(specs, jobs=2).values()
 
 
 class TestOracleDifferential:
@@ -79,8 +79,8 @@ class TestGridDeterminism:
     def test_serial_and_parallel_digests_match(self):
         kwargs = dict(loads=(0.3,), clones=(1,), dists=(DIST_EXP,),
                       seeds=(0,), duration=0.5)
-        serial, _ = run_cloning_exec(jobs=1, **kwargs)
-        parallel, _ = run_cloning_exec(jobs=2, **kwargs)
+        serial = run_specs(build_specs(**kwargs), jobs=1).values()
+        parallel = run_specs(build_specs(**kwargs), jobs=2).values()
         assert cells_digest(serial) == cells_digest(parallel)
 
     def test_high_variance_cells_get_longer_runs(self):

@@ -1,6 +1,7 @@
 """Smoke tests: every experiment report renders a complete summary."""
 
 from repro.apps.dnn import DatasetSpec
+from repro.exec import run_specs
 from repro.experiments import fig1_filler, fig2_imbalance, fig3_gpu_adapt
 from repro.experiments import sweep_burst
 from repro.units import MS, MiB
@@ -38,8 +39,9 @@ class TestReports:
         assert "GPU idle" in out
 
     def test_sweep_report(self):
-        points = sweep_burst.run_sweep(bursts=[2 * MS, 10 * MS],
-                                       periods_per_run=4)
+        specs = sweep_burst.build_specs(bursts=[2 * MS, 10 * MS],
+                                        periods_per_run=4)
+        points = sweep_burst.points_from_cells(run_specs(specs).values())
         out = sweep_burst.report(points)
         assert "EXT-SWEEP" in out
         assert "gain" in out

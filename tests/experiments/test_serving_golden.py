@@ -11,6 +11,7 @@ contract CI diffs.
 
 import pytest
 
+from repro.exec import run_specs
 from repro.experiments.serving import (
     GOODPUT_RATIO_FLOOR,
     build_specs,
@@ -18,7 +19,6 @@ from repro.experiments.serving import (
     cells_digest,
     goodput_ratio,
     report,
-    run_serving_exec,
 )
 
 GRID_SEEDS = (0, 1)
@@ -26,8 +26,7 @@ GRID_SEEDS = (0, 1)
 
 @pytest.fixture(scope="module")
 def grid():
-    cells, _report = run_serving_exec(seeds=GRID_SEEDS, jobs=2)
-    return cells
+    return run_specs(build_specs(seeds=GRID_SEEDS), jobs=2).values()
 
 
 class TestHeadlineRatio:
@@ -92,11 +91,11 @@ class TestConformance:
 
 class TestGridDeterminism:
     def test_serial_and_parallel_digests_match(self):
-        serial, s_report = run_serving_exec(seeds=(0,), duration=0.6,
-                                            jobs=1)
-        parallel, p_report = run_serving_exec(seeds=(0,), duration=0.6,
-                                              jobs=2)
-        assert cells_digest(serial) == cells_digest(parallel)
+        specs = build_specs(seeds=(0,), duration=0.6)
+        s_report = run_specs(specs, jobs=1)
+        p_report = run_specs(specs, jobs=2)
+        assert cells_digest(s_report.values()) \
+            == cells_digest(p_report.values())
         assert s_report.digest() == p_report.digest()
 
     def test_seed_streams_are_grid_position_independent(self):
