@@ -111,6 +111,8 @@ class ArrivalTrace:
             return []
         windows: List[Tuple[float, float]] = []
         burst_rate = spec.bursts_per_period / spec.period
+        if burst_rate == 0.0:
+            return []  # the rate underflowed: no burst is ever drawn
         t = self.rng.expovariate(burst_rate)
         while t < self.horizon:
             end = t + spec.burst_duration

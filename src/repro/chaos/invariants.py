@@ -20,7 +20,8 @@ injected:
    diffed against the brute-force oracle (:mod:`repro.chaos.oracle`).
 4. **No permanently-gated proclet** — a MIGRATING proclet always has an
    untriggered gate, and no single gate stays closed longer than
-   ``gate_timeout`` virtual seconds.
+   ``gate_timeout`` virtual seconds.  The clock is kept per proclet and
+   restarts whenever the proclet's gate object changes.
 5. **No double incarnation** — an id is never simultaneously live and
    lost, and its incarnation number never regresses.
 6. **Checkpoint byte conservation** — the per-machine view of checkpoint
@@ -47,14 +48,57 @@ injected:
    absent from its owner's table unless an active op protects it (no
    orphaned child shards, including across aborts).
 
-Each check is one pass over each kind of runtime state: the locator
-(invariant 1, collecting the resident footprints for 2), the migration
-and checkpoint reservations (shared by 2 and 6), the machines and their
-schedulers (2, 3), the loss/incarnation and clone ledgers (5–8), each
-shard table (9) and the live proclets (4, and 9's orphans).  Its cost
-is O(proclets + shards + schedulers + snapshots) per event.  When one
-state breaks several invariants at once, the one reported is the first
-its pass reaches.
+Two passes evaluate the same predicates with the same messages.
+
+* The **full pass**, :meth:`InvariantChecker.check`, makes one pass over
+  each kind of runtime state: the locator (invariant 1, collecting the
+  resident footprints for 2), the migration and checkpoint reservations
+  (shared by 2 and 6), the machines and their schedulers (2, 3), the
+  loss/incarnation and clone ledgers (5–8), each shard table (9) and
+  the live proclets (4, and 9's orphans).  Its cost is O(proclets +
+  shards + schedulers + snapshots).  Tests, ``run_chaos``'s final-state
+  check and every other external caller get this pass.
+* The **incremental pass** runs from the simulator observer after each
+  event.  It evaluates the predicates only over the entities the event
+  could have changed: the placement and DRAM equation of each dirty
+  machine (recomputed from its resident footprints, as the full pass
+  does), each dirty scheduler, each dirty routing table, and the
+  status, gate, incarnation and orphan checks of each dirty proclet.
+  Every event it also runs the checks that are global or
+  time-dependent: the table/residency/proclet cardinalities, live/lost
+  disjointness, the convergence ledger, the gate timeout (against the
+  oldest recorded gate; the gated proclets are re-walked once that one
+  may have outlived it), and the whole clone pass whenever a cloned
+  call is open.  Every :data:`FULL_PASS_EVERY`-th event runs the full
+  pass instead.  Both passes count once in :attr:`checks`.
+
+What marks an entity dirty.  :meth:`attach` subscribes to mutation
+points the program already has, so a run without a checker does no
+extra work:
+
+* the locator listener ``(pid, src, dst)`` marks the pid and both
+  machines;
+* each machine's :class:`~repro.cluster.Memory` listener marks the
+  machine (heap charges, ballast, migration and checkpoint
+  reservations);
+* the runtime's heap listener marks the proclet's machine, and its
+  failure and restore listeners mark the machine and its schedulers;
+* each machine scheduler's observer marks it when rates change, and
+  every scheduler waiting on the simulator's pending-flush list is
+  marked too (its inputs changed; it is re-checked once the flush has
+  landed);
+* the runtime's proclet-state listener marks a pid on status, gate and
+  restore-flag writes in migration, split/merge gating and recovery
+  (spawn, destroy, respawn and crash already reach the locator);
+* the runtime's reservation listener marks a machine when the
+  migration or checkpoint reservation ledgers change;
+* the reshard ledger's listener marks a structure (and its op's pids)
+  on every op transition, track/untrack and routing-table write.
+
+A dirty pid listed in a routing table also marks that table, and a
+re-examined table marks the pids it dropped (for the orphan check).
+When one state breaks several invariants at once, the one reported is
+the first its pass reaches.
 
 The checker is read-only: schedulers with a *pending* coalesced
 reassignment are skipped for that event (forcing a flush mid-instant
@@ -69,7 +113,7 @@ assertion compiled into the kernel.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..ds.sharding import _Bottom
 from ..runtime.proclet import ProcletStatus
@@ -79,6 +123,9 @@ from . import oracle as _oracle
 _RATE_EPS = 1e-9
 #: DRAM ledger slack in bytes (footprints are floats; 1 B is generous).
 _MEM_EPS = 1.0
+#: The observer runs the full pass instead of the incremental one on
+#: every this-many-th event.
+FULL_PASS_EVERY = 1024
 
 _RUNNING = ProcletStatus.RUNNING
 _MIGRATING = ProcletStatus.MIGRATING
@@ -89,47 +136,142 @@ class InvariantViolation(Exception):
     """A global invariant failed to hold after an event."""
 
 
+def _schedulers(machine) -> List:
+    """*machine*'s fluid schedulers, in the order the passes check them."""
+    scheds = [machine.cpu.sched, machine.nic.tx]
+    if machine.gpus is not None:
+        scheds.append(machine.gpus.sched)
+    storage = machine.storage
+    if storage is not None:
+        scheds += [storage.iops, storage.read_bw, storage.write_bw]
+    return scheds
+
+
 class InvariantChecker:
     """Asserts global invariants over a :class:`NuRuntime` after every
-    simulator event (or every ``stride``-th event)."""
+    simulator event."""
 
-    def __init__(self, runtime, oracle: bool = False, stride: int = 1,
+    def __init__(self, runtime, oracle: bool = False,
                  gate_timeout: float = 1.0):
-        if stride < 1:
-            raise ValueError(f"stride must be >= 1: {stride}")
         self.runtime = runtime
         self.oracle = oracle
-        self.stride = stride
         self.gate_timeout = gate_timeout
         self.checks = 0
         self.events_seen = 0
         self.oracle_comparisons = 0
-        # id(gate) -> first time the gate was seen closed.
-        self._gate_seen: Dict[int, float] = {}
+        # pid -> (gate, first time that gate was seen closed), and a
+        # lower bound on those times (inf when none is recorded).
+        self._gate_seen: Dict[int, Tuple[Any, float]] = {}
+        self._oldest_gate = math.inf
         # pid -> highest incarnation ever observed (must never regress).
         self._incarnation_seen: Dict[int, int] = {}
         self._attached_to = None
+        # (listener list, callback) pairs subscribed by attach().
+        self._hooks: List[Tuple[List, Any]] = []
+        # Dirty sets, filled by the hooks and drained by each
+        # incremental pass.  The hooks hold bound ``add`` methods, so
+        # the sets are cleared in place, never rebound.
+        self._dirty_memories: Set = set()
+        self._dirty_machines: Set = set()
+        self._dirty_scheds: Set = set()
+        self._dirty_pids: Set[int] = set()
+        self._dirty_tables: Set = set()
+        # Schedulers seen on the pending-flush list, and when.
+        self._waiting: Set = set()
+        self._waiting_at: Optional[float] = None
+        # Each tracked structure's table pids (keyed by ``id``) at its
+        # last examination, and pid -> the structure listing it.
+        self._table_pids: Dict[int, Set[int]] = {}
+        self._entry_of: Dict[int, Any] = {}
+        # Cluster shape, fixed at attach().
+        self._rank: Dict[Any, int] = {}
+        self._machine_of: Dict[Any, Any] = {}
+        self._scheds_of: Dict[Any, List] = {}
+        self._sched_rank: Dict[Any, int] = {}
+        self._pending_flushes: List = []
+        self._residency_sets = self._live_ids = self._live_and_placed = ()
 
     # -- observer plumbing ---------------------------------------------------
     def attach(self, sim=None) -> "InvariantChecker":
         sim = sim or self.runtime.sim
+        runtime = self.runtime
         sim.add_observer(self._on_event)
         self._attached_to = sim
+        self._pending_flushes = sim._pending_flushes
+        # The listener lists behind Locator.add_listener, the runtime's
+        # on_heap_change and on_machine_failure/restore, its proclet-state
+        # and reservation notifications, the reshard ledger's
+        # notifications, Memory.add_listener and
+        # FluidScheduler.add_observer; detach() removes the same entries.
+        hooks = [
+            (runtime.locator._listeners, self._on_locate),
+            (runtime._heap_listeners, self._on_heap),
+            (runtime._failure_listeners, self._on_failure),
+            (runtime._restore_listeners, self._on_restore),
+            (runtime._proclet_state_listeners, self._dirty_pids.add),
+            (runtime._reservation_listeners, self._dirty_machines.add),
+            (runtime.reshard_ledger._listeners, self._on_reshard),
+        ]
+        for rank, machine in enumerate(runtime.cluster.machines):
+            scheds = _schedulers(machine)
+            self._rank[machine] = rank
+            self._machine_of[machine.memory] = machine
+            self._scheds_of[machine] = scheds
+            hooks.append((machine.memory._listeners,
+                          self._dirty_memories.add))
+            for sched in scheds:
+                self._sched_rank[sched] = len(self._sched_rank)
+                hooks.append((sched._observers, self._dirty_scheds.add))
+        for listeners, fn in hooks:
+            listeners.append(fn)
+        self._hooks = hooks
+        # Live views for the per-event cardinality checks.
+        self._residency_sets = runtime.locator._by_machine.values()
+        self._live_ids = runtime._proclets.keys()
+        self._live_and_placed = (runtime._proclets, runtime.locator._table)
+        # The first incremental pass examines everything.
+        self._dirty_machines.update(self._rank)
+        self._dirty_scheds.update(self._sched_rank)
+        self._dirty_pids.update(runtime._proclets)
+        self._dirty_tables.update(runtime.reshard_ledger._structures)
         return self
 
     def detach(self) -> None:
         if self._attached_to is not None:
             self._attached_to.remove_observer(self._on_event)
             self._attached_to = None
+            for listeners, fn in self._hooks:
+                listeners.remove(fn)
+            self._hooks = []
 
-    def _on_event(self, _sim) -> None:
-        self.events_seen += 1
-        if self.events_seen % self.stride == 0:
-            self.check()
+    # -- dirty marking (hook callbacks) --------------------------------------
+    def _on_locate(self, pid: int, src, dst) -> None:
+        self._dirty_pids.add(pid)
+        if src is not None:
+            self._dirty_machines.add(src)
+        if dst is not None:
+            self._dirty_machines.add(dst)
 
-    # -- the invariants ------------------------------------------------------
+    def _on_heap(self, proclet) -> None:
+        self._dirty_machines.add(proclet._machine)
+
+    def _on_failure(self, machine, _lost) -> None:
+        self._on_restore(machine)
+
+    def _on_restore(self, machine) -> None:
+        # Up/down flips the machine's ledger and its schedulers'
+        # capacities.
+        self._dirty_machines.add(machine)
+        self._dirty_scheds.update(self._scheds_of.get(machine, ()))
+
+    def _on_reshard(self, structure, pids) -> None:
+        self._dirty_tables.add(structure)
+        self._dirty_pids.update(pids)
+
+    # -- the passes ----------------------------------------------------------
     def check(self) -> None:
-        """Run every invariant once; raises :class:`InvariantViolation`."""
+        """The full pass: every invariant over all state; raises
+        :class:`InvariantViolation`."""
         self.checks += 1
         resident = self._check_placement()
         held = self._check_machines(resident)
@@ -138,50 +280,150 @@ class InvariantChecker:
             self._check_clones()
         self._check_proclets(self._check_shard_tables())
 
+    def _on_event(self, _sim=None) -> None:
+        """The simulator observer: the incremental pass (the same
+        predicates over what changed since the last pass, plus the
+        global and time-dependent checks), or the full pass on every
+        :data:`FULL_PASS_EVERY`-th event."""
+        self.events_seen += 1
+        if not self.events_seen % FULL_PASS_EVERY:
+            self.check()
+            return
+        self.checks += 1
+        runtime = self.runtime
+        pending = self._pending_flushes
+        waiting = self._waiting
+        if waiting or pending:
+            # Schedulers mutated this instant wait on the pending-flush
+            # list; once a drain has run (the list emptied or time
+            # moved) they are clean and due for a check.
+            now = runtime.sim._now
+            if waiting and (not pending or now != self._waiting_at):
+                self._dirty_scheds.update(waiting)
+                waiting.clear()
+            if pending:
+                waiting.update(pending)
+                self._waiting_at = now
+        if (self._dirty_machines or self._dirty_memories
+                or self._dirty_scheds or self._dirty_pids
+                or self._dirty_tables):
+            machines, scheds, pids, tables = self._take_dirty()
+        else:
+            machines = scheds = pids = tables = ()
+        if machines:
+            by_machine = runtime.locator._by_machine
+            resident = {m.id: self._check_residents(m, by_machine.get(m, ()))
+                        for m in machines}
+        live, placed = map(len, self._live_and_placed)
+        if live != placed \
+                or sum(map(len, self._residency_sets)) != placed:
+            self._check_cardinality()
+        if machines:
+            self._check_changed_machines(machines, resident)
+        for sched in scheds:
+            self._check_fluid(sched)
+        lost = runtime._lost
+        if lost and not self._live_ids.isdisjoint(lost):
+            self._check_lost()
+        if pids:
+            self._check_incarnations(pids)
+        recovery = runtime.recovery
+        if recovery is not None and recovery.convergence_errors:
+            self._check_convergence()
+        if runtime._clone_calls:
+            self._check_clones()
+        if pids or tables:
+            self._check_changed_proclets(pids, tables)
+        now = runtime.sim._now
+        if now - self._oldest_gate > self.gate_timeout:
+            self._check_gated(now)
+
+    def _take_dirty(self):
+        """Drain the dirty sets into one incremental pass's scope:
+        ``(machines, schedulers, pids, tables)``, machines and
+        schedulers in cluster order.  A scheduler still awaiting its
+        flush is skipped by the check and comes back through the
+        pending-flush list."""
+        machines = scheds = pids = tables = ()
+        dirty_machines = self._dirty_machines
+        memories = self._dirty_memories
+        if memories:
+            dirty_machines.update(map(self._machine_of.__getitem__, memories))
+            memories.clear()
+        if dirty_machines:
+            machines = sorted(dirty_machines, key=self._rank.__getitem__)
+            dirty_machines.clear()
+        dirty_scheds = self._dirty_scheds
+        if dirty_scheds:
+            rank = self._sched_rank
+            scheds = sorted(filter(rank.__contains__, dirty_scheds),
+                            key=rank.__getitem__)
+            dirty_scheds.clear()
+        if self._dirty_pids:
+            pids = set(self._dirty_pids)
+            self._dirty_pids.clear()
+        if self._dirty_tables or pids:
+            tables = set(self._dirty_tables)
+            self._dirty_tables.clear()
+            entry_of = self._entry_of
+            for pid in pids:
+                structure = entry_of.get(pid)
+                if structure is not None:
+                    tables.add(structure)
+        return machines, scheds, pids, tables
+
     def _fail(self, what: str) -> None:
         raise InvariantViolation(
             f"t={self.runtime.sim.now:.6f}s: {what}")
 
+    # -- invariant 1 -----------------------------------------------------------
     def _check_placement(self) -> Dict[int, float]:
         """Invariant 1, in one pass over the locator's residency sets.
         Returns each machine's resident footprint, keyed by machine id,
         for invariant 2."""
+        resident = {machine.id: self._check_residents(machine, pids)
+                    for machine, pids
+                    in self.runtime.locator._by_machine.items()}
+        self._check_cardinality()
+        return resident
+
+    def _check_residents(self, machine, pids) -> float:
+        """Invariant 1 over one machine's residency set; returns the
+        residents' total footprint."""
+        placed_on = self.runtime.locator._table.get
+        live = self.runtime._proclets.get
+        footprint = 0
+        for pid in pids:
+            if placed_on(pid) is not machine:
+                self._fail_misplaced(machine, pid)
+            proclet = live(pid)
+            if proclet is None:
+                self._fail(f"locator maps dead proclet #{pid}")
+            if proclet._machine is not machine:
+                self._fail(
+                    f"{proclet.name}: locator says {machine.name}, "
+                    f"proclet says "
+                    f"{getattr(proclet._machine, 'name', None)}")
+            footprint += proclet.footprint
+        return footprint
+
+    def _check_cardinality(self) -> None:
+        """Invariant 1's global half.  Once every residency entry agrees
+        with the table, the sets are disjoint and cover the table iff
+        the sizes match; the table holds only live proclets, so it
+        covers them iff sizes match."""
         loc = self.runtime.locator
         table = loc._table
-        proclets = self.runtime._proclets
-        placed_on = table.get
-        live = proclets.get
-        resident: Dict[int, float] = {}
-        placed = 0
-        for machine, pids in loc._by_machine.items():
-            placed += len(pids)
-            footprint = 0
-            for pid in pids:
-                if placed_on(pid) is not machine:
-                    self._fail_misplaced(machine, pid)
-                proclet = live(pid)
-                if proclet is None:
-                    self._fail(f"locator maps dead proclet #{pid}")
-                if proclet._machine is not machine:
-                    self._fail(
-                        f"{proclet.name}: locator says {machine.name}, "
-                        f"proclet says "
-                        f"{getattr(proclet._machine, 'name', None)}")
-                footprint += proclet.footprint
-            resident[machine.id] = footprint
-        # Every residency entry agrees with the table, so the sets are
-        # disjoint and cover the table iff the sizes match; the table
-        # holds only live proclets, so it covers them iff sizes match.
-        if placed != len(table):
+        if sum(map(len, loc._by_machine.values())) != len(table):
             seen = set().union(*loc._by_machine.values())
             self._fail("locator table and residency sets disagree: "
                        f"{sorted(seen ^ set(table))}")
+        proclets = self.runtime._proclets
         if len(proclets) != len(table):
             for pid, proclet in proclets.items():
                 if pid not in table:
                     self._fail(f"live proclet {proclet.name} missing from "
                                f"locator")
-        return resident
 
     def _fail_misplaced(self, machine, pid: int) -> None:
         """Report a residency entry the table disagrees with: a double
@@ -196,52 +438,70 @@ class InvariantChecker:
             f"proclet #{pid} in {machine.name}'s residency set but table "
             f"says {getattr(loc._table.get(pid), 'name', None)}")
 
+    # -- invariants 2 and 3 ------------------------------------------------------
+    def _reservations(self) -> Tuple[Dict[int, float], Dict[int, float]]:
+        """In-flight migration and checkpoint bytes per machine id."""
+        runtime = self.runtime
+        recovery = runtime.recovery
+        return (runtime.migration.inflight_reserved(),
+                recovery.reserved_by_machine() if recovery is not None
+                else {})
+
     def _check_machines(self, resident: Dict[int, float]) -> float:
         """Invariants 2 and 3, in one pass over the machines.  Returns
         the checkpoint bytes the machines hold, for invariant 6."""
-        runtime = self.runtime
-        inflight = runtime.migration.inflight_reserved()
-        recovery = runtime.recovery
-        reserved = (recovery.reserved_by_machine()
-                    if recovery is not None else {})
+        inflight, reserved = self._reservations()
+        machines = self.runtime.cluster.machines
+        for m in machines:
+            self._check_dram(m, resident.get(m.id, 0), inflight, reserved)
+            for sched in _schedulers(m):
+                self._check_fluid(sched)
+        return self._held(machines, reserved)
+
+    def _check_changed_machines(self, machines,
+                                resident: Dict[int, float]) -> None:
+        """Invariants 2 and 6 over the dirty machines."""
+        inflight, reserved = self._reservations()
+        for m in machines:
+            self._check_dram(m, resident[m.id], inflight, reserved)
+        self._check_checkpoints(
+            self._held(self.runtime.cluster.machines, reserved))
+
+    @staticmethod
+    def _held(machines, reserved: Dict[int, float]) -> float:
         held = 0
-        for m in runtime.cluster.machines:
-            memory = m.memory
-            used = memory.used
-            if not m.up:
-                if used != 0.0:
-                    self._fail(f"crashed {m.name} holds "
-                               f"{used:.0f} B of DRAM")
-                if runtime.locator._by_machine.get(m):
-                    self._fail(f"crashed {m.name} still hosts proclets "
-                               f"{runtime.locator.proclets_on(m)}")
-            else:
-                mid = m.id
-                footprints = resident.get(mid, 0)
-                in_flight = inflight.get(mid, 0.0)
-                ckpt = reserved.get(mid, 0.0)
-                held += ckpt
-                expected = footprints + memory.ballast + in_flight + ckpt
-                if not math.isclose(used, expected,
-                                    rel_tol=1e-9, abs_tol=_MEM_EPS):
-                    self._fail(
-                        f"{m.name} DRAM ledger {used:.1f} B != "
-                        f"{expected:.1f} B (residents {footprints:.1f} + "
-                        f"ballast {memory.ballast:.1f} + in-flight "
-                        f"{in_flight:.1f} + checkpoints {ckpt:.1f})")
-                if used > memory.capacity + _MEM_EPS:
-                    self._fail(f"{m.name} DRAM oversubscribed: "
-                               f"{used:.0f} / {memory.capacity:.0f} B")
-            self._check_fluid(m.cpu.sched)
-            self._check_fluid(m.nic.tx)
-            if m.gpus is not None:
-                self._check_fluid(m.gpus.sched)
-            storage = m.storage
-            if storage is not None:
-                self._check_fluid(storage.iops)
-                self._check_fluid(storage.read_bw)
-                self._check_fluid(storage.write_bw)
+        for m in machines:
+            if m.up:
+                held += reserved.get(m.id, 0.0)
         return held
+
+    def _check_dram(self, m, footprints: float,
+                    inflight: Dict[int, float],
+                    reserved: Dict[int, float]) -> None:
+        memory = m.memory
+        used = memory.used
+        if not m.up:
+            if used != 0.0:
+                self._fail(f"crashed {m.name} holds "
+                           f"{used:.0f} B of DRAM")
+            if self.runtime.locator._by_machine.get(m):
+                self._fail(f"crashed {m.name} still hosts proclets "
+                           f"{self.runtime.locator.proclets_on(m)}")
+            return
+        mid = m.id
+        in_flight = inflight.get(mid, 0.0)
+        ckpt = reserved.get(mid, 0.0)
+        expected = footprints + memory.ballast + in_flight + ckpt
+        if not math.isclose(used, expected,
+                            rel_tol=1e-9, abs_tol=_MEM_EPS):
+            self._fail(
+                f"{m.name} DRAM ledger {used:.1f} B != "
+                f"{expected:.1f} B (residents {footprints:.1f} + "
+                f"ballast {memory.ballast:.1f} + in-flight "
+                f"{in_flight:.1f} + checkpoints {ckpt:.1f})")
+        if used > memory.capacity + _MEM_EPS:
+            self._fail(f"{m.name} DRAM oversubscribed: "
+                       f"{used:.0f} / {memory.capacity:.0f} B")
 
     def _check_fluid(self, sched) -> None:
         if sched._dirty:
@@ -249,8 +509,8 @@ class InvariantChecker:
             # time advances and the next event re-checks.
             return
         items = sched._items
-        capacity = sched.capacity
-        eps = _RATE_EPS * max(1.0, capacity)
+        capacity = sched._capacity
+        eps = _RATE_EPS * (capacity if capacity > 1.0 else 1.0)
         total = 0.0
         hungriest: Optional[int] = None
         for it in items:
@@ -282,25 +542,40 @@ class InvariantChecker:
                 self._fail(f"oracle divergence: "
                            + "; ".join(map(str, divergences)))
 
+    # -- invariants 5-7 ----------------------------------------------------------
     def _check_recovery(self, held: float) -> None:
         """Invariants 5–7 (cheap no-ops without repro.ft); *held* is the
         machines' view of the checkpoint bytes (invariant 6)."""
+        self._check_lost()
+        incarnations = self.runtime._incarnations
+        if incarnations != self._incarnation_seen:
+            self._check_incarnations(incarnations)
+        self._check_checkpoints(held)
+        self._check_convergence()
+
+    def _check_lost(self) -> None:
         runtime = self.runtime
         lost = runtime._lost
         if not runtime._proclets.keys().isdisjoint(lost):
             pid = min(lost.intersection(runtime._proclets))
             self._fail(f"proclet #{pid} is both live and lost "
                        f"(double incarnation)")
-        incarnations = runtime._incarnations
+
+    def _check_incarnations(self, pids) -> None:
+        incarnations = self.runtime._incarnations
         seen = self._incarnation_seen
-        if incarnations != seen:
-            for pid, inc in incarnations.items():
-                prev = seen.get(pid, 0)
-                if inc < prev:
-                    self._fail(f"proclet #{pid} incarnation regressed "
-                               f"{prev} -> {inc}")
-                seen[pid] = inc
-        recovery = runtime.recovery
+        for pid in pids:
+            inc = incarnations.get(pid)
+            if inc is None:
+                continue
+            prev = seen.get(pid, 0)
+            if inc < prev:
+                self._fail(f"proclet #{pid} incarnation regressed "
+                           f"{prev} -> {inc}")
+            seen[pid] = inc
+
+    def _check_checkpoints(self, held: float) -> None:
+        recovery = self.runtime.recovery
         if recovery is None:
             return
         if not math.isclose(held, recovery.checkpoint_bytes_held,
@@ -309,10 +584,14 @@ class InvariantChecker:
                 f"checkpoint bytes not conserved: machines hold "
                 f"{held:.1f} B, manager ledger says "
                 f"{recovery.checkpoint_bytes_held:.1f} B")
-        if recovery.convergence_errors:
+
+    def _check_convergence(self) -> None:
+        recovery = self.runtime.recovery
+        if recovery is not None and recovery.convergence_errors:
             self._fail("recovered state diverged: "
                        + "; ".join(recovery.convergence_errors))
 
+    # -- invariant 8 -------------------------------------------------------------
     def _check_clones(self) -> None:
         """Clone-set hygiene (invariant 8)."""
         now = self.runtime.sim.now
@@ -344,62 +623,72 @@ class InvariantChecker:
                             f"{call!r}: cancelled clone {att.index} "
                             f"leaked active work item {item.name!r}")
 
+    # -- invariant 9 -------------------------------------------------------------
+    def _table_context(self):
+        """``(protected, lost, live, restoring)`` for table checks."""
+        runtime = self.runtime
+        recovery = runtime.recovery
+        return (runtime.reshard_ledger.protected_ids(), runtime._lost,
+                runtime._proclets.get,
+                recovery._restoring if recovery is not None else ())
+
     def _check_shard_tables(self) -> Optional[Tuple[Dict[int, Set[int]],
                                                     Set[int]]]:
         """Invariant 9's table checks, one pass per tracked structure.
         Returns each structure's table pids (keyed by ``id``) and the
         ledger-protected pids for the orphan check, or None when no
         sharded structure is tracked."""
-        runtime = self.runtime
-        ledger = getattr(runtime, "reshard_ledger", None)
+        ledger = getattr(self.runtime, "reshard_ledger", None)
         if ledger is None or not ledger._structures:
             return None
-        protected = ledger.protected_ids()
-        lost = runtime._lost
-        live = runtime._proclets.get
-        recovery = runtime.recovery
-        restoring = recovery._restoring if recovery is not None else ()
-        tables: Dict[int, Set[int]] = {}
-        for ds in ledger._structures:
-            shards = ds.shards
-            los = getattr(ds, "_los", None)
-            if los is not None:
-                self._check_bounds(ds, shards, los)
-            table = tables[id(ds)] = set()
-            last = len(shards) - 1
-            shard_ref = ds._shard_ref
-            for i, shard in enumerate(shards):
-                pid = shard_ref(shard).proclet_id
-                table.add(pid)
-                proclet = live(pid)
-                if proclet is None:
-                    # Lost to a machine failure is recovery's problem.
-                    # A merge retires its donor from the table before it
-                    # destroys it, so anything else is a dangling entry.
-                    if pid not in lost:
-                        self._fail(
-                            f"{ds.name}: routing table entry #{pid} is "
-                            f"destroyed but not lost to a machine failure "
-                            f"(unroutable range)")
-                    continue
-                if los is None or pid in protected:
-                    continue
-                if proclet._status is not _RUNNING:
-                    continue  # gated by an op; ranges settle at cleanup
-                if pid in restoring:
-                    continue
-                # The bounds check proved that only the first shard
-                # starts at BOTTOM.
-                want_lo = shard.lo if i else None
-                want_hi = shards[i + 1].lo if i < last else None
-                if proclet.range_lo != want_lo \
-                        or proclet.range_hi != want_hi:
+        context = self._table_context()
+        tables = {id(ds): self._check_table(ds, *context)
+                  for ds in ledger._structures}
+        return tables, context[0]
+
+    def _check_table(self, ds, protected, lost, live,
+                     restoring) -> Set[int]:
+        """Invariant 9 over one structure's routing table; returns the
+        pids it lists."""
+        shards = ds.shards
+        los = getattr(ds, "_los", None)
+        if los is not None:
+            self._check_bounds(ds, shards, los)
+        table = set()
+        last = len(shards) - 1
+        shard_ref = ds._shard_ref
+        for i, shard in enumerate(shards):
+            pid = shard_ref(shard).proclet_id
+            table.add(pid)
+            proclet = live(pid)
+            if proclet is None:
+                # Lost to a machine failure is recovery's problem.
+                # A merge retires its donor from the table before it
+                # destroys it, so anything else is a dangling entry.
+                if pid not in lost:
                     self._fail(
-                        f"{ds.name}/{proclet.name}: enforced range "
-                        f"[{proclet.range_lo!r}, {proclet.range_hi!r}) "
-                        f"disagrees with the routing table "
-                        f"[{want_lo!r}, {want_hi!r})")
-        return tables, protected
+                        f"{ds.name}: routing table entry #{pid} is "
+                        f"destroyed but not lost to a machine failure "
+                        f"(unroutable range)")
+                continue
+            if los is None or pid in protected:
+                continue
+            if proclet._status is not _RUNNING:
+                continue  # gated by an op; ranges settle at cleanup
+            if pid in restoring:
+                continue
+            # The bounds check proved that only the first shard
+            # starts at BOTTOM.
+            want_lo = shard.lo if i else None
+            want_hi = shards[i + 1].lo if i < last else None
+            if proclet.range_lo != want_lo \
+                    or proclet.range_hi != want_hi:
+                self._fail(
+                    f"{ds.name}/{proclet.name}: enforced range "
+                    f"[{proclet.range_lo!r}, {proclet.range_hi!r}) "
+                    f"disagrees with the routing table "
+                    f"[{want_lo!r}, {want_hi!r})")
+        return table
 
     def _check_bounds(self, ds, shards, los) -> None:
         """Range-sharded tables cover the full key space at every
@@ -425,61 +714,139 @@ class InvariantChecker:
                            f"{i}: {prev!r} !< {lo!r}")
             prev = lo
 
+    # -- invariants 4 and 9 (per proclet) ------------------------------------------
     def _check_proclets(self, tables) -> None:
         """Invariant 4 and invariant 9's orphan check, in one pass over
         the live proclets; *tables* is :meth:`_check_shard_tables`'s
         result."""
         now = self.runtime.sim.now
-        gate_seen = self._gate_seen
-        live_gates: Set[int] = set()
         owned = protected = None
         if tables is not None:
             owned, protected = tables
+        gated: Set[int] = set()
+        check = self._check_proclet
         for pid, proclet in self.runtime._proclets.items():
-            status = proclet._status
-            if status is not _RUNNING:
-                if status is _DEAD:
-                    self._fail(f"{proclet.name} is DEAD but still "
-                               f"registered")
-                if status is _MIGRATING:
-                    gate = proclet._migration_gate
-                    if gate is None:
-                        self._fail(f"{proclet.name} MIGRATING without a "
-                                   f"gate")
-                    if gate.triggered:
-                        self._fail(f"{proclet.name} MIGRATING behind an "
-                                   f"already-open gate")
-                    key = id(gate)
-                    live_gates.add(key)
-                    first = gate_seen.setdefault(key, now)
-                    if now - first > self.gate_timeout:
-                        self._fail(
-                            f"{proclet.name} gated for "
-                            f"{now - first:.3f}s > {self.gate_timeout:.3f}s "
-                            f"(permanently gated?)")
-            if owned is None:
-                continue
+            if check(pid, proclet, now, owned, protected):
+                gated.add(pid)
+        # Forget proclets whose gate opened.  Every gated proclet was
+        # just recorded, so equal sizes mean none opened.
+        gate_seen = self._gate_seen
+        if len(gate_seen) != len(gated):
+            for pid in list(gate_seen):
+                if pid not in gated:
+                    del gate_seen[pid]
+
+    def _check_changed_proclets(self, pids, tables) -> None:
+        """The incremental pass's invariant 9 over the dirty tables, then
+        invariant 4 and 9's orphan check over the dirty proclets and the
+        pids that left a table."""
+        runtime = self.runtime
+        structures = runtime.reshard_ledger._structures
+        owned = protected = context = None
+        check = pids
+        if structures:
+            owned = self._table_pids
+            context = self._table_context()
+            protected = context[0]
+        if tables:
+            check = self._recheck_tables(structures, tables, context)
+            check.update(pids)
+        now = runtime.sim.now
+        live = runtime._proclets.get
+        gate_seen = self._gate_seen
+        for pid in check:
+            proclet = live(pid)
+            if proclet is None \
+                    or not self._check_proclet(pid, proclet, now, owned,
+                                               protected):
+                gate_seen.pop(pid, None)
+
+    def _check_gated(self, now: float) -> None:
+        """Invariant 4 over the gated proclets, once the oldest recorded
+        gate may have outlived the timeout; forgets gates that opened
+        and refreshes the lower bound."""
+        gate_seen = self._gate_seen
+        live = self.runtime._proclets.get
+        for pid in list(gate_seen):
+            proclet = live(pid)
+            if proclet is None or proclet._status is not _MIGRATING:
+                del gate_seen[pid]
+            else:
+                self._check_gate(pid, proclet, now)
+        self._oldest_gate = min((first for _gate, first
+                                 in gate_seen.values()), default=math.inf)
+
+    def _recheck_tables(self, structures, tables, context) -> Set[int]:
+        """Re-examine the dirty tables in ledger order, refresh their
+        cached pid sets and drop untracked ones; returns the pids that
+        left a table (candidates for the orphan check)."""
+        table_pids = self._table_pids
+        entry_of = self._entry_of
+        departed: Set[int] = set()
+        for ds in structures:
+            if ds in tables:
+                now_listed = self._check_table(ds, *context)
+                for pid in table_pids.get(id(ds), ()):
+                    if pid not in now_listed:
+                        departed.add(pid)
+                        if entry_of.get(pid) is ds:
+                            del entry_of[pid]
+                for pid in now_listed:
+                    entry_of[pid] = ds
+                table_pids[id(ds)] = now_listed
+        for ds in tables:
+            if ds not in structures:
+                for pid in table_pids.pop(id(ds), ()):
+                    if entry_of.get(pid) is ds:
+                        del entry_of[pid]
+        return departed
+
+    def _check_proclet(self, pid: int, proclet, now: float, owned,
+                       protected) -> bool:
+        """Invariant 4 and invariant 9's orphan check for one live
+        proclet; returns whether it is gated."""
+        status = proclet._status
+        gated = False
+        if status is not _RUNNING:
+            if status is _DEAD:
+                self._fail(f"{proclet.name} is DEAD but still "
+                           f"registered")
+            if status is _MIGRATING:
+                self._check_gate(pid, proclet, now)
+                gated = True
+        if owned is not None:
             # No orphaned children: a live shard proclet outside its
             # owner's routing table is legal only mid-reshard
             # (ledger-protected).
             owner = getattr(proclet, "shard_owner", None)
-            if owner is None:
-                continue
-            table = owned.get(id(owner))
-            if table is not None and pid not in table \
-                    and pid not in protected:
-                self._fail(
-                    f"{owner.name}: live shard {proclet.name} is missing "
-                    f"from the routing table and no active reshard op "
-                    f"protects it (orphaned child shard)")
-        # Forget gates that opened, so ids can be reused safely.  Every
-        # live gate was just recorded, so equal sizes mean none opened.
-        if len(gate_seen) != len(live_gates):
-            for key in list(gate_seen):
-                if key not in live_gates:
-                    del gate_seen[key]
+            if owner is not None:
+                table = owned.get(id(owner))
+                if table is not None and pid not in table \
+                        and pid not in protected:
+                    self._fail(
+                        f"{owner.name}: live shard {proclet.name} is "
+                        f"missing from the routing table and no active "
+                        f"reshard op protects it (orphaned child shard)")
+        return gated
+
+    def _check_gate(self, pid: int, proclet, now: float) -> None:
+        gate = proclet._migration_gate
+        if gate is None:
+            self._fail(f"{proclet.name} MIGRATING without a gate")
+        if gate.triggered:
+            self._fail(f"{proclet.name} MIGRATING behind an "
+                       f"already-open gate")
+        seen = self._gate_seen.get(pid)
+        if seen is None or seen[0] is not gate:
+            # A new gate (or a first sighting) restarts the clock.
+            self._gate_seen[pid] = (gate, now)
+            if now < self._oldest_gate:
+                self._oldest_gate = now
+        elif now - seen[1] > self.gate_timeout:
+            self._fail(
+                f"{proclet.name} gated for {now - seen[1]:.3f}s > "
+                f"{self.gate_timeout:.3f}s (permanently gated?)")
 
     def __repr__(self) -> str:
         return (f"<InvariantChecker checks={self.checks} "
-                f"oracle={'on' if self.oracle else 'off'} "
-                f"stride={self.stride}>")
+                f"oracle={'on' if self.oracle else 'off'}>")

@@ -74,7 +74,6 @@ class ChaosConfig:
     map_churn_interval: float = 0.002
     # Checking.
     oracle: bool = False
-    invariant_stride: int = 1
     gate_timeout: Optional[float] = None  # default: the full horizon
 
 
@@ -189,7 +188,7 @@ def run_chaos(config: ChaosConfig = ChaosConfig()) -> ChaosResult:
     schedule = plan.schedule(dram_bytes=config.dram_bytes)
     injector = ChaosInjector(qs.runtime, schedule)
     checker = InvariantChecker(
-        qs.runtime, oracle=config.oracle, stride=config.invariant_stride,
+        qs.runtime, oracle=config.oracle,
         gate_timeout=(config.gate_timeout if config.gate_timeout is not None
                       else config.duration),
     ).attach(sim)

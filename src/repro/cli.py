@@ -222,8 +222,7 @@ def _chaos_specs(args):
                       seed=seed, steps=args.steps)
                 for seed in args.differential]
     config = dict(machines=args.machines, duration=args.duration,
-                  oracle=args.oracle, invariant_stride=args.stride,
-                  autoscale=args.autoscale)
+                  oracle=args.oracle, autoscale=args.autoscale)
     if args.seeds:
         return chaos.chaos_grid_specs(args.seeds, policies=(args.recovery,),
                                       **config)
@@ -394,8 +393,6 @@ EXPERIMENTS = (
          _arg("--oracle", action="store_true",
               help="also diff every fluid scheduler against the "
                    "brute-force water-fill oracle (slow)"),
-         _arg("--stride", type=int, default=1,
-              help="check invariants every N-th event"),
          _REPLAY,
          _arg("--recovery", default=None, choices=POLICIES,
               help="run under the repro.ft recovery subsystem with this "

@@ -319,6 +319,7 @@ class Quicksand:
         """Block new invocations (reuses the migration gate mechanism)."""
         proclet._status = ProcletStatus.MIGRATING
         proclet._migration_gate = proclet._runtime.sim.event()
+        proclet._runtime._notify_proclet_state(proclet.id)
         tr = proclet._runtime.sim.tracer
         if tr is not None:
             proclet._gate_span = tr.begin(
@@ -331,6 +332,7 @@ class Quicksand:
         proclet._status = ProcletStatus.RUNNING
         proclet._migration_gate = None
         gate.succeed()
+        proclet._runtime._notify_proclet_state(proclet.id)
         tr = proclet._runtime.sim.tracer
         if tr is not None:
             tr.end(proclet._gate_span)

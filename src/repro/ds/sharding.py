@@ -125,6 +125,7 @@ class ShardedBase(ReshardHooks):
     def _refresh_ranges(self) -> None:
         """Push the routing table's ranges down into the shard proclets,
         which enforce them at execution time (WrongShard on staleness)."""
+        self.qs.runtime.reshard_ledger.note_table_change(self)
         for i, shard in enumerate(self.shards):
             proclet = self.qs.runtime._proclets.get(shard.ref.proclet_id)
             if proclet is None:

@@ -248,6 +248,7 @@ class RecoveryManager:
             if peer is machine:
                 del self._pending[pid]
                 self.checkpoint_bytes_held -= nbytes
+        self.runtime._notify_reservation(machine)
 
     # -- recovery (triggered by detector confirmation) ------------------------
     def _on_confirmed_dead(self, machine: Machine) -> None:
@@ -264,6 +265,7 @@ class RecoveryManager:
             if spec is None or not self.runtime.is_lost(pid):
                 continue  # unprotected meanwhile, or already recovered
             self._restoring.add(pid)
+            self.runtime._notify_proclet_state(pid)
             try:
                 yield from self._recover_one(pid, spec)
             except (MachineFailed, OutOfMemory, DeadProclet):
@@ -275,6 +277,7 @@ class RecoveryManager:
                     self.metrics.count("ft.failed_recoveries")
             finally:
                 self._restoring.discard(pid)
+                self.runtime._notify_proclet_state(pid)
                 self._poke_splitmerge(pid)
 
     def restoring(self, proclet_id: int) -> bool:
@@ -331,6 +334,7 @@ class RecoveryManager:
                 gate = self.sim.event()
                 fresh._status = ProcletStatus.MIGRATING
                 fresh._migration_gate = gate
+                self.runtime._notify_proclet_state(pid)
                 try:
                     yield self.runtime.fabric.transfer(
                         snap.peer, machine, snap.nbytes,
@@ -342,6 +346,7 @@ class RecoveryManager:
                         fresh._migration_gate = None
                     if not gate.triggered:
                         gate.succeed()
+                    self.runtime._notify_proclet_state(pid)
             if self.runtime._proclets.get(pid) is not fresh:
                 # The new host crashed while the snapshot was on the
                 # wire (a transfer only fails with its *source*; the
@@ -512,6 +517,7 @@ class RecoveryManager:
             return
         self._pending[pid] = (peer, nbytes, peer.incarnation)
         self.checkpoint_bytes_held += nbytes
+        self.runtime._notify_reservation(peer)
         tr = self.sim.tracer
         span = None
         if tr is not None:
@@ -529,6 +535,7 @@ class RecoveryManager:
             entry = self._pending.pop(pid, None)
             if entry is not None:
                 self.checkpoint_bytes_held -= nbytes
+                self.runtime._notify_reservation(peer)
                 if peer.up and peer.incarnation == entry[2]:
                     peer.memory.release(nbytes)
             if tr is not None:
@@ -545,6 +552,7 @@ class RecoveryManager:
         self._snapshots[pid] = _Snapshot(
             state=state, nbytes=nbytes, peer=peer,
             peer_incarnation=entry[2], taken_at=self.sim.now)
+        self.runtime._notify_reservation(peer)
         # _pending already added these bytes to the held total; storing
         # the snapshot keeps them held, so no adjustment here.
         if self.metrics is not None:
@@ -558,6 +566,7 @@ class RecoveryManager:
         if snap is None:
             return
         self.checkpoint_bytes_held -= snap.nbytes
+        self.runtime._notify_reservation(snap.peer)
         if snap.valid():
             snap.peer.memory.release(snap.nbytes)
 

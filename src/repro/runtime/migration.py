@@ -149,6 +149,7 @@ class MigrationEngine:
         if entry is None:
             return
         dst, nbytes, inc = entry
+        self.runtime._notify_reservation(dst)
         if dst.up and dst.incarnation == inc:
             dst.memory.release(nbytes)
 
@@ -170,6 +171,7 @@ class MigrationEngine:
         t0 = sim.now
         proclet._status = ProcletStatus.MIGRATING
         proclet._migration_gate = sim.event()
+        self.runtime._notify_proclet_state(proclet.id)
         # Heap size is snapshotted once for the reservation and the copy;
         # the commit settles any heap change made mid-flight.
         nbytes = proclet.footprint
@@ -206,6 +208,7 @@ class MigrationEngine:
             gate, proclet._migration_gate = proclet._migration_gate, None
             if gate is not None and not gate.triggered:
                 gate.succeed()
+            self.runtime._notify_proclet_state(proclet.id)
             if tr is not None:
                 tr.end(proclet._gate_span, outcome="aborted")
                 proclet._gate_span = None
@@ -259,6 +262,7 @@ class MigrationEngine:
             backoff *= config.backoff_multiplier
 
         self._inflight[proclet.id] = (dst, nbytes, dst.incarnation)
+        self.runtime._notify_reservation(dst)
         try:
             yield sim.timeout(config.fixed_overhead)
             self._checkpoint(proclet, dst)
@@ -304,6 +308,7 @@ class MigrationEngine:
             raise _fail(f"{proclet.name}: heap grew {grown:.0f} B "
                         f"mid-migration and {dst.name} cannot fit it")
         self._inflight.pop(proclet.id, None)
+        self.runtime._notify_reservation(dst)
         src.memory.release(nbytes + grown)
         if grown > 0:
             dst.memory.reserve(grown)
@@ -321,6 +326,7 @@ class MigrationEngine:
         proclet.migrations += 1
         gate, proclet._migration_gate = proclet._migration_gate, None
         gate.succeed()
+        self.runtime._notify_proclet_state(proclet.id)
 
         latency = sim.now - t0
         if tr is not None:

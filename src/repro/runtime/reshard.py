@@ -21,7 +21,7 @@ it without import cycles.
 from __future__ import annotations
 
 import enum
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 
 class ReshardPhase(enum.Enum):
@@ -99,6 +99,11 @@ class ReshardLedger:
         self._next_op = 0
         self._active: Dict[int, ReshardOp] = {}
         self._structures: List[Any] = []
+        # Called as fn(structure, proclet_ids) after every op transition
+        # (with the op's parent and child ids), track/untrack and
+        # routing-table write; the chaos invariant checker's dirty
+        # tracking appends to it while attached.
+        self._listeners: List[Callable[[Any, Tuple[int, ...]], None]] = []
         # Monotonic counters, read by metrics.record_autoscale_stats and
         # the chaos digest.
         self.counters: Dict[str, int] = {
@@ -106,16 +111,31 @@ class ReshardLedger:
             "merge_started": 0, "merge_committed": 0, "merge_aborted": 0,
         }
 
+    # -- change notification ------------------------------------------------
+    def note_table_change(self, structure: Any) -> None:
+        """Report a write to *structure*'s routing table."""
+        for fn in self._listeners:
+            fn(structure, ())
+
+    def _notify_op(self, op: ReshardOp) -> None:
+        if self._listeners:
+            pids = (op.parent_id,) if op.child_id is None \
+                else (op.parent_id, op.child_id)
+            for fn in self._listeners:
+                fn(op.structure, pids)
+
     # -- structure tracking -------------------------------------------------
     def track(self, structure: Any) -> None:
         if structure not in self._structures:
             self._structures.append(structure)
+            self.note_table_change(structure)
 
     def untrack(self, structure: Any) -> None:
         try:
             self._structures.remove(structure)
         except ValueError:
-            pass
+            return
+        self.note_table_change(structure)
 
     def structures(self) -> List[Any]:
         return list(self._structures)
@@ -130,11 +150,13 @@ class ReshardLedger:
         self._next_op += 1
         self._active[op.op_id] = op
         self.counters[f"{kind}_started"] += 1
+        self._notify_op(op)
         return op
 
     def add_child(self, op: ReshardOp, child_id: int) -> None:
         """Record the spawned child (split) or survivor (merge)."""
         op.child_id = child_id
+        self._notify_op(op)
 
     def advance(self, op: ReshardOp, phase: ReshardPhase) -> None:
         """Move *op* to a later active phase (PREPARE→COMMIT→CLEANUP)."""
@@ -142,6 +164,7 @@ class ReshardLedger:
             raise ValueError(f"{op!r} already settled")
         op.phase = phase
         op.phase_at = self.sim.now
+        self._notify_op(op)
 
     def complete(self, op: ReshardOp) -> None:
         """Settle *op* as committed; idempotent once settled."""
@@ -151,6 +174,7 @@ class ReshardLedger:
         op.settled_at = self.sim.now
         self._active.pop(op.op_id, None)
         self.counters[f"{op.kind}_committed"] += 1
+        self._notify_op(op)
 
     def abort(self, op: ReshardOp, reason: str) -> None:
         """Settle *op* as rolled back; idempotent once settled."""
@@ -161,6 +185,7 @@ class ReshardLedger:
         op.settled_at = self.sim.now
         self._active.pop(op.op_id, None)
         self.counters[f"{op.kind}_aborted"] += 1
+        self._notify_op(op)
 
     # -- queries (invariant checker / metrics) ------------------------------
     def active_ops(self) -> List[ReshardOp]:

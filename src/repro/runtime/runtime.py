@@ -80,6 +80,14 @@ class NuRuntime:
         #: Called as fn(machine) after restore_machine brings a crashed
         #: machine back (placement-index rebucketing hook).
         self._restore_listeners: List[Callable] = []
+        #: Called as fn(proclet_id) after a write to a proclet's status,
+        #: migration gate or restore flag that the locator does not
+        #: report (migration, split/merge gating, recovery), and as
+        #: fn(machine) after the migration or checkpoint reservations
+        #: held on *machine* change.  The chaos invariant checker's
+        #: dirty tracking appends to these while attached.
+        self._proclet_state_listeners: List[Callable[[int], None]] = []
+        self._reservation_listeners: List[Callable] = []
 
     # -- lifecycle ----------------------------------------------------------
     def spawn(self, proclet: Proclet, machine: Machine,
@@ -521,3 +529,11 @@ class NuRuntime:
     def _notify_heap_change(self, proclet: Proclet) -> None:
         for fn in self._heap_listeners:
             fn(proclet)
+
+    def _notify_proclet_state(self, proclet_id: int) -> None:
+        for fn in self._proclet_state_listeners:
+            fn(proclet_id)
+
+    def _notify_reservation(self, machine: Machine) -> None:
+        for fn in self._reservation_listeners:
+            fn(machine)

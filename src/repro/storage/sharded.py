@@ -208,6 +208,7 @@ class ShardedStore(ReshardHooks):
         return self.shards[self._index_for(key)].ref
 
     def _refresh_ranges(self) -> None:
+        self.qs.runtime.reshard_ledger.note_table_change(self)
         for i, shard in enumerate(self.shards):
             p = self.qs.runtime._proclets.get(shard.ref.proclet_id)
             if p is None:

@@ -44,8 +44,7 @@ class TestScenario:
         assert str(result.machines_crashed) in report
 
     def test_oracle_mode(self):
-        result = run_chaos(small(duration=0.2, oracle=True,
-                                 invariant_stride=20))
+        result = run_chaos(small(duration=0.2, oracle=True))
         assert result.oracle_comparisons > 0
 
 
@@ -100,10 +99,3 @@ class TestChaosCli:
         assert "deterministic" in out
         assert "MachineCrash" in out
 
-    def test_chaos_command_stride(self, capsys):
-        from repro.cli import main
-
-        rc = main(["chaos", "--seed", "4", "--duration", "0.2",
-                   "--stride", "25"])
-        assert rc == 0
-        assert "invariant checks" in capsys.readouterr().out

@@ -23,7 +23,6 @@ _configs = st.builds(
     duration=st.just(0.25),
     crash_probability=st.floats(0.2, 1.0),
     migration_flakiness=st.floats(0.0, 1.0),
-    invariant_stride=st.sampled_from([1, 3]),
 )
 
 

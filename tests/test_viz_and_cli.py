@@ -120,7 +120,7 @@ OPTION_SNAPSHOT = {
     "chaos": [(("--seed",), 42, None), (("--seeds",), None, None),
               (("--differential",), None, None), (("--steps",), 25, None),
               (("--machines",), 4, None), (("--duration",), 2.0, None),
-              (("--oracle",), False, None), (("--stride",), 1, None),
+              (("--oracle",), False, None),
               (("--check-determinism",), False, None),
               (("--recovery",), None, POLICIES),
               (("--autoscale",), False, None)] + EXEC_OPTIONS,
