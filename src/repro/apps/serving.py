@@ -42,7 +42,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
-from ..cluster import Priority, symmetric_cluster
+from ..cluster import Machine, Priority, symmetric_cluster
 from ..core.config import QuicksandConfig
 from ..core.quicksand import Quicksand
 from ..core.resource import ResourceKind, ResourceProclet
@@ -143,8 +143,13 @@ class Tenant:
             spec.trace,
             self.sim.random.stream(f"serving.{spec.name}.arrivals"),
             scenario.duration)
-        self.replicas: List = []          # ProcletRefs, dispatch order
+        #: Live ``(ref, proclet)`` pairs in dispatch order.  The scenario
+        #: appends on spawn and rebinds (never mutates) on removal, from
+        #: its locator listener, so nothing here ever scans the runtime.
+        self.replicas: List[Tuple] = []
         self.spawned = 0                  # monotone replica name counter
+        self._req_name = f"{spec.name}.req"
+        self._service_rate = 1.0 / spec.service_mean
         self._rr = 0                      # round-robin cursor
         self.inflight = 0
         self.offered = 0
@@ -165,66 +170,62 @@ class Tenant:
         self._base: Dict[str, int] = {}
 
     # -- replica fleet -----------------------------------------------------
-    def live_replicas(self) -> List:
-        """Current ``(ref, proclet)`` pairs, pruning dead replicas (a
-        machine crash kills them without telling us)."""
-        runtime = self.scenario.qs.runtime
-        alive = []
-        for ref in self.replicas:
-            p = runtime._proclets.get(ref.proclet_id)
-            if p is not None and p.status is not ProcletStatus.DEAD:
-                alive.append((ref, p))
-        if len(alive) != len(self.replicas):
-            self.replicas = [ref for ref, _p in alive]
-        return alive
-
-    @property
-    def capacity_cores(self) -> float:
-        return float(sum(p.parallelism for _r, p in self.live_replicas()))
+    def live_replicas(self) -> List[Tuple]:
+        """Current ``(ref, proclet)`` pairs in dispatch order (no scan:
+        locator removals keep :attr:`replicas` current)."""
+        return self.replicas
 
     # -- request path ------------------------------------------------------
     def arrival_loop(self) -> Generator:
         sim = self.sim
-        admission = self.scenario.admission
+        spec = self.spec
+        max_inflight = self.scenario.admission.max_inflight
+        # The admission cap depends only on the fleet size, which
+        # changes a few times per scheduler round at most.
+        cap_size = cap = 0
         t_prev = 0.0
         for t in self.trace.arrivals():
             yield sim.timeout(t - t_prev)
             t_prev = t
             self.offered += 1
             self.window_arrivals += 1
-            live = self.live_replicas()
-            if not live or not admission.admit(self.spec, self.inflight,
-                                               len(live)):
+            live = self.replicas
+            if len(live) != cap_size:
+                cap_size = len(live)
+                cap = max_inflight(spec, cap_size)
+            if not live or self.inflight >= cap:
                 self.rejected += 1
                 continue
             self.admitted += 1
             self.inflight += 1
             _ref, proclet = live[self._rr % len(live)]
             self._rr += 1
-            sim.process(self._serve(proclet, sim.now),
-                        name=f"{self.spec.name}.req")
+            self._serve(proclet, sim.now)
 
-    def _serve(self, proclet: ServingReplica,
-               arrived_at: float) -> Generator:
-        machine = proclet.machine
-        draw = self.rng_service.expovariate(1.0 / self.spec.service_mean)
-        item = machine.cpu.run(work=draw, threads=1.0,
-                               priority=Priority.HIGH,
-                               name=f"{self.spec.name}.req")
+    def _serve(self, proclet: ServingReplica, arrived_at: float) -> None:
+        """Start one admitted request: one FluidItem on the replica's
+        current machine, resolved by one callback on its ``done``."""
+        draw = self.rng_service.expovariate(self._service_rate)
+        item = proclet.machine.cpu.run(work=draw, threads=1.0,
+                                       priority=Priority.HIGH,
+                                       name=self._req_name)
         self.active_items.add(item)
-        try:
-            yield item.done
-        except MachineFailed:
-            self.failed += 1
-            return
-        finally:
+
+        def finish(event) -> None:
             self.active_items.discard(item)
             self.inflight -= 1
-        latency = self.sim.now - arrived_at
-        self.completed += 1
-        self.samples.append((arrived_at, latency))
-        if latency <= self.spec.slo_deadline:
-            self.slo_ok += 1
+            if not event.ok:
+                if isinstance(event.value, MachineFailed):
+                    self.failed += 1
+                    return
+                raise event.value
+            latency = self.sim.now - arrived_at
+            self.completed += 1
+            self.samples.append((arrived_at, latency))
+            if latency <= self.spec.slo_deadline:
+                self.slo_ok += 1
+
+        item.done.subscribe(finish)
 
     # -- reporting ---------------------------------------------------------
     def mark_baseline(self) -> None:
@@ -252,7 +253,7 @@ class Tenant:
             "p50": summary.p50,
             "p99": summary.p99,
             "p999": percentile(lats, 99.9) if lats else 0.0,
-            "replicas": len(self.live_replicas()),
+            "replicas": len(self.replicas),
         }
 
 
@@ -367,7 +368,7 @@ class ServingScheduler:
         for t in tenants:
             target = max(self.min_replicas,
                          math.ceil(alloc[t.spec.name] - 1e-9))
-            live = t.live_replicas()
+            live = t.replicas
             if len(live) < target:
                 for _ in range(target - len(live)):
                     if not self._spawn(t):
@@ -379,25 +380,22 @@ class ServingScheduler:
         self._migrate_if_imbalanced()
 
     def _spawn(self, tenant: Tenant) -> bool:
-        replica = ServingReplica(tenant.spec.name)
         try:
-            ref = self.qs.spawn(
-                replica, name=f"{tenant.spec.name}.r{tenant.spawned}")
+            self.scenario._spawn_replica(tenant)
         except InvalidPlacement:
             return False
-        tenant.spawned += 1
-        tenant.replicas.append(ref)
         self.scale_ups += 1
         return True
 
     def _shrink(self, tenant: Tenant, live: List, n: int) -> None:
         # Newest first: oldest replicas keep serving (stable dispatch).
+        # Each destroy rebinds tenant.replicas via the scenario's locator
+        # listener; *live* is the list from before, so iterating it holds.
         for ref, p in reversed(live):
             if n == 0:
                 return
             if p.status is ProcletStatus.RUNNING:
                 self.qs.runtime.destroy(ref)
-                tenant.replicas.remove(ref)
                 self.scale_downs += 1
                 n -= 1
 
@@ -473,6 +471,9 @@ class ServingScenario:
         self.admission = AdmissionController(admission_slack)
         self.tenants = [Tenant(self, spec) for spec in tenants]
         self.tenant_by_name = {t.spec.name: t for t in self.tenants}
+        #: Replica pid -> owning tenant, for the locator listener.
+        self._replica_owner: Dict[int, Tenant] = {}
+        self.qs.runtime.locator.add_listener(self._on_location)
         self.partitions: Dict[str, List] = {}
         self.scheduler: Optional[ServingScheduler] = None
         if mode == "fungible":
@@ -489,19 +490,38 @@ class ServingScenario:
         self._util_t0 = 0.0
         self._util_integrals: List[Tuple[object, float]] = []
 
+    # -- replica fleet -----------------------------------------------------
+    def _spawn_replica(self, tenant: Tenant,
+                       machine: Optional[Machine] = None) -> None:
+        """Spawn one replica of *tenant* (on *machine*, or wherever
+        placement puts it) at the end of its dispatch order.  Raises
+        :class:`InvalidPlacement` when placement finds no machine."""
+        replica = ServingReplica(tenant.spec.name)
+        ref = self.qs.spawn(replica, machine,
+                            name=f"{tenant.spec.name}.r{tenant.spawned}")
+        tenant.spawned += 1
+        self._replica_owner[ref.proclet_id] = tenant
+        tenant.replicas.append((ref, replica))
+
+    def _on_location(self, pid: int, _src, dst) -> None:
+        """Locator listener.  A removal is a replica leaving the runtime
+        (``destroy`` or ``fail_machine``, the only two ways out), so the
+        owner's fleet drops it here and no arrival ever has to prune."""
+        if dst is None:
+            tenant = self._replica_owner.pop(pid, None)
+            if tenant is not None:
+                tenant.replicas = [pair for pair in tenant.replicas
+                                   if pair[0].proclet_id != pid]
+
     # -- bootstrap ---------------------------------------------------------
     def _bootstrap_fungible(self) -> None:
         for t in self.tenants:
             target = max(1, math.ceil(t.spec.mean_demand_cores))
             for _ in range(target):
-                replica = ServingReplica(t.spec.name)
                 try:
-                    ref = self.qs.spawn(
-                        replica, name=f"{t.spec.name}.r{t.spawned}")
+                    self._spawn_replica(t)
                 except InvalidPlacement:
                     break
-                t.spawned += 1
-                t.replicas.append(ref)
 
     def _bootstrap_static(self) -> None:
         """Hard-partition machines by *reservation weight* (largest
@@ -539,11 +559,7 @@ class ServingScenario:
             self.partitions[t.spec.name] = owned
             for m in owned:
                 for _ in range(int(m.cpu.cores)):
-                    replica = ServingReplica(t.spec.name)
-                    ref = self.qs.spawn(
-                        replica, m, name=f"{t.spec.name}.r{t.spawned}")
-                    t.spawned += 1
-                    t.replicas.append(ref)
+                    self._spawn_replica(t, m)
 
     # -- measurement windows -----------------------------------------------
     def _warmup_marker(self) -> Generator:

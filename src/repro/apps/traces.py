@@ -125,9 +125,9 @@ class ArrivalTrace:
         return windows
 
     def in_burst(self, t: float) -> bool:
-        # Windows are few (O(bursts) per run) and arrivals advance
-        # monotonically, so a linear probe with a moving cursor is O(1)
-        # amortized; bisect would be overkill.
+        # A linear scan from the first window: windows are few (a
+        # handful per run) and the scan stops at the first window that
+        # starts after *t*, so bisect would be overkill.
         for start, end in self.bursts:
             if t < start:
                 return False

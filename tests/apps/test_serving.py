@@ -3,8 +3,9 @@
 The golden figure-shape numbers live in
 :mod:`tests.experiments.test_serving_golden`; here the pieces are
 checked in isolation: the admission controller's PS-derived cap, the
-weighted water-filling allocator, static-mode apportionment, and the
-scenario lifecycle in both modes.
+weighted water-filling allocator, static-mode apportionment, the
+replica-fleet bookkeeping, the request path, and the scenario lifecycle
+in both modes.
 """
 
 import math
@@ -22,6 +23,8 @@ from repro.apps import (
     default_tenants,
     weighted_water_fill,
 )
+from repro.runtime import ProcletStatus
+from repro.sim.process import Process
 from repro.units import MS
 
 
@@ -230,3 +233,115 @@ class TestReplicaProclet:
         r = ServingReplica("t7")
         assert r.parallelism == 1
         assert r.tenant_name == "t7"
+
+
+def _at(sc, when, fn):
+    """Run *fn()* inside the simulation at virtual time *when*."""
+    def proc():
+        yield sc.qs.sim.timeout(when)
+        fn()
+    sc.qs.sim.process(proc(), name="test-hook")
+
+
+def _busiest_machine(sc):
+    hosts = [p.machine for t in sc.tenants for _r, p in t.live_replicas()]
+    return max(sc.qs.machines, key=hosts.count)
+
+
+class TestReplicaFleet:
+    """The fleet is kept current from locator removals, never by a scan."""
+
+    def test_crash_drops_replicas_at_once_and_keeps_order(self):
+        sc = _scenario("fungible", n=4, machines=8)
+        sc.qs.run(until=0.15)
+        victim = _busiest_machine(sc)
+        before = {t.spec.name: list(t.live_replicas()) for t in sc.tenants}
+        assert any(p.machine is victim
+                   for pairs in before.values() for _r, p in pairs)
+        # No event runs between the crash and the assertions: neither an
+        # arrival nor a scheduler round can have pruned anything.
+        sc.qs.runtime.fail_machine(victim)
+        for t in sc.tenants:
+            survivors = [(r, p) for r, p in before[t.spec.name]
+                         if p.machine is not victim]
+            assert t.live_replicas() == survivors
+            assert t.stats()["replicas"] == len(survivors)
+
+    def test_external_destroy_drops_the_replica(self):
+        sc = _scenario("fungible", n=4, machines=8)
+        t = max(sc.tenants, key=lambda t: len(t.live_replicas()))
+        before = list(t.live_replicas())
+        assert len(before) >= 3
+        ref, _p = before[1]
+        sc.qs.runtime.destroy(ref)
+        assert t.live_replicas() == before[:1] + before[2:]
+
+    def test_shrink_retires_newest_first(self):
+        sc = _scenario("fungible", n=4, machines=8)
+        t = max(sc.tenants, key=lambda t: len(t.live_replicas()))
+        before = list(t.live_replicas())
+        assert len(before) >= 3
+        sc.scheduler._shrink(t, t.live_replicas(), 2)
+        assert t.live_replicas() == before[:-2]
+        assert sc.scheduler.scale_downs == 2
+        for _ref, p in before[-2:]:
+            assert p.status is ProcletStatus.DEAD
+
+    def test_counters_add_up_after_a_mid_run_crash(self):
+        sc = _scenario("fungible", n=4, machines=8, duration=0.4)
+
+        def crash():
+            for m in sc.qs.machines[:2]:
+                sc.qs.runtime.fail_machine(m)
+
+        def audit():
+            for t in sc.tenants:
+                assert t.completed + t.failed + t.inflight == t.admitted
+                assert t.inflight == len(t.active_items)
+
+        _at(sc, 0.2, crash)
+        _at(sc, 0.2 + MS, audit)
+        sc.run()
+        audit()
+        # The crash really hit in-flight requests.
+        assert sum(t.failed for t in sc.tenants) > 0
+
+
+class TestRequestPath:
+    def test_unexpected_request_failure_escapes_the_run(self):
+        sc = _scenario("fungible", n=4, machines=8)
+
+        def sabotage():
+            t = max(sc.tenants, key=lambda t: len(t.active_items))
+            item = min(t.active_items, key=lambda i: i.submitted_at)
+            item.done.fail(RuntimeError("request blew up"))
+
+        _at(sc, 0.2, sabotage)
+        with pytest.raises(RuntimeError, match="request blew up"):
+            sc.run()
+
+    @pytest.mark.parametrize("mode", ["fungible", "static"])
+    def test_no_process_per_request(self, mode, monkeypatch):
+        counted = []
+        init = Process.__init__
+
+        def counting(self, *args, **kwargs):
+            counted.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Process, "__init__", counting)
+        runs = []
+        for duration in (0.2, 0.4):
+            del counted[:]
+            sc = _scenario(mode, n=4, machines=8, duration=duration)
+            sc.run()
+            runs.append((len(counted), sum(t.admitted for t in sc.tenants)))
+        (procs_short, admitted_short), (procs_long, admitted_long) = runs
+        assert admitted_long - admitted_short > 500
+        if mode == "static":
+            # Arrival loops and the warmup marker, nothing else.
+            assert procs_long == procs_short == 4 + 1
+        else:
+            # Only scheduler migrations add processes, a few per round.
+            assert procs_long - procs_short < \
+                (admitted_long - admitted_short) / 20
