@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 from typing import Dict, Generator, Optional, Set
 
+from ..autoscale import policy
+from ..runtime import ProcletStatus
 from .config import QuicksandConfig
 from .pressure import RateEstimator
 from .resource import ResourceKind
@@ -87,8 +89,6 @@ class ShardSizeController:
         ds = self._owners.get(proclet.id)
         if ds is None or proclet.id in self._busy:
             return
-        from ..runtime import ProcletStatus
-
         if proclet.status is not ProcletStatus.RUNNING:
             # An op (split/merge/migration) already holds this proclet's
             # gate; retrying now would spin at the current timestamp.
@@ -101,8 +101,6 @@ class ShardSizeController:
             # would destroy the incarnation being recovered.  The
             # manager re-pokes this hook when the restore completes.
             return
-        from ..autoscale import policy
-
         if policy.oversized(proclet.heap_bytes, self.config.max_shard_bytes):
             self._busy.add(proclet.id)
             self.splits_requested += 1

@@ -15,7 +15,7 @@ from typing import Any, Deque, Generator, List, Optional, Tuple
 
 from ..autoscale.reshard import ReshardHooks
 from ..cluster import Machine
-from ..runtime import Payload, ProcletStatus
+from ..runtime import DeadProclet, Payload, ProcletStatus
 from ..units import US
 from ..core.resource import ResourceKind, ResourceProclet
 
@@ -142,8 +142,6 @@ class ShardedQueue(ReshardHooks):
         merged away between routing and execution is retried against the
         current shard list (stale-routing semantics, as for the map).
         """
-        from ..runtime import DeadProclet
-
         def attempt():
             last_exc = None
             for _try in range(8):
@@ -165,8 +163,6 @@ class ShardedQueue(ReshardHooks):
         """The shard's live proclet, or None while it is lost to a
         machine failure (awaiting recovery) — routing must skip it
         rather than crash; the invocation layer handles retries."""
-        from ..runtime import DeadProclet
-
         try:
             proclet = ref.proclet
         except DeadProclet:
@@ -204,8 +200,6 @@ class ShardedQueue(ReshardHooks):
                                    name=f"{self.name}.pop")
 
     def _pop_proc(self, ctx) -> Generator:
-        from ..runtime import DeadProclet
-
         while True:
             # Scan shards round-robin, preferring the local one.
             order = self._pop_order(ctx)
@@ -243,8 +237,6 @@ class ShardedQueue(ReshardHooks):
                                    name=f"{self.name}.try_pop")
 
     def _try_pop_proc(self, ctx) -> Generator:
-        from ..runtime import DeadProclet
-
         for ref in self._pop_order(ctx):
             ev = (ctx.call(ref, "qp_pop") if ctx is not None
                   else ref.call("qp_pop"))

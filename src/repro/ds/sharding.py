@@ -14,10 +14,12 @@ import functools
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..autoscale import policy
 from ..autoscale.reshard import ReshardHooks
 from ..cluster import Machine
 from ..core.memproclet import MemoryProclet
-from ..runtime import ProcletRef
+from ..runtime import DeadProclet, ProcletRef
+from ..runtime.errors import WrongShard
 
 #: Routing-table bytes per shard entry, charged to the index proclet.
 INDEX_ENTRY_BYTES = 48.0
@@ -111,8 +113,6 @@ class ShardedBase(ReshardHooks):
         the machine) and a release is clamped to what the incarnation
         actually holds.
         """
-        from ..runtime import DeadProclet
-
         try:
             proclet = self.index_ref.proclet
         except DeadProclet:
@@ -183,9 +183,6 @@ class ShardedBase(ReshardHooks):
         storms the routing layer until recovery lands.  The default
         backoff of 0 preserves historical bit-identical trajectories.
         """
-        from ..runtime import DeadProclet
-        from ..runtime.errors import WrongShard
-
         config = self.qs.config
 
         def attempt():
@@ -257,8 +254,6 @@ class ShardedBase(ReshardHooks):
         neighbour = self._merge_partner(idx)
         if neighbour is None:
             return False
-        from ..runtime import DeadProclet
-
         try:
             combined = (self.shards[idx].proclet.heap_bytes
                         + neighbour.proclet.heap_bytes)
@@ -266,8 +261,6 @@ class ShardedBase(ReshardHooks):
             # The partner is lost to a machine failure (possibly
             # awaiting recovery): there is nothing to merge into.
             return False
-        from ..autoscale import policy
-
         return policy.merge_fits(combined, self.qs.config.max_shard_bytes)
 
     def _publish_split(self, shard: Shard, split_key: Any,

@@ -63,17 +63,23 @@ class Context:
         item follows the proclet across migrations.
         """
         proclet = self.proclet
-        item = proclet.machine.cpu.run(
-            work=work, threads=threads, priority=self.priority,
-            name=f"{proclet.name}.cpu", owner=proclet,
-        )
-        if item.done.triggered:
-            return item.done
-        proclet._active_cpu.add(item)
-        item.done.subscribe(lambda _e: proclet._active_cpu.discard(item))
+        # Straight to the fluid scheduler (``Cpu.run`` is one more hop on
+        # the hottest path); it submits with the same arguments.
+        item = proclet._machine.cpu.sched.submit(
+            work, threads, self.priority, f"{proclet.name}.cpu", proclet)
+        done = item.done
+        if done.triggered:
+            return done
+        active = proclet._active_cpu
+        active.add(item)
+        # Pending, so not yet processed: append instead of subscribe().
+        cbs = done.callbacks
+        if cbs is None:
+            cbs = done.callbacks = []
+        cbs.append(lambda _e: active.discard(item))
         if self.work_items is not None:
             self.work_items.append(item)
-        return item.done
+        return done
 
     def sleep(self, delay: float) -> Event:
         """Suspend the method for *delay* virtual seconds."""

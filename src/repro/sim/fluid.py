@@ -38,20 +38,31 @@ the reassignment recomputes only classes that are dirty or whose
 entering capacity is not bit-identical to the cached value from their
 last fill — an untouched class reuses its cached rates and per-class
 sum outright, which is exact because a fill is a pure function of the
-member list and the entering capacity.  Aggregates (``load``,
-per-priority rate sums, ``demand_total``, ``starved_count``) are
-maintained as caches so placement policies and metrics observers read
-them in O(#priorities) or O(1) rather than O(#items), and completion
-timers are re-armed from per-class candidate lists instead of a full
-item scan.  Superseded completion timers are truly cancelled on the
-simulator queue (see :meth:`Simulator.cancel`) instead of being left to
-fire as no-ops.
-See ``docs/kernel.md`` for the exactness argument.
+class's demand multiset and the entering capacity.  Aggregates
+(``load``, per-priority rate sums, ``demand_total``, ``starved_count``)
+are maintained as caches so placement policies and metrics observers
+read them in O(#priorities) or O(1) rather than O(#items).  Superseded
+completion timers are truly cancelled on the simulator queue (see
+:meth:`Simulator.cancel`) instead of being left to fire as no-ops.
+
+Single-pass flush
+-----------------
+
+A flush books the served integrals from the cached per-class rate sums
+(O(#classes)), then walks each class's bucket once.  For every member
+the walk applies the elapsed service at the old rate (the expression
+:meth:`FluidScheduler._settle` uses), writes the new rate, stamps
+``started_at`` on the first service above ``1e-12`` and folds
+``remaining / rate`` into a running completion-ETA minimum.  A reused
+class gets the same walk without the rate writes.  A completion timer
+walks twice: settle plus the finished-item scan, then the reassignment
+with no elapsed time.  See ``docs/kernel.md`` for the exactness
+argument.
 
 Water-fill formulation
 ----------------------
 
-A class fill sorts its members by demand (ascending, stable on bucket
+A class fill orders its members by demand (ascending, stable on bucket
 order) and finds the split index ``k``: the first member whose demand
 cannot be met if every later member received at least as much.  Members
 before ``k`` are *constrained* (rate = demand); members from ``k`` on
@@ -60,18 +71,26 @@ float).  The test is a prefix-sum: member ``i`` is constrained iff
 ``d[i] * (n - i) <= capacity - csum[i]`` where ``csum[i]`` is the sum of
 demands before ``i``.  This closed form is chosen over the classic
 sequential ``cap -= rate`` loop because it is a fixed sequence of float
-operations (stable sort, running sum, one multiply and compare per
-member, one division) that the brute-force oracle in the property
-suite repeats operation for operation.  Cached and recomputed fills are
-therefore bit-identical to the oracle, not merely close, and the tests
-compare rates with ``==``.
+operations (running sum, one multiply and compare per member, one
+division) that the brute-force oracle in the property suite repeats
+operation for operation.
+
+The engine never sorts items: each class keeps a demand histogram
+(``{demand: count}``), and :func:`_fill` walks its sorted distinct
+demands one member at a time with exactly those float operations.  The
+split is reported as a demand ``dk`` and a tie count: the constrained
+members are those with demand below ``dk`` plus the first ``ties``
+members, in bucket order, whose demand equals ``dk`` — which is the
+stable sort's order among equal demands.  Cached and recomputed fills
+are therefore bit-identical to the oracle, not merely close, and the
+tests compare rates with ``==``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import operator
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from .errors import UnboundResource
 from .events import Event, Timeout
@@ -80,6 +99,59 @@ from .simulator import Simulator
 _EPS = 1e-12
 #: Work remaining below this is considered complete (guards float drift).
 _DONE_TOL = 1e-9
+
+
+def _fill(hist: Dict[float, int], n: int, capacity: float):
+    """Max-min fair split of *capacity* over a class of *n* members whose
+    demands are counted in *hist* (``{demand: count}``).
+
+    Walks the sorted distinct demands one member at a time with the
+    float operations of the stable-sorted prefix-sum closed form (see
+    the module docstring).  Returns ``(k, dk, ties, share, used,
+    starved)``: ``k`` constrained members — those with demand below
+    ``dk`` plus the first ``ties`` in bucket order with demand ``dk`` —
+    rate ``share`` for the rest, the capacity ``used`` and how many
+    members end at ``rate <= _EPS``.  With no split, ``k == n`` and
+    ``dk`` is infinite.
+    """
+    csum = 0.0
+    i = 0
+    starved = 0
+    for d in sorted(hist):
+        count = hist[d]
+        for j in range(count):
+            if d * (n - i) > capacity - csum:
+                share = (capacity - csum) / (n - i)
+                used = csum + share * (n - i)
+                if d <= _EPS:
+                    starved += j
+                if share <= _EPS:
+                    starved += n - i
+                return i, d, j, share, used, starved
+            csum += d
+            i += 1
+        if d <= _EPS:
+            starved += count
+    return n, math.inf, 0, 0.0, csum, starved
+
+
+@functools.lru_cache(maxsize=1024)
+def _fill_uniform(demand: float, n: int, capacity: float):
+    """:func:`_fill` of a class whose *n* members all demand *demand*
+    (memoized: classes of one distinct demand are the common case)."""
+    return _fill({demand: n}, n, capacity)
+
+
+def _hist_add(hist: Dict[float, int], demand: float) -> None:
+    hist[demand] = hist.get(demand, 0) + 1
+
+
+def _hist_drop(hist: Dict[float, int], demand: float) -> None:
+    count = hist[demand]
+    if count == 1:
+        del hist[demand]
+    else:
+        hist[demand] = count - 1
 
 
 class FluidItem:
@@ -114,7 +186,7 @@ class FluidItem:
         self.remaining = float(work)
         self._rate = 0.0
         self.done: Event = sched.sim.event()
-        self.submitted_at = sched.sim.now
+        self.submitted_at = sched.sim._now
         self.started_at: Optional[float] = None
         self.finished_at: Optional[float] = None
         self._sched: Optional[FluidScheduler] = sched
@@ -184,20 +256,15 @@ class FluidScheduler:
         self._starved: Dict[int, int] = {}
         # Incremental water-fill state: classes whose demand/membership
         # changed since the last flush, the capacity that entered each
-        # class at its last recompute, and each class's completion-ETA
-        # candidates (items that had service and finite work then).  A
-        # class whose inputs are bit-identical to its cached fill is
-        # skipped wholesale by _reassign.
+        # class at its last recompute, and each class's demand histogram
+        # ({demand: count}, the input of _fill).  A class whose inputs
+        # are bit-identical to its cached fill keeps its rates.
         self._dirty_classes: set = set()
         self._cap_in: Dict[int, float] = {}
-        self._eta_candidates: Dict[int, List[FluidItem]] = {}
+        self._demands: Dict[int, Dict[float, int]] = {}
         # Per-class count of finite-work items: a holds-only class (all
-        # ``math.inf``) skips ETA candidate builds and settle advances.
+        # ``math.inf``) has nothing to settle, finish or time.
         self._finite: Dict[int, int] = {}
-        # Items that may need a service-start stamp at the next rate
-        # change, per class — so _reassign stamps O(new items) instead
-        # of rescanning whole buckets.
-        self._pending_start: Dict[int, List[FluidItem]] = {}
         # free_capacity(priority) memo, invalidated by every reassign.
         self._free_cache: Optional[Dict[int, float]] = None
         # Coalesced-reassignment state.
@@ -311,9 +378,8 @@ class FluidScheduler:
         self._cap_in.clear()
         self._rate_sum.clear()
         self._starved.clear()
-        self._eta_candidates.clear()
+        self._demands.clear()
         self._finite.clear()
-        self._pending_start.clear()
         self._structure_changed = True
         for item in items:
             item._sched = None
@@ -327,8 +393,12 @@ class FluidScheduler:
             raise UnboundResource(f"{item!r} is not attached to {self.name}")
         if demand <= 0:
             raise ValueError(f"demand must be positive: {demand}")
-        self._demand_total += float(demand) - item.demand
-        item.demand = float(demand)
+        demand = float(demand)
+        hist = self._demands[item.priority]
+        _hist_drop(hist, item.demand)
+        _hist_add(hist, demand)
+        self._demand_total += demand - item.demand
+        item.demand = demand
         self._dirty_classes.add(item.priority)
         self._mark_dirty()
 
@@ -348,11 +418,11 @@ class FluidScheduler:
                 self._rate_sum.pop(old, None)
                 self._starved.pop(old, None)
                 self._cap_in.pop(old, None)
-                self._eta_candidates.pop(old, None)
+                self._demands.pop(old, None)
                 self._finite.pop(old, None)
-                self._pending_start.pop(old, None)
             else:
                 self._dirty_classes.add(old)
+                _hist_drop(self._demands[old], item.demand)
                 if finite:
                     self._finite[old] -= 1
             # Rebuild the destination bucket from _items so the bucket
@@ -364,10 +434,9 @@ class FluidScheduler:
             }
             self._prio_order = sorted(self._buckets)
             self._dirty_classes.add(new)
+            _hist_add(self._demands.setdefault(new, {}), item.demand)
             if finite:
                 self._finite[new] = self._finite.get(new, 0) + 1
-            if item.started_at is None:
-                self._pending_start.setdefault(new, []).append(item)
             self._structure_changed = True
         self._mark_dirty()
 
@@ -449,14 +518,15 @@ class FluidScheduler:
         bucket = self._buckets.get(prio)
         if bucket is None:
             self._buckets[prio] = {item: None}
+            self._demands[prio] = {item.demand: 1}
             self._prio_order = sorted(self._buckets)
         else:
             bucket[item] = None
+            _hist_add(self._demands[prio], item.demand)
         self._demand_total += item.demand
         self._dirty_classes.add(prio)
         if item.remaining != math.inf:
             self._finite[prio] = self._finite.get(prio, 0) + 1
-        self._pending_start.setdefault(prio, []).append(item)
         self._structure_changed = True
         self._mark_dirty()
 
@@ -471,11 +541,11 @@ class FluidScheduler:
             self._rate_sum.pop(prio, None)
             self._starved.pop(prio, None)
             self._cap_in.pop(prio, None)
-            self._eta_candidates.pop(prio, None)
+            del self._demands[prio]
             self._finite.pop(prio, None)
-            self._pending_start.pop(prio, None)
         else:
             self._dirty_classes.add(prio)
+            _hist_drop(self._demands[prio], item.demand)
             if item.remaining != math.inf:
                 self._finite[prio] -= 1
         self._demand_total -= item.demand
@@ -506,32 +576,35 @@ class FluidScheduler:
             self._flush()
 
     def _flush(self) -> None:
-        """Settle served work, then run the coalesced reassignment."""
+        """Book served work, then run the coalesced reassignment walk
+        (which also settles each item's remaining work)."""
         if not self._dirty or self._in_flush:
             return
         self._in_flush = True
         try:
-            self._settle()
+            elapsed = self._advance()
             self._dirty = False
-            self._reassign()
+            self._reassign(elapsed)
         finally:
             self._in_flush = False
 
-    def _settle(self) -> None:
-        """Advance served-work accounting and remaining work to now.
+    def _advance(self) -> float:
+        """Book the served integrals up to now; return the elapsed time
+        the items' remaining work must still be advanced by (``0.0``
+        when no service can have happened since the last update).
 
-        Accounting is O(#priority classes): the per-class rate sums are
-        exact caches, so the served integrals come from them rather than
-        an item scan.  Only classes that actually hold finite-work items
-        pay the per-item ``remaining`` advance.
+        O(#priority classes): the per-class rate sums are exact caches,
+        so the integrals come from them rather than an item scan.
         """
-        now = self.sim.now
+        # The clock slot, not the ``now`` property: the engine reads it
+        # on every flush, item and completion.
+        now = self.sim._now
         elapsed = now - self._last_update
         if elapsed <= 0:
-            return
+            return 0.0
         self._last_update = now
         if self._load == 0.0 or not self._items:
-            return  # provably no service since the last update
+            return 0.0  # provably no service since the last update
         served = self.served_by_priority
         rate_sum = self._rate_sum
         total = 0.0
@@ -541,6 +614,15 @@ class FluidScheduler:
                 served[prio] = served.get(prio, 0.0) + rs * elapsed
                 total += rs
         self.served_integral += total * elapsed
+        return elapsed
+
+    def _settle(self) -> None:
+        """Advance served-work accounting and remaining work to now, for
+        the mutations that must book service before they change an item
+        (``detach``, ``set_priority``, ``fail_all``) and for ``sync``."""
+        elapsed = self._advance()
+        if not elapsed:
+            return
         # Served items lose ``rate * elapsed`` of work, clamped at zero
         # (``r if r > 0.0 else 0.0`` is ``max(0.0, r)`` without the
         # builtin call); holds stay infinite.
@@ -557,22 +639,26 @@ class FluidScheduler:
                             left -= rate * elapsed
                             it.remaining = left if left > 0.0 else 0.0
 
-    def _reassign(self) -> None:
-        """Recompute rates for classes whose inputs changed; reschedule
-        completion and notify observers only when something actually
-        changed.
+    def _reassign(self, elapsed: float) -> None:
+        """Walk every class once: settle *elapsed* of service at the old
+        rates, refill, stamp first service and take the completion ETA;
+        re-arm the timer and notify observers only when something
+        actually changed.
 
-        Incremental per-class water-filling: a class is recomputed only
+        Incremental per-class water-filling: a class is refilled only
         when it is in the dirty set (membership or demand changed) or
         when the capacity entering it is not bit-identical to the value
-        cached at its last recompute.  Because a class's fill is a pure
-        function of its member list (order and demands) and the entering
-        capacity, reusing the cached fill produces exactly the floats a
-        recompute would — aggregates are re-accumulated in priority
-        order from the cached per-class sums, so ``load`` and
-        ``free_capacity`` are bit-identical to the eager engine's.  A
-        recomputed class also caches its starved count, which the fill
-        derives without a per-item pass.
+        cached at its last fill.  Because a fill is a pure function of
+        the class's demand histogram and the entering capacity, a reused
+        class's rates are exactly what a refill would write — it is
+        walked only to settle and time its items, and not at all when
+        it holds only holds or entered with no capacity.  Aggregates are
+        re-accumulated in priority order from the per-class sums, so
+        ``load`` and ``free_capacity`` are bit-identical to the eager
+        engine's.  The ETA is the minimum of ``remaining / rate`` over
+        the served finite items, whatever order they are visited in; a
+        reused class left unwalked (no elapsed time) is timed after the
+        loop, and only if the timer must be re-armed.
         """
         self._free_cache = None
         remaining_cap = self._capacity
@@ -581,45 +667,87 @@ class FluidScheduler:
         dirty = self._dirty_classes
         if dirty:
             self._dirty_classes = set()
+        now = self.sim._now
+        inf = eta = math.inf
         load = 0.0
         rate_sum = self._rate_sum
         starved_by = self._starved
         cap_in = self._cap_in
         finite = self._finite
-        recomputed: List[int] = []
+        buckets = self._buckets
+        demands = self._demands
+        untimed: List[Dict[FluidItem, None]] = []
         for prio in self._prio_order:
+            bucket = buckets[prio]
             if prio not in dirty and cap_in.get(prio) == remaining_cap:
-                # Untouched class with bit-identical entering capacity:
-                # the cached fill is exactly what a recompute would give.
                 used = rate_sum[prio]
+                if not finite.get(prio, 0) or remaining_cap <= _EPS:
+                    pass  # nothing to settle or time: holds, or all at 0
+                elif not elapsed:
+                    untimed.append(bucket)
+                else:
+                    for it in bucket:
+                        rate = it._rate
+                        if rate > 0.0:
+                            left = it.remaining
+                            if left != inf:
+                                left -= rate * elapsed
+                                left = it.remaining = (
+                                    left if left > 0.0 else 0.0)
+                                if rate > _EPS:
+                                    left /= rate
+                                    if left < eta:
+                                        eta = left
                 load += used
                 remaining_cap -= used
                 continue
             cap_in[prio] = remaining_cap
-            recomputed.append(prio)
-            group = self._buckets[prio]
             if remaining_cap <= _EPS:
-                for it in group:
-                    if it._rate != 0.0:
+                for it in bucket:
+                    rate = it._rate
+                    if rate != 0.0:
+                        if elapsed:
+                            left = it.remaining
+                            if rate > 0.0 and left != inf:
+                                left -= rate * elapsed
+                                it.remaining = left if left > 0.0 else 0.0
                         it._rate = 0.0
                         changed = True
                 rate_sum[prio] = 0.0
-                starved_by[prio] = len(group)
-                self._eta_candidates[prio] = []
+                starved_by[prio] = len(bucket)
                 continue
-            used, group_changed, nstarved = self._water_fill(
-                group, remaining_cap)
-            changed |= group_changed
-            rate_sum[prio] = used
-            starved_by[prio] = nstarved
-            if finite.get(prio, 0):
-                self._eta_candidates[prio] = [
-                    it for it in group
-                    if it._rate > _EPS and it.remaining != math.inf
-                ]
+            hist = demands[prio]
+            n = len(bucket)
+            if len(hist) == 1:
+                (d,) = hist
+                fill = _fill_uniform(d, n, remaining_cap)
             else:
-                # Holds-only class: nothing in it can ever complete.
-                self._eta_candidates[prio] = []
+                fill = _fill(hist, n, remaining_cap)
+            _, dk, ties, share, used, starved = fill
+            for it in bucket:
+                rate = it._rate
+                left = it.remaining
+                if elapsed and rate > 0.0 and left != inf:
+                    left -= rate * elapsed
+                    left = it.remaining = left if left > 0.0 else 0.0
+                new = it.demand
+                if new >= dk:
+                    if ties and new == dk:
+                        ties -= 1  # constrained: bucket order breaks ties
+                    else:
+                        new = share
+                if new != rate:
+                    it._rate = new
+                    changed = True
+                if new > _EPS:
+                    if it.started_at is None:
+                        it.started_at = now
+                    if left != inf:
+                        left /= new
+                        if left < eta:
+                            eta = left
+            rate_sum[prio] = used
+            starved_by[prio] = starved
             load += used
             remaining_cap -= used
         self._load = load
@@ -630,15 +758,15 @@ class FluidScheduler:
             # and observers would see nothing new.
             return
 
-        now = self.sim.now
-        # Only a recomputed class can contain an item that just went
-        # from idle to served — reused classes' rates are untouched, and
-        # every earlier rate change already stamped its items.
-        pending = self._pending_start
-        if pending:
-            for prio in recomputed:
-                if prio in pending:
-                    self._stamp_started(prio, now)
+        for bucket in untimed:
+            for it in bucket:
+                rate = it._rate
+                if rate > _EPS:
+                    left = it.remaining
+                    if left != inf:
+                        left /= rate
+                        if left < eta:
+                            eta = left
 
         tracer = self.sim.tracer
         if tracer is not None:
@@ -646,112 +774,13 @@ class FluidScheduler:
                            track=f"sched:{self.name}",
                            items=len(self._items), load=round(load, 6))
 
-        self._schedule_next_completion()
-        for obs in self._observers:
-            obs(self)
-
-    def _stamp_started(self, prio: int, now: float) -> None:
-        """Stamp ``started_at`` on newly served items of one class.
-
-        The pending list holds every item inserted (or re-prioritized)
-        into the class since it last got service; entries that detached
-        or moved classes are dropped lazily.
-        """
-        keep: List[FluidItem] = []
-        for it in self._pending_start[prio]:
-            if (it._sched is not self or it.priority != prio
-                    or it.started_at is not None):
-                continue
-            if it._rate > _EPS:
-                it.started_at = now
-            else:
-                keep.append(it)
-        if keep:
-            self._pending_start[prio] = keep
-        else:
-            del self._pending_start[prio]
-
-    @staticmethod
-    def _water_fill(group: Iterable[FluidItem], capacity: float):
-        """Max-min fair allocation with per-item demand caps.
-
-        Prefix-sum split (see the module docstring): members sorted by
-        demand, ``k`` = first index whose demand exceeds an equal split
-        of what would remain, everyone from ``k`` on gets one identical
-        ``share``.  Float-op for float-op the same computation as the
-        brute-force oracle in ``tests/property/test_incremental_fluid``.
-
-        Returns ``(used, changed, starved)``: the capacity actually
-        consumed, whether any item's rate moved, and how many members
-        got ``rate <= _EPS`` — all of the equal-share tail when
-        ``share <= _EPS``, plus the constrained members whose demand is
-        ``<= _EPS``, a prefix of the sorted order.
-        """
-        pending = sorted(group, key=_by_demand)
-        n = len(pending)
-        csum = 0.0
-        k = n
-        for i, it in enumerate(pending):
-            d = it.demand
-            if d * (n - i) > capacity - csum:
-                k = i
-                break
-            csum += d
-        changed = False
-        starved = 0
-        if pending[0].demand <= _EPS:
-            while starved < k and pending[starved].demand <= _EPS:
-                starved += 1
-        if k < n:
-            share = (capacity - csum) / (n - k)
-            used = csum + share * (n - k)
-            if share <= _EPS:
-                starved += n - k
-            for i in range(k):
-                it = pending[i]
-                d = it.demand
-                if it._rate != d:
-                    it._rate = d
-                    changed = True
-            for i in range(k, n):
-                it = pending[i]
-                if it._rate != share:
-                    it._rate = share
-                    changed = True
-        else:
-            used = csum
-            for it in pending:
-                d = it.demand
-                if it._rate != d:
-                    it._rate = d
-                    changed = True
-        return used, changed, starved
-
-    def _schedule_next_completion(self) -> None:
-        """Arm the completion timer from the per-class candidate lists.
-
-        Candidates are the items that had service and finite work at
-        their class's last recompute; rates cannot change without a
-        recompute and settling only shrinks ``remaining``, so the lists
-        stay exact for reused classes.  The ETA itself is always derived
-        from the items' *live* remaining/rate (a cached absolute
-        deadline would not be bit-identical in floating point).
-        """
         if self._timer is not None:
             self.sim.cancel(self._timer)
             self._timer = None
-        inf = eta = math.inf
-        candidates = self._eta_candidates
-        for prio in self._prio_order:
-            for it in candidates.get(prio, ()):
-                rate = it._rate
-                if rate > _EPS and it.remaining != inf:
-                    t = it.remaining / rate
-                    if t < eta:
-                        eta = t
-        if eta is inf:
-            return
-        self._arm_timer(eta)
+        if eta != inf:
+            self._arm_timer(eta)
+        for obs in self._observers:
+            obs(self)
 
     def _arm_timer(self, eta: float) -> None:
         """Arm the completion timer ``eta`` seconds out.
@@ -767,26 +796,46 @@ class FluidScheduler:
 
     def _on_timer(self, _ev: Optional[Event] = None) -> None:
         self._timer = None
-        self._settle()
-        # Finished items, in submission order: under a nanosecond of
-        # service remains.  The absolute tolerance alone is not enough
-        # because work values can be huge (bytes), making float error
-        # exceed any fixed epsilon.
-        finished = [
-            it for it in self._items
-            if it.remaining <= _DONE_TOL or it.remaining <= it._rate * 1e-9
-        ]
+        elapsed = self._advance()
+        # One walk settles each finite class and collects its finished
+        # items: under a nanosecond of service remains.  The absolute
+        # tolerance alone is not enough because work values can be huge
+        # (bytes), making float error exceed any fixed epsilon.
+        inf = math.inf
+        finite = self._finite
+        buckets = self._buckets
+        finished: List[FluidItem] = []
+        classes = 0
+        for prio in self._prio_order:
+            if not finite.get(prio, 0):
+                continue
+            before = len(finished)
+            for it in buckets[prio]:
+                rate = it._rate
+                left = it.remaining
+                if elapsed and rate > 0.0 and left != inf:
+                    left -= rate * elapsed
+                    left = it.remaining = left if left > 0.0 else 0.0
+                if left <= _DONE_TOL or left <= rate * 1e-9:
+                    finished.append(it)
+            if len(finished) != before:
+                classes += 1
+        if classes > 1:
+            # They complete in submission order, across classes too.
+            done = set(finished)
+            finished = [it for it in self._items if it in done]
+        now = self.sim._now
         for it in finished:
             self._remove(it)
             it._sched = None
             it._rate = 0.0
             it.remaining = 0.0
-            it.finished_at = self.sim.now
+            it.finished_at = now
         # Even when floating-point guards left nothing finished, the
         # timer must be re-armed from the settled state.
         self._dirty = False
         self._structure_changed = True
-        self._reassign()
+        self._reassign(0.0)
         for it in finished:
             it.done.succeed(it)
 
@@ -795,7 +844,3 @@ class FluidScheduler:
                 f"items={len(self._items)} load={self._load:g}"
                 f"{' dirty' if self._dirty else ''}>")
 
-
-#: Water-fill sort key.  A C-level attribute fetch rather than a Python
-#: function: it runs once per member on every recomputed class.
-_by_demand = operator.attrgetter("demand")

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Any, Generator, Optional
 
 from .errors import Interrupt
-from .events import Event
+from .events import PENDING, Event
 
 
 class Process(Event):
@@ -78,7 +78,9 @@ class Process(Event):
 
     # -- engine -----------------------------------------------------------
     def _resume(self, event: Event) -> None:
-        if self.triggered:
+        # ``_value is not PENDING`` is the ``triggered`` property inlined:
+        # this runs on every wakeup of every process.
+        if self._value is not PENDING:
             # A late wakeup (e.g. a second interrupt scheduled before the
             # first one finished the process) — nothing left to resume.
             return
@@ -91,11 +93,11 @@ class Process(Event):
                 else:
                     next_ev = self.generator.throw(event._value)
             except StopIteration as stop:
-                if not self.triggered:
+                if self._value is PENDING:
                     self.succeed(stop.value)
                 return
             except BaseException as exc:
-                if not self.triggered:
+                if self._value is PENDING:
                     self.fail(exc)
                     return
                 raise
