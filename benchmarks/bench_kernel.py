@@ -35,14 +35,6 @@ from collections import deque
 from repro.sim import FluidScheduler, Simulator
 
 
-def _heap_stats(sim: Simulator) -> dict:
-    """Heap diagnostics, tolerating kernels that predate them."""
-    stats = getattr(sim, "heap_stats", None)
-    if callable(stats):
-        return stats()
-    return {"queued": len(sim._queue), "dead_entries": 0, "compactions": 0}
-
-
 # ---------------------------------------------------------------------------
 # Scenarios.  Each returns (ops, sim) where *ops* counts the scheduler
 # mutations the scenario issued (the "useful work" denominator).
@@ -393,7 +385,7 @@ class _ExecStats:
         self._totals = report.kernel_totals()
         self.processed_events = self._totals["events"]
 
-    def heap_stats(self):
+    def stats(self):
         return {
             "queued": 0,
             "dead_entries": 0,
@@ -465,7 +457,7 @@ def run_scenario(name: str, quick: bool, repeat: int = 1) -> dict:
             "wall_s": round(wall, 4),
             "events_per_sec": round(events / wall, 1),
             "ops_per_sec": round(ops / wall, 1),
-            "heap": _heap_stats(sim),
+            "heap": sim.stats(),
         }
         if best is None or result["events_per_sec"] > best["events_per_sec"]:
             best = result

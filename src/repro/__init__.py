@@ -50,7 +50,6 @@ from .runtime import (
 )
 from .sim import Simulator
 from .storage import FlatStorage, ShardedStore
-from .trace import TraceEvent, Tracer
 from .units import GiB, KiB, MS, MiB, SEC, US, gbps
 
 __version__ = "0.1.0"
@@ -97,8 +96,6 @@ __all__ = [
     "StorageSpec",
     "Task",
     "TaskSource",
-    "TraceEvent",
-    "Tracer",
     "US",
     "for_each",
     "filter_collect",

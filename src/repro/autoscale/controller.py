@@ -20,14 +20,15 @@ Fault posture:
   ``shed_backoff`` seconds, then resumes automatically.
 
 Every decision, phase, and abort is visible: ``autoscale.*`` metric
-counters, ``autoscale``/``reshard`` trace events, obs spans from the
-protocol generators, and the in-memory ``decisions`` log.
+counters, ``autoscale``/``reshard`` records in ``runtime.decisions``
+(and their spans when traced), obs spans from the protocol generators,
+and :meth:`ShardAutoscaler.stats`.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Dict, Generator, List, Optional, Set, Tuple
+from typing import Dict, Generator, Optional, Set, Tuple
 
 from ..core.pressure import RateEstimator
 from ..runtime.errors import (
@@ -45,6 +46,9 @@ from .config import AutoscaleConfig
 #: re-raises anything else — an unexpected error is a bug, not weather.
 _EXPECTED_ERRORS = (MachineFailed, MigrationFailed, DeadProclet,
                     InvalidPlacement)
+
+#: The numeric ``state`` that :meth:`ShardAutoscaler.stats` reports.
+_STATE_CODE = {"active": 0, "frozen": 1, "degraded": 2}
 
 
 class ShardAutoscaler:
@@ -68,10 +72,10 @@ class ShardAutoscaler:
         self._consecutive_failures = 0
         self._shed_until = -1.0
         self._stopped = False
-        #: Decision log: (time, structure, proclet_id, action, reason,
-        #: state) — "state" is the controller state when the decision
-        #: was evaluated; only "active" decisions execute.
-        self.decisions: List[Tuple[float, str, int, str, str, str]] = []
+        #: Split/merge decisions evaluated, in every state (only
+        #: "active" decisions execute); each is one ``autoscale`` record
+        #: in ``runtime.decisions`` with its ``structure`` and ``state``.
+        self.decision_count = 0
         self.splits_issued = 0
         self.merges_issued = 0
         self.frozen_skips = 0
@@ -136,11 +140,10 @@ class ShardAutoscaler:
             action, reason = self._decide(ds, pid, proclet, rate)
             if action is None:
                 continue
-            self.decisions.append((now, ds.name, pid, action, reason,
-                                   state))
+            self.decision_count += 1
             if m is not None:
                 m.count(f"autoscale.decision.{action}")
-            runtime.tracer.emit(
+            runtime.decide(
                 "autoscale", f"{action} {proclet.name}: {reason}",
                 structure=ds.name, state=state)
             if state != "active":
@@ -233,9 +236,29 @@ class ShardAutoscaler:
             self.sheds += 1
             if m is not None:
                 m.count("autoscale.sheds")
-            self.qs.runtime.tracer.emit(
+            self.qs.runtime.decide(
                 "autoscale", "shedding to read-only decision logging",
                 until=round(self._shed_until, 6))
+
+    # -- reporting -----------------------------------------------------------
+    def stats(self) -> Dict[str, int]:
+        """Decisions evaluated, operations issued, freeze/shed skips,
+        in-flight operations and reshard-ledger commit/abort totals, and
+        ``state`` as a number: 0 active, 1 frozen, 2 degraded."""
+        ledger = self.qs.runtime.reshard_ledger
+        out = {
+            "decisions": self.decision_count,
+            "splits_issued": self.splits_issued,
+            "merges_issued": self.merges_issued,
+            "frozen_skips": self.frozen_skips,
+            "shed_skips": self.shed_skips,
+            "sheds": self.sheds,
+            "op_failures": self.op_failures,
+            "active_ops": ledger.active_count(),
+        }
+        out.update(ledger.counters)
+        out["state"] = _STATE_CODE[self.state]
+        return out
 
     def __repr__(self) -> str:
         return (f"<ShardAutoscaler state={self.state} "

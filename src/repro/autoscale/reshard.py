@@ -138,8 +138,8 @@ class ReshardHooks:
 
 
 def _sizing_owner(qs) -> dict:
-    """The trace line's ``driver`` field: which controller owns shard
-    sizing (the chaos digests hash these lines)."""
+    """The decision's ``driver`` field: which controller owns shard
+    sizing (the chaos digests hash the decision lines)."""
     return {"driver": "autoscale" if qs.autoscaler is not None
             else "heap-change"}
 
@@ -239,12 +239,10 @@ def _split_proc(ds, shard) -> Generator:
     qs._unblock(src, gate)
     close_gate_window()
     ledger.complete(op)
-    runtime.tracer.emit(
+    runtime.decide(
         "reshard", f"split {src.name} at {split_key!r} -> {child.name}",
-        moved_bytes=int(nbytes), dst=dst.name, **_sizing_owner(qs))
-    if tr is not None:
-        tr.end(span, moved_bytes=int(nbytes), dst=dst.name,
-               new=child.name)
+        span=span, moved_bytes=int(nbytes), dst=dst.name,
+        **_sizing_owner(qs))
     return split_key, child_ref
 
 
@@ -337,9 +335,7 @@ def _merge_proc(ds, shard, partner) -> Generator:
     close_gate_window()
     runtime.destroy(donor_ref)
     ledger.complete(op)
-    runtime.tracer.emit(
+    runtime.decide(
         "reshard", f"merge {src.name} -> {dst.name}",
-        moved_bytes=int(nbytes), **_sizing_owner(qs))
-    if tr is not None:
-        tr.end(span, moved_bytes=int(nbytes))
+        span=span, moved_bytes=int(nbytes), **_sizing_owner(qs))
     return True

@@ -175,7 +175,7 @@ class ChaosInjector:
                                else "chaos.faults")
             if not skipped:
                 self.metrics.count(f"chaos.faults.{kind}")
-        self.runtime.tracer.emit(
+        self.runtime.decide(
             "chaos", ("skipped " if skipped else "") + fault.describe())
 
     def __repr__(self) -> str:

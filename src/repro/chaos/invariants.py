@@ -107,7 +107,9 @@ always before virtual time advances.
 
 On violation it raises :class:`InvariantViolation` from inside the event
 loop, failing the run at the first bad state — the chaos analogue of an
-assertion compiled into the kernel.
+assertion compiled into the kernel.  The message ends with the last
+:data:`RECENT_DECISIONS` lines of ``runtime.decisions``: what the control
+plane had just done when the state went bad.
 """
 
 from __future__ import annotations
@@ -126,6 +128,8 @@ _MEM_EPS = 1.0
 #: The observer runs the full pass instead of the incremental one on
 #: every this-many-th event.
 FULL_PASS_EVERY = 1024
+#: How many of the latest control-plane decisions a violation quotes.
+RECENT_DECISIONS = 8
 
 _RUNNING = ProcletStatus.RUNNING
 _MIGRATING = ProcletStatus.MIGRATING
@@ -276,7 +280,7 @@ class InvariantChecker:
         resident = self._check_placement()
         held = self._check_machines(resident)
         self._check_recovery(held)
-        if self.runtime._clone_calls:
+        if self.runtime.clone_calls:
             self._check_clones()
         self._check_proclets(self._check_shard_tables())
 
@@ -330,7 +334,7 @@ class InvariantChecker:
         recovery = runtime.recovery
         if recovery is not None and recovery.convergence_errors:
             self._check_convergence()
-        if runtime._clone_calls:
+        if runtime.clone_calls:
             self._check_clones()
         if pids or tables:
             self._check_changed_proclets(pids, tables)
@@ -373,8 +377,11 @@ class InvariantChecker:
         return machines, scheds, pids, tables
 
     def _fail(self, what: str) -> None:
+        recent = "".join(f"\n  {d}" for d in
+                         self.runtime.decisions[-RECENT_DECISIONS:])
         raise InvariantViolation(
-            f"t={self.runtime.sim.now:.6f}s: {what}")
+            f"t={self.runtime.sim.now:.6f}s: {what}"
+            + (f"\nrecent decisions:{recent}" if recent else ""))
 
     # -- invariant 1 -----------------------------------------------------------
     def _check_placement(self) -> Dict[int, float]:
@@ -595,7 +602,7 @@ class InvariantChecker:
     def _check_clones(self) -> None:
         """Clone-set hygiene (invariant 8)."""
         now = self.runtime.sim.now
-        for call in self.runtime._clone_calls:
+        for call in self.runtime.clone_calls:
             winners = sum(1 for att in call.attempts if att.won)
             if winners > 1:
                 self._fail(f"{call!r} has {winners} winners")

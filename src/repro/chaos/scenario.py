@@ -31,6 +31,7 @@ from typing import Generator, List, Optional
 
 from ..cluster import ClusterSpec, MachineSpec, OutOfMemory
 from ..core import Quicksand, QuicksandConfig
+from ..obs import Decision
 from ..runtime import MachineFailed, MigrationFailed, ProcletLost
 from ..runtime.errors import DeadProclet, InvalidPlacement
 from ..units import GiB, MiB
@@ -107,7 +108,8 @@ class ChaosResult:
     reshard_aborts: int = 0
     autoscale_decisions: int = 0
     autoscale_sheds: int = 0
-    trace_lines: List[str] = field(repr=False, default_factory=list)
+    #: The run's ``runtime.decisions``.
+    decisions: List[Decision] = field(repr=False, default_factory=list)
     counters: List[str] = field(repr=False, default_factory=list)
 
     def digest(self) -> str:
@@ -115,8 +117,8 @@ class ChaosResult:
         of the same config must produce identical digests — this is the
         determinism acceptance check."""
         h = hashlib.sha256()
-        for line in self.trace_lines:
-            h.update(line.encode())
+        for decision in self.decisions:
+            h.update(str(decision).encode())
             h.update(b"\n")
         for line in self.counters:
             h.update(line.encode())
@@ -239,10 +241,10 @@ def run_chaos(config: ChaosConfig = ChaosConfig()) -> ChaosResult:
         reshard_merges=reshard["merge_committed"],
         reshard_aborts=(reshard["split_aborted"]
                         + reshard["merge_aborted"]),
-        autoscale_decisions=(len(autoscaler.decisions)
+        autoscale_decisions=(autoscaler.decision_count
                              if autoscaler else 0),
         autoscale_sheds=autoscaler.sheds if autoscaler else 0,
-        trace_lines=[str(e) for e in qs.runtime.tracer.events],
+        decisions=qs.runtime.decisions,
         counters=counters,
     )
 
@@ -253,7 +255,7 @@ def run_chaos_summary(**config_kwargs) -> dict:
     Accepts :class:`ChaosConfig` fields as keyword arguments and returns
     plain data — the replay digest plus the headline counters — so a
     seed grid can fan out across worker processes and the parent can
-    diff digests without shipping trace lines around.
+    diff digests without shipping decision records around.
     """
     config = ChaosConfig(**config_kwargs)
     result = run_chaos(config)

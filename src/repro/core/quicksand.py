@@ -260,12 +260,10 @@ class Quicksand:
         self.splits += 1
         if self.metrics is not None:
             self.metrics.count("quicksand.splits.compute")
-        self.runtime.tracer.emit(
+        self.runtime.decide(
             "split", f"{src.name} queue-division -> {new.name}",
-            moved_tasks=n, dst=dst.name,
+            span=span, moved_tasks=n, dst=dst.name,
         )
-        if tr is not None:
-            tr.end(span, moved_tasks=n, dst=dst.name, new=new.name)
         return new_ref
 
     def merge_compute(self, dst_ref: ProcletRef, src_ref: ProcletRef):

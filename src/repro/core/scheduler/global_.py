@@ -186,9 +186,8 @@ class GlobalScheduler:
         self.moves += 1
         if self.qs.metrics is not None:
             self.qs.metrics.count(f"sched.{reason}.moves")
-        self.qs.runtime.tracer.emit(
-            "sched-global", f"{reason}: {proclet.name} -> {dst.name}",
-        )
+        self.qs.runtime.decide(
+            "sched-global", f"{reason}: {proclet.name} -> {dst.name}")
         ev = self.qs.runtime.migrate(proclet, dst)
         ev.subscribe(self._swallow_migration_failure)
 

@@ -16,6 +16,7 @@ One :class:`LocalScheduler` watches each machine:
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import Set
 
 from ...cluster import Machine
@@ -137,20 +138,16 @@ class LocalScheduler:
         self.starvation.clear(proclet.id)
         if self.qs.metrics is not None:
             self.qs.metrics.count(f"sched.local.migrations.{reason}")
-        self.qs.runtime.tracer.emit(
-            "sched-local", f"{reason}: {proclet.name} "
-            f"{self.machine.name}->{dst.name}",
-        )
+        runtime = self.qs.runtime
+        message = f"{reason}: {proclet.name} {self.machine.name}->{dst.name}"
         tr = self.qs.sim.tracer
-        if tr is not None:
-            # region() so the migration span (whose parent is captured
-            # synchronously inside migrate()) nests under this decision.
-            with tr.region("sched-local", f"{reason}: {proclet.name}",
-                           track=f"machine:{self.machine.name}",
-                           dst=dst.name):
-                ev = self.qs.runtime.migrate(proclet, dst)
-        else:
-            ev = self.qs.runtime.migrate(proclet, dst)
+        # region() so the migration span (whose parent is captured
+        # synchronously inside migrate()) nests under this decision.
+        with (tr.region("sched-local", message,
+                        track=f"machine:{self.machine.name}", dst=dst.name)
+              if tr is not None else nullcontext()) as span:
+            runtime.decide("sched-local", message, span=span)
+            ev = runtime.migrate(proclet, dst)
         ev.subscribe(self._on_migration_done)
 
     @staticmethod

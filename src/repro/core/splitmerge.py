@@ -310,7 +310,7 @@ class ComputeAutoscaler:
             if added:
                 self.scale_ups += added
                 self._cooldown_until = now + self.config.autoscale_cooldown
-                self.qs.runtime.tracer.emit(
+                self.qs.runtime.decide(
                     "autoscale", f"grow +{added} (declared demand)",
                     desired=desired, actual=actual)
         elif desired < actual:
@@ -318,7 +318,7 @@ class ComputeAutoscaler:
             if removed:
                 self.scale_downs += removed
                 self._cooldown_until = now + self.config.autoscale_cooldown
-                self.qs.runtime.tracer.emit(
+                self.qs.runtime.decide(
                     "autoscale", f"shrink -{removed} (declared demand)",
                     desired=desired, actual=actual)
 

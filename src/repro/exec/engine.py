@@ -15,9 +15,9 @@ to the pool — a warm cache on an unchanged grid re-runs nothing.
 
 Workers also ship back a delta of the process-wide kernel counters
 (:func:`repro.sim.kernel_totals`), so the parent can report how much
-simulation happened per run and merge the gauges deterministically via
-:meth:`repro.metrics.MetricsRecorder.record_exec_stats` — summed in
-spec order, not last-writer-wins.
+simulation happened per run; :meth:`ExecReport.stats` sums them in spec
+order, not last-writer-wins, for
+:meth:`repro.metrics.MetricsRecorder.record_stats`.
 """
 
 from __future__ import annotations
@@ -94,6 +94,20 @@ class ExecReport:
             for k in KERNEL_KEYS:
                 totals[k] += int(r.kernel.get(k, 0))
         return totals
+
+    def stats(self) -> Dict[str, float]:
+        """Run, cache and wall-time totals plus one ``kernel.<counter>``
+        entry per merged kernel counter."""
+        out: Dict[str, float] = {
+            "runs": len(self.results),
+            "hits": self.hits,
+            "misses": self.misses,
+            "jobs": self.jobs,
+            "wall_s": self.wall_s,
+        }
+        for key, value in self.kernel_totals().items():
+            out[f"kernel.{key}"] = value
+        return out
 
     def summary(self) -> str:
         k = self.kernel_totals()

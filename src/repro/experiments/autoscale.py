@@ -81,7 +81,7 @@ def run_autoscale_config(name: str, machines,
         autoscale_time=auto.preprocess_time,
         legacy_splits=qs_legacy.splits,
         autoscale_splits=qs_auto.splits,
-        decisions=len(autoscaler.decisions),
+        decisions=autoscaler.decision_count,
         final_state=autoscaler.state,
     )
 

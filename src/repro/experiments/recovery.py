@@ -264,7 +264,7 @@ def run_recovery_fig2(policy: Optional[str] = None,
     draining[0] = False
 
     if manager is not None:
-        qs.metrics.record_recovery_stats(manager)
+        qs.metrics.record_stats(manager, "ft")
     mttr_samples = qs.metrics.samples("ft.mttr")
     loss_samples = qs.metrics.samples("ft.data_loss_bytes")
     return RecoveryRow(

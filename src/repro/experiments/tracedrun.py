@@ -67,9 +67,12 @@ def _trace_fig3(seed: int) -> Any:
 
 
 def _trace_chaos(seed: int) -> Any:
+    """The benchmark's chaos configuration: faults, the shard autoscaler
+    and checkpoint recovery, so every kind of decision is exported."""
     from ..chaos import ChaosConfig, run_chaos
 
-    return run_chaos(ChaosConfig(seed=seed, duration=0.5))
+    return run_chaos(ChaosConfig(seed=seed, duration=0.5, autoscale=True,
+                                 recovery_policy="checkpoint"))
 
 
 RUNNERS: Dict[str, Callable[[int], Any]] = {
@@ -80,8 +83,7 @@ RUNNERS: Dict[str, Callable[[int], Any]] = {
 }
 
 
-def run_traced(experiment: str, seed: int = 0,
-               max_spans: int = 500_000) -> TracedRun:
+def run_traced(experiment: str, seed: int = 0) -> TracedRun:
     """Run *experiment* (``fig1``/``fig2``/``fig3``/``chaos``) at trace
     scale with span capture enabled and return the :class:`TracedRun`."""
     runner = RUNNERS.get(experiment)
@@ -89,7 +91,7 @@ def run_traced(experiment: str, seed: int = 0,
         raise ValueError(
             f"unknown experiment {experiment!r}; "
             f"choose from {sorted(RUNNERS)}")
-    with capture(max_spans=max_spans) as cap:
+    with capture() as cap:
         result = runner(seed)
     return TracedRun(experiment=experiment, seed=seed, result=result,
                      spans=cap)

@@ -462,7 +462,7 @@ class RecoveryManager:
             if self.qs.placement.best_for_memory(need) is not None:
                 return
             victim = self.runtime._proclets[pid]
-            self.runtime.tracer.emit(
+            self.runtime.decide(
                 "ft", f"shed {victim.name} (priority "
                 f"{self._specs[pid].priority.name.lower()}) to make room")
             self.unprotect(pid)
@@ -647,12 +647,18 @@ class RecoveryManager:
 
     # -- reporting ----------------------------------------------------------------
     def stats(self) -> Dict[str, float]:
+        """Detector totals, recovery outcomes (overall and per policy),
+        sheds, convergence errors and the live checkpoint/standby
+        footprint."""
         out: Dict[str, float] = {
             "suspects": self.detector.suspects,
             "confirms": self.detector.confirms,
+            "machines_back": self.detector.recoveries,
+            "recoveries": sum(self.recoveries.values()),
             "failed_recoveries": self.failed_recoveries,
             "sheds": self.sheds,
             "checkpoint_bytes_held": self.checkpoint_bytes_held,
+            "standbys": len(self._standbys),
             "convergence_errors": len(self.convergence_errors),
         }
         for policy, count in sorted(self.recoveries.items()):

@@ -67,137 +67,18 @@ class MetricsRecorder:
         return (name in self._series or name in self._counters
                 or name in self._gauges or name in self._samples)
 
-    # -- kernel diagnostics -------------------------------------------------
-    def record_heap_stats(self, sim=None, prefix: str = "sim.heap") -> Dict:
-        """Snapshot the simulator's event-heap diagnostics into gauges.
+    # -- component stats ----------------------------------------------------
+    def record_stats(self, source, prefix: str) -> Dict:
+        """Snapshot ``source.stats()`` into one ``{prefix}.{key}`` gauge
+        per key at the current virtual time; returns the stats dict.
 
-        Records ``{prefix}.queued``, ``{prefix}.dead_entries`` and
-        ``{prefix}.compactions`` at the current virtual time and returns
-        the raw stats dict.  Call it from experiment loops (or once at
-        the end of a run) to track event-heap hygiene over time.
+        Every component that reports counters exposes ``stats() -> dict``
+        of numbers: the simulator's event heap, an exec report, the
+        recovery manager, the shard autoscaler, the runtime's cloning
+        layer and a span tracer.
         """
-        sim = sim or self.sim
-        stats = sim.heap_stats()
-        for key, value in stats.items():
-            self.gauge(f"{prefix}.{key}").set(sim.now, value)
-        return stats
-
-    def record_exec_stats(self, report, prefix: str = "exec") -> Dict:
-        """Fold a :class:`repro.exec.ExecReport` into this recorder.
-
-        Per-worker kernel counters are merged **deterministically**: the
-        per-run deltas are summed in spec order (never last-writer-wins,
-        which would depend on completion order), then recorded as
-        ``{prefix}.kernel.<counter>`` gauges alongside
-        ``{prefix}.runs`` / ``hits`` / ``misses`` / ``jobs`` /
-        ``wall_s``.  Returns the recorded stats dict.
-        """
+        stats = source.stats()
         now = self.sim.now
-        stats = {
-            "runs": len(report.results),
-            "hits": report.hits,
-            "misses": report.misses,
-            "jobs": report.jobs,
-            "wall_s": report.wall_s,
-        }
-        for key in sorted(stats):
-            self.gauge(f"{prefix}.{key}").set(now, stats[key])
-        merged = report.kernel_totals()
-        for key in sorted(merged):
-            self.gauge(f"{prefix}.kernel.{key}").set(now, merged[key])
-            stats[f"kernel.{key}"] = merged[key]
-        return stats
-
-    def record_recovery_stats(self, manager, prefix: str = "ft") -> Dict:
-        """Snapshot a :class:`repro.ft.RecoveryManager`'s outcome
-        counters into gauges at the current virtual time.
-
-        Records detector totals (``{prefix}.suspects`` / ``confirms`` /
-        ``machines_back``), recovery outcomes (``recoveries`` overall
-        and per policy, ``failed_recoveries``, ``sheds``) and the live
-        checkpoint/standby footprint, then returns the stats dict —
-        the fault-tolerance analogue of :meth:`record_exec_stats`.
-        """
-        now = self.sim.now
-        stats = {
-            "suspects": manager.detector.suspects,
-            "confirms": manager.detector.confirms,
-            "machines_back": manager.detector.recoveries,
-            "recoveries": sum(manager.recoveries.values()),
-            "failed_recoveries": manager.failed_recoveries,
-            "sheds": manager.sheds,
-            "checkpoint_bytes_held": manager.checkpoint_bytes_held,
-            "standbys": len(manager._standbys),
-        }
-        for policy, n in manager.recoveries.items():
-            stats[f"recoveries.{policy}"] = n
-        for key in sorted(stats):
-            self.gauge(f"{prefix}.{key}").set(now, stats[key])
-        return stats
-
-    def record_autoscale_stats(self, autoscaler,
-                               prefix: str = "autoscale") -> Dict:
-        """Snapshot a :class:`repro.autoscale.ShardAutoscaler`'s outcome
-        counters — decisions issued, reshard-ledger commit/abort totals,
-        freeze/shed skips, current state — into gauges at the current
-        virtual time; returns the stats dict."""
-        now = self.sim.now
-        ledger = autoscaler.qs.runtime.reshard_ledger
-        stats = {
-            "decisions": len(autoscaler.decisions),
-            "splits_issued": autoscaler.splits_issued,
-            "merges_issued": autoscaler.merges_issued,
-            "frozen_skips": autoscaler.frozen_skips,
-            "shed_skips": autoscaler.shed_skips,
-            "sheds": autoscaler.sheds,
-            "op_failures": autoscaler.op_failures,
-            "active_ops": ledger.active_count(),
-        }
-        stats.update(ledger.counters)
-        for key in sorted(stats):
-            self.gauge(f"{prefix}.{key}").set(now, stats[key])
-        # The state gauge is numeric: 0 active, 1 frozen, 2 degraded.
-        state_code = {"active": 0, "frozen": 1, "degraded": 2}
-        self.gauge(f"{prefix}.state").set(
-            now, state_code[autoscaler.state])
-        stats["state"] = autoscaler.state
-        return stats
-
-    def record_clone_stats(self, runtime, prefix: str = "hedge") -> Dict:
-        """Snapshot a :class:`repro.runtime.NuRuntime`'s cloning/hedging
-        counters (``runtime.clone_stats``) into gauges at the current
-        virtual time, plus the number of still-unsettled cloned calls;
-        returns the stats dict."""
-        now = self.sim.now
-        stats = dict(runtime.clone_stats)
-        stats["unsettled_calls"] = len(runtime._clone_calls)
-        for key in sorted(stats):
-            self.gauge(f"{prefix}.{key}").set(now, stats[key])
-        return stats
-
-    def record_trace_stats(self, tracer=None,
-                           prefix: str = "obs.trace") -> Dict:
-        """Snapshot a :class:`repro.obs.SpanTracer`'s counters into gauges.
-
-        Records ``{prefix}.spans``, ``{prefix}.open``, ``{prefix}.dropped``
-        and a ``{prefix}.category.<cat>`` gauge per span category at the
-        current virtual time.  *tracer* defaults to the one attached to
-        this recorder's simulator; returns the raw stats dict ({} when
-        tracing is off).
-        """
-        if tracer is None:
-            tracer = getattr(self.sim, "tracer", None)
-        if tracer is None:
-            return {}
-        now = tracer.sim.now
-        stats = {
-            "spans": len(tracer.spans),
-            "open": tracer.open_count,
-            "dropped": tracer.dropped,
-        }
         for key, value in stats.items():
             self.gauge(f"{prefix}.{key}").set(now, value)
-        for cat, count in tracer.categories().items():
-            self.gauge(f"{prefix}.category.{cat}").set(now, count)
-            stats[f"category.{cat}"] = count
         return stats

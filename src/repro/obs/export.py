@@ -17,7 +17,6 @@ finished tracers, without affecting the trace or the simulation.
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List, Optional
 
 from .spans import Capture, Span, SpanTracer
@@ -84,6 +83,8 @@ def chrome_trace(source, label: str = "repro") -> dict:
 
 def write_chrome_trace(source, path: str, label: str = "repro") -> dict:
     """:func:`chrome_trace` + write to *path*; returns the dict."""
+    import json  # here, so that importing the runtime stays free of json
+
     doc = chrome_trace(source, label=label)
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)

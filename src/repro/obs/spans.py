@@ -1,10 +1,17 @@
-"""Span-based tracing in virtual time.
+"""Span-based tracing in virtual time, and the control-plane decision
+record.
 
-Where :mod:`repro.trace` logs flat control-plane decisions, this module
-records *intervals*: a :class:`Span` has a start and end in virtual
-time, a category, an owning track (machine, proclet, scheduler), and a
-parent — so a migration nests under the scheduler round that triggered
-it and its checkpoint/transfer/commit phases nest under the migration.
+A :class:`Span` is an *interval*: a start and end in virtual time, a
+category, an owning track (machine, proclet, scheduler), and a parent —
+so a migration nests under the scheduler round that triggered it and
+its checkpoint/transfer/commit phases nest under the migration.
+
+A :class:`Decision` is one control-plane decision (migration, split,
+merge, eviction, autoscale action, fault, recovery shed).
+``NuRuntime.decide`` is its only writer: it appends the record to
+``runtime.decisions`` on every run, traced or not, and with a tracer
+attached also closes the decision's span (or records an instant span of
+the same category and message).
 
 The tracer attaches to a :class:`~repro.sim.Simulator` as
 ``sim.tracer``.  Every instrumentation site in the runtime follows the
@@ -28,7 +35,26 @@ from __future__ import annotations
 
 import hashlib
 from contextlib import contextmanager
+from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional
+
+from ..units import fmt_time
+
+
+@dataclass(frozen=True)
+class Decision:
+    """One control-plane decision, as ``NuRuntime.decide`` records it."""
+
+    time: float
+    category: str
+    message: str
+    fields: Dict[str, Any] = field(default_factory=dict)
+
+    def __str__(self) -> str:
+        # The chaos replay digest hashes this line: keep it byte-stable.
+        extras = " ".join(f"{k}={v}" for k, v in self.fields.items())
+        return (f"[{fmt_time(self.time):>12}] {self.category:<12} "
+                f"{self.message}" + (f" ({extras})" if extras else ""))
 
 
 class Span:
@@ -203,6 +229,15 @@ class SpanTracer:
             out[s.category] = out.get(s.category, 0) + 1
         return out
 
+    def stats(self) -> Dict[str, int]:
+        """Span, open and dropped counts plus one ``category.<cat>``
+        count per span category."""
+        out = {"spans": len(self.spans), "open": self._open,
+               "dropped": self.dropped}
+        for cat, count in self.categories().items():
+            out[f"category.{cat}"] = count
+        return out
+
     def children_of(self, span: Span) -> List[Span]:
         return [s for s in self.spans if s.parent_id == span.sid]
 
@@ -228,14 +263,11 @@ class SpanTracer:
 class Capture:
     """Collects the tracers attached while a :func:`capture` is active."""
 
-    def __init__(self, max_spans: int = 500_000):
-        self.max_spans = max_spans
+    def __init__(self):
         self.tracers: List[SpanTracer] = []
 
     def _attach(self, sim) -> None:
-        tracer = SpanTracer(sim, label=f"sim{len(self.tracers)}",
-                            max_spans=self.max_spans)
-        self.tracers.append(tracer)
+        self.tracers.append(SpanTracer(sim, label=f"sim{len(self.tracers)}"))
 
     def digest(self) -> str:
         """Combined digest over every captured simulator, in creation
@@ -252,7 +284,7 @@ class Capture:
 
 
 @contextmanager
-def capture(max_spans: int = 500_000) -> Iterator[Capture]:
+def capture() -> Iterator[Capture]:
     """Attach a :class:`SpanTracer` to every Simulator built inside the
     block (experiments construct their own simulators, so tracing hooks
     in at construction time)::
@@ -266,7 +298,7 @@ def capture(max_spans: int = 500_000) -> Iterator[Capture]:
     """
     from ..sim import simulator as _simulator
 
-    cap = Capture(max_spans=max_spans)
+    cap = Capture()
     prev = _simulator.get_tracer_factory()
     _simulator.set_tracer_factory(cap._attach)
     try:

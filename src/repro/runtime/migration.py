@@ -333,16 +333,16 @@ class MigrationEngine:
             tr.end(proclet._gate_span)
             proclet._gate_span = None
             tr.end(phase)
-            tr.end(mig_span, latency_us=round(latency * 1e6, 1))
         self.migrations_completed += 1
         m = self.runtime.metrics
         if m is not None:
             m.count("runtime.migrations")
             m.observe("runtime.migration.latency", latency)
             m.observe("runtime.migration.bytes", nbytes)
-        self.runtime.tracer.emit(
+        self.runtime.decide(
             "migration", f"{proclet.name} {src.name}->{dst.name}",
-            bytes=int(nbytes), latency_us=round(latency * 1e6, 1),
+            span=mig_span, bytes=int(nbytes),
+            latency_us=round(latency * 1e6, 1),
         )
         proclet.on_migrated(src, dst)
         return latency

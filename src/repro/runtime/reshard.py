@@ -104,7 +104,7 @@ class ReshardLedger:
         # routing-table write; the chaos invariant checker's dirty
         # tracking appends to it while attached.
         self._listeners: List[Callable[[Any, Tuple[int, ...]], None]] = []
-        # Monotonic counters, read by metrics.record_autoscale_stats and
+        # Monotonic counters, read by ShardAutoscaler.stats() and
         # the chaos digest.
         self.counters: Dict[str, int] = {
             "split_started": 0, "split_committed": 0, "split_aborted": 0,

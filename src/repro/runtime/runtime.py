@@ -13,6 +13,7 @@ import inspect
 from typing import Callable, Dict, Generator, List, Optional
 
 from ..cluster import Cluster, Machine, Priority
+from ..obs import Decision
 from ..sim import Process
 from .context import Context
 from .errors import DeadProclet, MachineFailed, ProcletLost, UnknownMethod
@@ -36,9 +37,9 @@ class NuRuntime:
         self.sim = cluster.sim
         self.fabric = cluster.fabric
         self.metrics = cluster.metrics
-        from ..trace import Tracer
-
-        self.tracer = Tracer(self.sim)
+        #: Every control-plane decision of the run, in order; written
+        #: only by :meth:`decide`.
+        self.decisions: List[Decision] = []
         self.locator = Locator()
         self.migration = MigrationEngine(self, migration_config)
         #: Ledger of in-flight shard split/merge operations; the chaos
@@ -60,11 +61,12 @@ class NuRuntime:
         #: fail-stop semantics, bit-identical to runs without repro.ft).
         self.recovery = None
         #: Unsettled CloneCall coordinators (clone_to/hedge_after calls
-        #: whose loser attempts have not all finished) — the chaos
-        #: invariant checker walks this to prove cancellation landed.
-        self._clone_calls: List = []
+        #: whose loser attempts have not all finished; drains to []) —
+        #: the chaos invariant checker walks this to prove cancellation
+        #: landed.
+        self.clone_calls: List = []
         #: Monotonic counters for the cloning/hedging layer, read by
-        #: metrics.record_clone_stats and the chaos invariants.
+        #: :meth:`stats` and the chaos invariants.
         self.clone_stats: Dict[str, int] = {
             "calls": 0, "calls_won": 0, "clones_launched": 0,
             "losers_cancelled": 0, "hedges_fired": 0,
@@ -300,18 +302,37 @@ class NuRuntime:
 
     # -- clone-call registry (read by chaos invariants) ---------------------
     def _register_clone_call(self, call) -> None:
-        self._clone_calls.append(call)
+        self.clone_calls.append(call)
 
     def _unregister_clone_call(self, call) -> None:
         try:
-            self._clone_calls.remove(call)
+            self.clone_calls.remove(call)
         except ValueError:
             pass
 
-    def active_clone_calls(self) -> List:
-        """Unsettled cloned calls (decision pending or losers still
-        winding down) — chaos invariants assert these drain."""
-        return list(self._clone_calls)
+    def stats(self) -> Dict[str, int]:
+        """The cloning/hedging counters plus the number of unsettled
+        cloned calls."""
+        return dict(self.clone_stats, unsettled_calls=len(self.clone_calls))
+
+    # -- decisions ------------------------------------------------------------
+    def decide(self, category: str, message: str, span=None,
+               **fields) -> None:
+        """Record one control-plane decision in :attr:`decisions`.
+
+        The only writer of a decision.  With a span tracer attached, the
+        decision also closes *span* (the span of the operation it
+        concludes) with *fields* as end args, or, given no span, is
+        recorded as an instant span of the same category and message.
+        """
+        self.decisions.append(Decision(self.sim._now, category, message,
+                                       fields))
+        tr = self.sim.tracer
+        if tr is not None:
+            if span is None:
+                tr.instant(category, message, **fields)
+            else:
+                tr.end(span, **fields)
 
     def _invoke_proc(self, ref: ProcletRef, method: str, args, kwargs,
                      caller_machine: Optional[Machine],
@@ -486,8 +507,8 @@ class NuRuntime:
         machine.fail()
         if self.metrics is not None:
             self.metrics.count("runtime.machine_failures")
-        self.tracer.emit("failure", f"machine {machine.name} crashed",
-                         lost_proclets=len(lost))
+        self.decide("failure", f"machine {machine.name} crashed",
+                    lost_proclets=len(lost))
         # Recovery bookkeeping hooks run last, against the settled
         # post-crash state (machine down, proclets deregistered).
         for listener in self._failure_listeners:
@@ -504,7 +525,7 @@ class NuRuntime:
         machine.restore()
         if self.metrics is not None:
             self.metrics.count("runtime.machine_restores")
-        self.tracer.emit("failure", f"machine {machine.name} restored")
+        self.decide("failure", f"machine {machine.name} restored")
         for listener in self._restore_listeners:
             listener(machine)
 

@@ -146,8 +146,9 @@ class Simulator:
         """Dead entries discarded by dispatch (vs compaction)."""
         return self._tombstones_popped
 
-    def heap_stats(self) -> Dict[str, int]:
-        """Event-queue diagnostics as a dict (see ``repro.metrics``)."""
+    def stats(self) -> Dict[str, int]:
+        """Event-queue diagnostics as a dict (see
+        ``MetricsRecorder.record_stats``)."""
         return {
             "queued": self.queued,
             "dead_entries": self._dead,

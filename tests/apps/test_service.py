@@ -173,7 +173,7 @@ class TestCloneService:
         # tombstoned entry was reclaimed.
         svc.stop()
         qs.sim.run()
-        assert qs.sim.heap_stats()["dead_entries"] == 0
+        assert qs.sim.stats()["dead_entries"] == 0
 
     def test_zero_budget_degrades_to_uncloned(self):
         qs = quiet_qs()

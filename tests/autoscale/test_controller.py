@@ -25,6 +25,17 @@ def fill_map(qs, m, n, item=64 * KiB, prefix="k"):
         qs.run(until_event=m.put(f"{prefix}{i:04d}", i, item))
 
 
+def shard_decisions(qs):
+    """The autoscaler's split/merge decisions: the ``autoscale`` records
+    that carry the controller ``state`` they were evaluated in."""
+    return [d for d in qs.runtime.decisions
+            if d.category == "autoscale" and "state" in d.fields]
+
+
+def action(decision):
+    return decision.message.split(" ", 1)[0]
+
+
 class TestEnableHook:
     def test_enable_detaches_legacy_controller(self):
         qs = make_auto_qs()
@@ -114,10 +125,11 @@ class TestSplitMergeDecisions:
         count = m.shard_count
         assert count > 1
         # Long quiet period: no size change, so no further decisions.
-        decisions_before = len(auto.decisions)
+        decisions_before = len(shard_decisions(qs))
         qs.run(until=qs.sim.now + 100 * MS)
         assert m.shard_count == count
-        assert len(auto.decisions) == decisions_before
+        assert len(shard_decisions(qs)) == decisions_before
+        assert auto.decision_count == decisions_before
 
     def test_cooldown_defers_structural_changes(self):
         qs = make_auto_qs()
@@ -149,7 +161,7 @@ class TestSplitMergeDecisions:
         qs.run(until=qs.sim.now + 10 * MS)
         # One object can't split, however hot it is.
         assert m.shard_count == 1
-        assert all(a != "split" for _, _, _, a, _, _ in auto.decisions)
+        assert all(action(d) != "split" for d in shard_decisions(qs))
 
     def test_route_rate_split_on_hot_shard(self):
         qs = make_auto_qs(max_shard_bytes=64 * MiB,
@@ -165,8 +177,8 @@ class TestSplitMergeDecisions:
                 r += 1
             qs.run(until=qs.sim.now + 1 * MS)
         qs.run(until=qs.sim.now + 10 * MS)
-        assert any(a == "split" and "route rate" in reason
-                   for _, _, _, a, reason, _ in auto.decisions)
+        assert any(action(d) == "split" and "route rate" in d.message
+                   for d in shard_decisions(qs))
         assert m.shard_count > 1
 
 
@@ -193,8 +205,8 @@ class TestFaultPosture:
         qs.run(until=qs.sim.now + 3 * MS)
         assert m.shard_count == 1  # decisions logged, none executed
         assert auto.frozen_skips >= 1
-        assert any(state == "frozen"
-                   for _, _, _, _, _, state in auto.decisions)
+        assert any(d.fields["state"] == "frozen"
+                   for d in shard_decisions(qs))
         # Confirmation (dead, not suspected) unfreezes the controller:
         # a confirmed-dead machine must not freeze autoscaling forever.
         qs.run(until=qs.sim.now + 80 * MS)
@@ -235,12 +247,12 @@ class TestFaultPosture:
         fill_map(qs, m, 12)
         qs.run(until=qs.sim.now + 30 * MS)
         assert auto.state == "degraded"
-        logged = len(auto.decisions)
+        logged = len(shard_decisions(qs))
         qs.run(until=qs.sim.now + 10 * MS)
         # Read-only decision logging continues while shed.
-        assert len(auto.decisions) > logged
-        assert any(state == "degraded"
-                   for _, _, _, _, _, state in auto.decisions)
+        assert len(shard_decisions(qs)) > logged
+        assert any(d.fields["state"] == "degraded"
+                   for d in shard_decisions(qs))
 
     def test_freeze_can_be_disabled(self):
         qs = make_auto_qs(machines=self._three_machines())
@@ -331,10 +343,11 @@ class TestMetrics:
         m = qs.sharded_map(name="kv")
         fill_map(qs, m, 12)
         qs.run(until=qs.sim.now + 20 * MS)
-        stats = qs.metrics.record_autoscale_stats(auto)
+        stats = qs.metrics.record_stats(auto, "autoscale")
         assert stats["splits_issued"] >= 1
         assert stats["split_committed"] >= 1
-        assert stats["state"] == "active"
+        assert stats["decisions"] == len(shard_decisions(qs)) >= 1
+        assert stats["state"] == 0  # active
         assert qs.metrics.has("autoscale.decisions")
         assert qs.metrics.has("autoscale.state")
         assert qs.metrics.counter("autoscale.decision.split").total >= 1

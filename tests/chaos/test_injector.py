@@ -135,7 +135,8 @@ class TestInjection:
             ["MachineCrash", "MachineRestart"]
         assert qs.metrics.counter("chaos.faults").total == 2
         assert qs.metrics.counter("chaos.faults.MachineCrash").total == 1
-        assert len(qs.runtime.tracer.by_category("chaos")) == 2
+        assert [d.category for d in qs.runtime.decisions].count("chaos") \
+            == 2
         downtimes = qs.metrics.samples("chaos.downtime")
         assert downtimes == [pytest.approx(0.01)]
 

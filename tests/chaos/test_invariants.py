@@ -238,8 +238,12 @@ class TestCorruptionDetected(FullPass):
         self.settle(checker)
         m0.memory.used = 10.0  # corrupt the wiped ledger
         fire(checker, m0.memory._listeners, m0.memory)
-        with pytest.raises(InvariantViolation, match="crashed"):
+        with pytest.raises(InvariantViolation, match="crashed") as exc:
             self.run_pass(checker)
+        # The message ends with the decisions that led to the bad state.
+        (crash,) = qs.runtime.decisions
+        assert "machine m0 crashed" in str(crash)
+        assert str(exc.value).endswith(f"\nrecent decisions:\n  {crash}")
 
     def test_fluid_rate_corruption_detected(self, qs):
         checker = checked(qs)
@@ -497,7 +501,7 @@ class TestCloneCorruptionDetected(FullPass):
     def test_two_winners(self, qs):
         checker = checked(qs)
         self.settle(checker)
-        qs.runtime._clone_calls.append(clone_call(
+        qs.runtime.clone_calls.append(clone_call(
             attempt(0, won=True), attempt(1, won=True), decided=False))
         with pytest.raises(InvariantViolation, match="has 2 winners"):
             self.run_pass(checker)
@@ -506,7 +510,7 @@ class TestCloneCorruptionDetected(FullPass):
         checker = checked(qs)
         self.settle(checker)
         done = SimpleNamespace(triggered=True, ok=True)
-        qs.runtime._clone_calls.append(clone_call(
+        qs.runtime.clone_calls.append(clone_call(
             attempt(0), attempt(1), process=done))
         with pytest.raises(InvariantViolation,
                            match="without a winning attempt"):
@@ -515,7 +519,7 @@ class TestCloneCorruptionDetected(FullPass):
     def test_loser_still_alive(self, qs):
         checker = checked(qs)
         self.settle(checker)
-        qs.runtime._clone_calls.append(clone_call(
+        qs.runtime.clone_calls.append(clone_call(
             attempt(0, won=True), attempt(1, triggered=False)))
         with pytest.raises(InvariantViolation,
                            match="losing clone 1 still alive"):
@@ -525,7 +529,7 @@ class TestCloneCorruptionDetected(FullPass):
         checker = checked(qs)
         self.settle(checker)
         item = SimpleNamespace(active=True, name="clone-work")
-        qs.runtime._clone_calls.append(clone_call(
+        qs.runtime.clone_calls.append(clone_call(
             attempt(0, won=True), attempt(1, work_items=[item])))
         with pytest.raises(InvariantViolation,
                            match="leaked active work item 'clone-work'"):
@@ -534,7 +538,7 @@ class TestCloneCorruptionDetected(FullPass):
     def test_loser_inside_decision_instant_is_legal(self, qs):
         checker = checked(qs)
         self.settle(checker)
-        qs.runtime._clone_calls.append(clone_call(
+        qs.runtime.clone_calls.append(clone_call(
             attempt(0, won=True), attempt(1, triggered=False),
             decided_at=qs.sim.now))
         self.run_pass(checker)

@@ -27,7 +27,7 @@ class TestScenario:
         a = run_chaos(small(seed=11))
         b = run_chaos(small(seed=11))
         assert a.digest() == b.digest()
-        assert a.trace_lines == b.trace_lines
+        assert a.decisions == b.decisions
         assert a.counters == b.counters
         assert a.tasks_done == b.tasks_done
 

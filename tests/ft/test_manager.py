@@ -154,8 +154,13 @@ class TestStats:
         manager.protect(ref, RecoveryPolicy.RESTART)
         qs.runtime.fail_machine(qs.machines[0])
         qs.run(until=0.2)
-        stats = qs.metrics.record_recovery_stats(manager)
+        stats = qs.metrics.record_stats(manager, "ft")
         assert stats["confirms"] == 1
         assert stats["recoveries"] == 1
         assert stats["recoveries.restart"] == 1
         assert qs.metrics.gauge("ft.recoveries").level == 1
+        # One dict: the detector, footprint and convergence totals too.
+        assert stats["machines_back"] == 0
+        assert stats["standbys"] == 0
+        assert stats["convergence_errors"] == 0
+        assert qs.metrics.gauge("ft.checkpoint_bytes_held").level == 0

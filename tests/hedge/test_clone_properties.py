@@ -46,7 +46,7 @@ def test_exactly_one_winner_for_any_schedule(durations, clone_to, hedge):
     qs = quiet_qs()
     ref = qs.spawn(Drawn(durations), qs.machines[0])
     ev = ref.call("work", clone_to=clone_to, hedge_after=hedge)
-    call = qs.runtime.active_clone_calls()[-1]
+    call = qs.runtime.clone_calls[-1]
     result = qs.run(until_event=ev)
     assert result in durations
     assert sum(1 for a in call.attempts if a.won) == 1
@@ -54,7 +54,7 @@ def test_exactly_one_winner_for_any_schedule(durations, clone_to, hedge):
     assert 1 <= len(call.attempts) <= clone_to
     qs.sim.run()  # wind down losers and drain every pending timer
     assert call.settled
-    assert qs.runtime.active_clone_calls() == []
+    assert qs.runtime.clone_calls == []
     for att in call.attempts:
         assert att.process.triggered
         assert all(not item.active for item in att.work_items)
@@ -72,7 +72,7 @@ def test_loser_cancellation_leaks_no_tombstones(durations, clone_to):
         qs.run(until_event=ref.call("work", clone_to=clone_to,
                                     hedge_after=0.5 * MS))
     qs.sim.run()
-    stats = qs.sim.heap_stats()
+    stats = qs.sim.stats()
     assert stats["dead_entries"] == 0
     assert stats["queued"] == 0
 
@@ -91,7 +91,7 @@ def test_clone_to_one_is_byte_identical_to_a_plain_call(durations, calls):
         results = [qs.run(until_event=ref.call("work", **clone_kwargs))
                    for _ in range(calls)]
         qs.sim.run()
-        return results, qs.sim.now, tr.digest(), qs.sim.heap_stats()
+        return results, qs.sim.now, tr.digest(), qs.sim.stats()
 
     plain = run({})
     cloned = run({"clone_to": 1})

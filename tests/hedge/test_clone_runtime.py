@@ -49,7 +49,7 @@ class TestFanOut:
         qs = quiet_qs()
         ref = qs.spawn(SlowFirst(), qs.machines[0])
         ev = ref.call("work", clone_to=3)
-        call = qs.runtime.active_clone_calls()[-1]
+        call = qs.runtime.clone_calls[-1]
         result = qs.run(until_event=ev)
         # The slow first invocation lost to a fast sibling.
         assert result in (2, 3)
@@ -64,11 +64,11 @@ class TestFanOut:
         qs = quiet_qs()
         ref = qs.spawn(SlowFirst(), qs.machines[0])
         ev = ref.call("work", clone_to=3)
-        call = qs.runtime.active_clone_calls()[-1]
+        call = qs.runtime.clone_calls[-1]
         qs.run(until_event=ev)
         qs.run(until=qs.sim.now + 0.01)  # let interrupts deliver
         assert call.settled
-        assert call not in qs.runtime.active_clone_calls()
+        assert call not in qs.runtime.clone_calls
         losers = [a for a in call.attempts if not a.won]
         assert losers and all(a.process.triggered for a in losers)
         # Every loser's CPU work came off the fluid scheduler.
@@ -82,14 +82,14 @@ class TestFanOut:
         ref = qs.spawn(SlowFirst(), qs.machines[0])
         qs.run(until_event=ref.call("work", clone_to=3))
         qs.sim.run()  # drain every pending timer past the horizon
-        assert qs.sim.heap_stats()["dead_entries"] == 0
+        assert qs.sim.stats()["dead_entries"] == 0
 
     def test_clone_to_one_is_the_plain_path(self):
         qs = quiet_qs()
         ref = qs.spawn(SlowFirst(), qs.machines[0])
         assert qs.run(until_event=ref.call("work", clone_to=1)) == 1
         assert qs.runtime.clone_stats["calls"] == 0
-        assert qs.runtime.active_clone_calls() == []
+        assert qs.runtime.clone_calls == []
 
 
 class TestHedging:
@@ -97,7 +97,7 @@ class TestHedging:
         qs = quiet_qs()
         ref = qs.spawn(Steady(), qs.machines[0])
         ev = ref.call("work", clone_to=3, hedge_after=1e-3)
-        call = qs.runtime.active_clone_calls()[-1]
+        call = qs.runtime.clone_calls[-1]
         result = qs.run(until_event=ev)
         # Primary (5 ms) beats hedges launched at +1 ms and +2 ms.
         assert result == 1
@@ -113,12 +113,12 @@ class TestHedging:
         qs = quiet_qs()
         ref = qs.spawn(Steady(), qs.machines[0])
         ev = ref.call("work", clone_to=3, hedge_after=1.0)
-        call = qs.runtime.active_clone_calls()[-1]
+        call = qs.runtime.clone_calls[-1]
         qs.run(until_event=ev)
         assert call.hedges_fired == 0
         assert len(call.attempts) == 1
         qs.sim.run()  # the cancelled hedge timer must not leak
-        assert qs.sim.heap_stats()["dead_entries"] == 0
+        assert qs.sim.stats()["dead_entries"] == 0
 
 
 class TestValidation:
@@ -184,7 +184,7 @@ class TestObservability:
         ref = qs.spawn(SlowFirst(), qs.machines[0])
         qs.run(until_event=ref.call("work", clone_to=2))
         qs.run(until=qs.sim.now + 0.01)
-        stats = qs.metrics.record_clone_stats(qs.runtime)
+        stats = qs.metrics.record_stats(qs.runtime, "hedge")
         assert stats["calls"] == 1
         assert stats["calls_won"] == 1
         assert stats["clones_launched"] == 2

@@ -54,7 +54,7 @@ class TestRecordExecStats:
         specs = [RunSpec(kernel_churn_task, {"seed": i, "rounds": 5},
                          name=f"cell.{i}") for i in range(3)]
         report = run_specs(specs, jobs=2)
-        stats = rec.record_exec_stats(report)
+        stats = rec.record_stats(report, "exec")
         assert stats["runs"] == 3
         assert stats["misses"] == 3 and stats["hits"] == 0
         # Kernel gauges hold the spec-order sum of per-run deltas,
@@ -80,7 +80,7 @@ class TestRecordExecStats:
         from repro.exec.tasks import rng_walk_task
 
         report = run_specs([RunSpec(rng_walk_task, {"seed": 1})], jobs=1)
-        rec.record_exec_stats(report, prefix="sweep")
+        rec.record_stats(report, "sweep")
         assert rec.has("sweep.runs")
         assert rec.has("sweep.kernel.events")
         assert not rec.has("exec.runs")

@@ -98,17 +98,11 @@ class TestRecorderIntegration:
         tracer.instant("alpha", "a")
         tracer.begin("beta", "b")
         rec = MetricsRecorder(sim)
-        stats = rec.record_trace_stats()
+        stats = rec.record_stats(tracer, "obs.trace")
         assert stats["spans"] == 2 and stats["open"] == 1
         assert stats["category.alpha"] == 1
         assert rec.gauge("obs.trace.spans").level == 2
         assert rec.gauge("obs.trace.category.beta").level == 1
-
-    def test_record_trace_stats_noop_when_disabled(self):
-        sim = Simulator()
-        rec = MetricsRecorder(sim)
-        assert rec.record_trace_stats() == {}
-        assert not rec.has("obs.trace.spans")
 
     def test_detach_stops_recording(self):
         sim = Simulator()

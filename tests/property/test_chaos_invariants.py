@@ -41,7 +41,7 @@ def test_replay_with_same_seed_is_bit_identical(seed):
     first = run_chaos(config)
     replay = run_chaos(config)
     assert first.digest() == replay.digest()
-    assert first.trace_lines == replay.trace_lines
+    assert first.decisions == replay.decisions
 
 
 @settings(max_examples=60, deadline=None)

@@ -201,7 +201,7 @@ class TestCloneAtMostOnce:
         target = ref.proclet
         ev = ref.call("work", clone_to=3, retryable=False,
                       caller_machine=m1)
-        call = qs.runtime.active_clone_calls()[-1]
+        call = qs.runtime.clone_calls[-1]
         # Let the body start, then kill the host mid-execution.
         qs.run(until=qs.sim.now + 2e-3)
         assert target.executions == 1
@@ -218,7 +218,7 @@ class TestCloneAtMostOnce:
         m0, _ = qs.machines
         ref = qs.spawn(Once(), m0)
         ev = ref.call("work", clone_to=3, retryable=False)
-        call = qs.runtime.active_clone_calls()[-1]
+        call = qs.runtime.clone_calls[-1]
         assert qs.run(until_event=ev) == "done"
         # Sequential mode: one attempt sufficed, no parallel fan-out.
         assert ref.proclet.executions == 1

@@ -242,7 +242,7 @@ class TestHeapCompaction:
     def test_heap_stats_dict(self, sim):
         sim.timeout(1.0)
         sim.cancel(sim.timeout(2.0))
-        stats = sim.heap_stats()
+        stats = sim.stats()
         assert stats == {"queued": 1, "dead_entries": 1, "compactions": 0,
                          "cancellations": 1, "tombstones_popped": 0}
 
@@ -259,7 +259,7 @@ class TestHeapCompaction:
         metrics = MetricsRecorder(sim)
         sim.timeout(1.0)
         sim.cancel(sim.timeout(2.0))
-        stats = metrics.record_heap_stats()
+        stats = metrics.record_stats(sim, "sim.heap")
         assert stats["queued"] == 1
         assert stats["dead_entries"] == 1
         assert metrics.gauge("sim.heap.queued").level == 1

@@ -1,57 +1,15 @@
-"""Tests for control-plane tracing."""
+"""Control-plane decisions recorded in ``runtime.decisions`` by real
+runs: each answers "why did this happen?"."""
 
-import pytest
-
-from repro import Proclet, Task
+from repro import Task
 from repro.cluster import Priority
-from repro.sim import Simulator
-from repro.trace import TraceEvent, Tracer
 from repro.units import KiB, MiB, MS
 
 from .conftest import make_qs
 
 
-class TestTracerUnit:
-    def test_emit_and_query(self):
-        sim = Simulator()
-        tr = Tracer(sim)
-        tr.emit("a", "first", x=1)
-        sim.timeout(1.0)
-        sim.run()
-        tr.emit("b", "second")
-        assert len(tr) == 2
-        assert [e.message for e in tr.by_category("a")] == ["first"]
-        assert len(tr.since(0.5)) == 1
-        assert tr.categories() == {"a": 1, "b": 1}
-
-    def test_grep(self):
-        tr = Tracer(Simulator())
-        tr.emit("x", "hello world", target="m0")
-        assert tr.grep("world")
-        assert tr.grep("m0")
-        assert not tr.grep("nope")
-
-    def test_disabled_tracer_is_silent(self):
-        tr = Tracer(Simulator(), enabled=False)
-        tr.emit("x", "msg")
-        assert len(tr) == 0
-
-    def test_cap_drops_and_reports(self):
-        tr = Tracer(Simulator(), max_events=2)
-        for i in range(5):
-            tr.emit("x", f"e{i}")
-        assert len(tr) == 2
-        assert tr.dropped == 3
-        assert "dropped" in tr.dump()
-
-    def test_event_str(self):
-        e = TraceEvent(time=0.0012, category="migration",
-                       message="p m0->m1", fields={"bytes": 10})
-        s = str(e)
-        assert "migration" in s and "bytes=10" in s
-
-    def test_dump_empty(self):
-        assert "empty" in Tracer(Simulator()).dump()
+def decisions(qs, category):
+    return [d for d in qs.runtime.decisions if d.category == category]
 
 
 class TestTraceIntegration:
@@ -61,7 +19,7 @@ class TestTraceIntegration:
         qs.run(until_event=ref.call("mp_put", 0, 1 * MiB, None))
         qs.run(until_event=qs.runtime.migrate(ref.proclet,
                                               qs.machines[1]))
-        events = qs.runtime.tracer.by_category("migration")
+        events = decisions(qs, "migration")
         assert len(events) == 1
         assert "m0->m1" in events[0].message
         assert events[0].fields["bytes"] > 1 * MiB
@@ -75,9 +33,9 @@ class TestTraceIntegration:
         qs.run(until=2 * MS)
         m0.cpu.hold(threads=8.0, priority=Priority.HIGH)
         qs.run(until=qs.sim.now + 5 * MS)
-        decisions = qs.runtime.tracer.by_category("sched-local")
-        assert decisions
-        assert "cpu-starvation" in decisions[0].message
+        local = decisions(qs, "sched-local")
+        assert local
+        assert "cpu-starvation" in local[0].message
 
     def test_split_traced_with_cause_chain(self):
         """The trace answers 'why is this data on two machines?'"""
@@ -88,7 +46,7 @@ class TestTraceIntegration:
         for i in range(48):
             qs.run(until_event=m.put(f"k{i:03d}", None, 64 * KiB))
         qs.run(until=qs.sim.now + 0.1)
-        splits = [e for e in qs.runtime.tracer.by_category("reshard")
+        splits = [e for e in decisions(qs, "reshard")
                   if e.message.startswith("split ")]
         assert splits
         assert any("moved_bytes" in e.fields for e in splits)
