@@ -29,16 +29,13 @@ except ImportError:  # running as a script: python benchmarks/bench_exec.py
 _BURSTS = [0.5 * MS, 1 * MS, 2 * MS, 5 * MS]
 
 
-def test_warm_cache_skips_unchanged_grid(tmp_path, benchmark):
+def test_warm_cache_skips_unchanged_grid(tmp_path):
     specs = build_specs(bursts=_BURSTS, periods_per_run=6)
     cache = ResultCache(str(tmp_path / "cache"))
     cold = run_specs(specs, jobs=1, cache=cache)
     assert cold.misses == len(specs)
 
-    warm = benchmark.pedantic(
-        run_specs, args=(specs,), kwargs={"jobs": 1, "cache": cache},
-        rounds=1, iterations=1,
-    )
+    warm = run_specs(specs, jobs=1, cache=cache)
     assert warm.hit_rate >= 0.90
     assert warm.misses == 0
     assert warm.digest() == cold.digest()
@@ -49,12 +46,10 @@ def test_warm_cache_skips_unchanged_grid(tmp_path, benchmark):
         f"({warm.hit_rate:.0%}) in {warm.wall_s:.2f}s"))
 
 
-def test_parallel_sweep_digest_matches_serial(benchmark):
+def test_parallel_sweep_digest_matches_serial():
     specs = build_specs(bursts=_BURSTS, periods_per_run=6)
     serial = run_specs(specs, jobs=1)
-    parallel = benchmark.pedantic(
-        run_specs, args=(specs,), kwargs={"jobs": 2}, rounds=1, iterations=1,
-    )
+    parallel = run_specs(specs, jobs=2)
     assert parallel.digest() == serial.digest()
     assert parallel.kernel_totals() == serial.kernel_totals()
     record_report("EXEC-EQUIV", (

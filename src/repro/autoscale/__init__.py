@@ -1,8 +1,8 @@
 """Shard autoscaler: hysteresis control loop + crash-safe resharding.
 
-ROADMAP item 2 (modeled on the Neon shard-splitting RFC and Ceph's
-pg_autoscaler): per-shard capacity limits on bytes, objects, and routed
-call rate; hysteresis bands and cool-downs so decisions never
+Modeled on the Neon shard-splitting RFC and Ceph's pg_autoscaler: one
+per-shard byte capacity band (``QuicksandConfig.max_shard_bytes`` /
+``min_shard_bytes``); hysteresis and cool-downs so decisions never
 oscillate; and a two-phase reshard protocol (prepare → commit →
 cleanup, with explicit rollback on machine failure at any phase) so no
 human ever chooses shard counts and no crash ever strands a key.

@@ -1,9 +1,14 @@
-"""Autoscaler knobs, with the no-ping-pong hysteresis proof inline."""
+"""Autoscaler knobs.
+
+The size band itself is not here: the autoscaler reads
+``QuicksandConfig.max_shard_bytes`` / ``min_shard_bytes``, the same band
+every merge check reads, and :mod:`repro.autoscale.policy` holds the
+no-ping-pong hysteresis proof beside its one merge fraction.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from ..units import MS
 
@@ -12,37 +17,14 @@ from ..units import MS
 class AutoscaleConfig:
     """Configuration of the :class:`~repro.autoscale.ShardAutoscaler`.
 
-    Hysteresis: a split fires at ``heap > max_shard_bytes`` and produces
-    two children of ~``max/2`` bytes each; a merge fires only when the
-    *combined* size of a shard and its partner is below
-    ``merge_fraction * max_shard_bytes``.  With ``merge_fraction < 1``
-    the children of a fresh split sum to ~``max`` > the merge threshold,
-    so they can never immediately re-merge, and a fresh merge's survivor
-    is below the threshold < ``max``, so it can never immediately
-    re-split — the control loop cannot oscillate regardless of timing.
-    The per-shard ``cooldown`` additionally spaces decisions out when
-    the workload itself whipsaws across a threshold.
+    The per-shard ``cooldown`` spaces decisions out when the workload
+    itself whipsaws across a threshold.
     """
 
     #: Control-loop sampling period.
     period: float = 1 * MS
-    #: Byte capacity limits; ``None`` inherits the owning Quicksand's
-    #: ``max_shard_bytes`` / ``min_shard_bytes``.
-    max_shard_bytes: Optional[float] = None
-    min_shard_bytes: Optional[float] = None
-    #: Split a shard holding more than this many objects (off when None).
-    max_shard_objects: Optional[int] = None
-    #: Split a shard whose EWMA routed-call rate exceeds this many
-    #: calls/second (off when None).  A shard above half this rate is
-    #: also considered too hot to merge away.
-    max_route_rate: Optional[float] = None
-    #: Merge only when combined partner size < fraction * max (see the
-    #: hysteresis note above; must be < 1 to exclude ping-pong).
-    merge_fraction: float = 0.7
     #: Minimum spacing between structural decisions on the same shard.
     cooldown: float = 2 * MS
-    #: EWMA time constant for the routed-call-rate estimate.
-    rate_time_constant: float = 4 * MS
     #: Reshard operations allowed in flight per structure.
     max_concurrent: int = 2
     #: Consecutive failed/declined operations before the controller
@@ -58,22 +40,8 @@ class AutoscaleConfig:
     def __post_init__(self):
         if self.period <= 0:
             raise ValueError("period must be positive")
-        if not 0.0 < self.merge_fraction < 1.0:
-            raise ValueError(
-                f"merge_fraction must be in (0, 1) to rule out "
-                f"split/merge ping-pong: {self.merge_fraction}")
-        if self.max_shard_bytes is not None \
-                and self.min_shard_bytes is not None \
-                and self.max_shard_bytes <= self.min_shard_bytes:
-            raise ValueError("max_shard_bytes must exceed min_shard_bytes")
-        if self.max_shard_objects is not None and self.max_shard_objects < 2:
-            raise ValueError("max_shard_objects must be >= 2")
-        if self.max_route_rate is not None and self.max_route_rate <= 0:
-            raise ValueError("max_route_rate must be positive")
         if self.cooldown < 0 or self.shed_backoff <= 0:
             raise ValueError("cooldown must be >= 0 and shed_backoff > 0")
-        if self.rate_time_constant <= 0:
-            raise ValueError("rate_time_constant must be positive")
         if self.max_concurrent < 1:
             raise ValueError("max_concurrent must be >= 1")
         if self.fault_shed_threshold < 1:

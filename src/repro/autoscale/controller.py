@@ -1,12 +1,13 @@
 """The shard autoscaler control loop.
 
 A single DES process samples every tracked range-sharded structure each
-``period``: per-shard heap bytes, object counts, and an EWMA of the
-routed-call rate are compared against the configured capacity limits,
-and out-of-band shards are driven through the two-phase reshard
-protocol (:mod:`repro.autoscale.reshard`).  Decisions obey hysteresis
-(see :class:`AutoscaleConfig`), a per-shard cool-down, and a
-per-structure concurrency cap, so the loop cannot oscillate or stampede.
+``period`` and compares each shard's heap bytes against the one size
+band in ``QuicksandConfig`` (the paper's §3.3 rule: the size cap bounds
+migration latency).  Out-of-band shards are driven through the
+two-phase reshard protocol (:mod:`repro.autoscale.reshard`).  Decisions
+obey hysteresis (see :mod:`repro.autoscale.policy`), a per-shard
+cool-down, and a per-structure concurrency cap, so the loop cannot
+oscillate or stampede.
 
 Fault posture:
 
@@ -30,7 +31,6 @@ from __future__ import annotations
 import functools
 from typing import Dict, Generator, Optional, Set, Tuple
 
-from ..core.pressure import RateEstimator
 from ..runtime.errors import (
     DeadProclet,
     InvalidPlacement,
@@ -52,21 +52,11 @@ _STATE_CODE = {"active": 0, "frozen": 1, "degraded": 2}
 
 
 class ShardAutoscaler:
-    """Monitors shard load/size and drives split/merge decisions."""
+    """Monitors shard sizes and drives split/merge decisions."""
 
     def __init__(self, qs, config: Optional[AutoscaleConfig] = None):
         self.qs = qs
         self.config = config or AutoscaleConfig()
-        self.max_shard_bytes = (self.config.max_shard_bytes
-                                if self.config.max_shard_bytes is not None
-                                else qs.config.max_shard_bytes)
-        self.min_shard_bytes = (self.config.min_shard_bytes
-                                if self.config.min_shard_bytes is not None
-                                else qs.config.min_shard_bytes)
-        if self.max_shard_bytes <= self.min_shard_bytes:
-            raise ValueError("max_shard_bytes must exceed min_shard_bytes")
-        self._rates: Dict[int, RateEstimator] = {}
-        self._last_counts: Dict[int, int] = {}
         self._cooldown_until: Dict[int, float] = {}
         self._busy: Set[int] = set()
         self._consecutive_failures = 0
@@ -124,10 +114,8 @@ class ShardAutoscaler:
         recovery = runtime.recovery
         inflight = len(ledger.active_for_structure(ds))
         m = self.qs.metrics
-        route_counts = getattr(ds, "route_counts", None)
         for shard in list(ds.shards):
             pid = ds._shard_ref(shard).proclet_id
-            rate = self._update_rate(pid, now, route_counts)
             proclet = runtime._proclets.get(pid)
             if proclet is None:
                 continue  # lost to a machine failure; recovery's problem
@@ -137,7 +125,7 @@ class ShardAutoscaler:
                 continue
             if recovery is not None and recovery.restoring(pid):
                 continue  # mid-restore shards look transiently empty
-            action, reason = self._decide(ds, pid, proclet, rate)
+            action, reason = self._decide(ds, pid, proclet)
             if action is None:
                 continue
             self.decision_count += 1
@@ -169,52 +157,18 @@ class ShardAutoscaler:
             self._cooldown_until[pid] = now + self.config.cooldown
             ev.subscribe(functools.partial(self._op_done, pid))
 
-    def _update_rate(self, pid: int, now: float,
-                     route_counts) -> float:
-        if route_counts is None:
-            return 0.0
-        est = self._rates.get(pid)
-        if est is None:
-            est = self._rates[pid] = RateEstimator(
-                self.config.rate_time_constant)
-        count = route_counts.get(pid, 0)
-        est.update(now, count - self._last_counts.get(pid, 0))
-        self._last_counts[pid] = count
-        return est.rate
-
     # -- decisions -----------------------------------------------------------
-    def _decide(self, ds, pid: int, proclet,
-                rate: float) -> Tuple[Optional[str], str]:
-        cfg = self.config
+    def _decide(self, ds, pid: int, proclet) -> Tuple[Optional[str], str]:
+        band = self.qs.config
         heap = proclet.heap_bytes
-        if policy.oversized(heap, self.max_shard_bytes):
+        if policy.oversized(heap, band.max_shard_bytes):
             return "split", (f"bytes {heap:.0f} > "
-                             f"{self.max_shard_bytes:.0f}")
-        objects = proclet.object_count
-        if cfg.max_shard_objects is not None \
-                and objects > cfg.max_shard_objects:
-            return "split", (f"objects {objects} > "
-                             f"{cfg.max_shard_objects}")
-        if cfg.max_route_rate is not None and objects >= 2 \
-                and rate > cfg.max_route_rate:
-            return "split", (f"route rate {rate:.0f}/s > "
-                             f"{cfg.max_route_rate:.0f}/s")
-        if policy.undersized(heap, self.min_shard_bytes) \
-                and self._merge_ok(ds, pid, rate):
+                             f"{band.max_shard_bytes:.0f}")
+        if policy.undersized(heap, band.min_shard_bytes) \
+                and ds.wants_merge(pid):
             return "merge", (f"bytes {heap:.0f} < "
-                             f"{self.min_shard_bytes:.0f}")
+                             f"{band.min_shard_bytes:.0f}")
         return None, ""
-
-    def _merge_ok(self, ds, pid: int, rate: float) -> bool:
-        if not ds.wants_merge(pid):
-            return False
-        # Hysteresis on heat: never merge away a shard carrying more
-        # than half the split-triggering route rate.
-        cfg = self.config
-        if cfg.max_route_rate is not None \
-                and rate > 0.5 * cfg.max_route_rate:
-            return False
-        return True
 
     # -- op settlement -------------------------------------------------------
     def _op_done(self, pid: int, event) -> None:

@@ -3,15 +3,26 @@
 Both the deprecated heap-change-driven
 :class:`~repro.core.splitmerge.ShardSizeController` and the
 :class:`~repro.autoscale.ShardAutoscaler` control loop decide through
-these three functions, so the two paths provably agree on what counts
-as oversized/undersized (pinned by the fig2 decision-parity test).
+these three functions on the one band in ``QuicksandConfig``, so the
+two paths provably agree on what counts as oversized/undersized
+(pinned by the fig2 decision-parity test).
+
+Hysteresis: a split fires at ``heap > max_shard_bytes`` and produces
+two children of ~``max/2`` bytes each; a merge fires only when the
+*combined* size of a shard and its partner is below
+``MERGE_FRACTION * max_shard_bytes``.  With a fraction below 1
+the children of a fresh split sum to ~``max`` > the merge threshold, so
+they can never immediately re-merge, and a fresh merge's survivor is
+below the threshold < ``max``, so it can never immediately re-split —
+no controller timing can make a shard oscillate.
+
 Import-free within the package: callable from anywhere without cycles.
 """
 
 from __future__ import annotations
 
-#: Historical merge hysteresis factor (see AutoscaleConfig.merge_fraction).
-DEFAULT_MERGE_FRACTION = 0.7
+#: Merge hysteresis factor; must stay in (0, 1) for the proof above.
+MERGE_FRACTION = 0.7
 
 
 def oversized(heap_bytes: float, max_shard_bytes: float) -> bool:
@@ -24,9 +35,8 @@ def undersized(heap_bytes: float, min_shard_bytes: float) -> bool:
     return heap_bytes < min_shard_bytes
 
 
-def merge_fits(combined_bytes: float, max_shard_bytes: float,
-               fraction: float = DEFAULT_MERGE_FRACTION) -> bool:
+def merge_fits(combined_bytes: float, max_shard_bytes: float) -> bool:
     """May two partners merge?  True only when their combined size sits
     safely below the split threshold (hysteresis: a merged survivor must
     not immediately re-split)."""
-    return combined_bytes < fraction * max_shard_bytes
+    return combined_bytes < MERGE_FRACTION * max_shard_bytes

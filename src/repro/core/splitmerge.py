@@ -38,7 +38,7 @@ class ShardSizeController:
 
     .. deprecated::
         The :class:`repro.autoscale.ShardAutoscaler` loop supersedes
-        this controller (hysteresis bands, routed-load signals,
+        this controller (cool-downs, a concurrency cap,
         detector-driven freezing).  It stays the default because the
         pinned ``paper`` benchmark digest and the Fig. 1-3 outputs come
         from its reaction timing (it reacts at the heap change, the

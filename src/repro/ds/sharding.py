@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from ..autoscale import policy
 from ..autoscale.reshard import ReshardHooks
@@ -66,9 +66,6 @@ class ShardedBase(ReshardHooks):
         self.name = name
         self.shards: List[Shard] = []
         self._los: List[Any] = []  # parallel array for bisect routing
-        #: Routed calls attempted per shard proclet id — the autoscaler's
-        #: load signal (EWMA'd controller-side).  Host bookkeeping only.
-        self.route_counts: Dict[int, int] = {}
         # The index memory proclet: holds the shard routing table (§3.2).
         self.index_ref = qs.spawn_memory(machine=initial_machine,
                                          name=f"{name}.index")
@@ -190,8 +187,6 @@ class ShardedBase(ReshardHooks):
             backoff = config.route_retry_backoff
             for _try in range(max_retries):
                 ref = self.route(key)
-                self.route_counts[ref.proclet_id] = \
-                    self.route_counts.get(ref.proclet_id, 0) + 1
                 ev = (ctx.call(ref, method, *args, req_bytes=req_bytes)
                       if ctx is not None
                       else ref.call(method, *args, req_bytes=req_bytes))

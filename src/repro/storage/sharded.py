@@ -18,6 +18,7 @@ import bisect
 from dataclasses import dataclass
 from typing import Any, Generator, List, Optional, Tuple
 
+from ..autoscale import policy
 from ..autoscale.reshard import ReshardHooks
 from ..cluster import Machine
 from ..runtime import Payload
@@ -297,7 +298,7 @@ class ShardedStore(ReshardHooks):
 
     def _merge_fits(self, src, dst) -> bool:
         return (dst.stored_bytes + src.stored_bytes
-                <= 0.7 * self.max_shard_bytes
+                <= policy.MERGE_FRACTION * self.max_shard_bytes
                 and dst.machine.storage.free >= src.stored_bytes)
 
     def _move(self, src, dst, nbytes: float, name: str) -> Generator:

@@ -8,6 +8,8 @@ lost-shard retries with seeded exponential backoff; the default of 0
 preserves the old (bit-identical) trajectories.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.runtime import DeadProclet
@@ -24,8 +26,24 @@ def make_map(**config_kwargs):
     config_kwargs.setdefault("enable_split_merge", False)
     qs = make_qs(**config_kwargs)
     m = qs.sharded_map(name="kv")
+    m.routed = count_routes(m)
     qs.run(until_event=m.put("k", 1, 64 * KiB))
     return qs, m
+
+
+def count_routes(m):
+    """Count every routing attempt of *m* per shard proclet id (each
+    try of ``call_routed`` routes once)."""
+    counts = Counter()
+    route = m.route
+
+    def counting_route(key):
+        ref = route(key)
+        counts[ref.proclet_id] += 1
+        return ref
+
+    m.route = counting_route
+    return counts
 
 
 def kill_shard(qs, m):
@@ -50,10 +68,10 @@ class TestDefaultNoBackoff:
         qs, m = make_map()
         kill_shard(qs, m)
         pid = m.shards[0].ref.proclet_id
-        routed_before = m.route_counts.get(pid, 0)
+        routed_before = m.routed[pid]
         with pytest.raises(DeadProclet):
             qs.run(until_event=m.get("k"))
-        assert m.route_counts[pid] - routed_before == 8
+        assert m.routed[pid] - routed_before == 8
 
 
 class TestExponentialBackoff:
@@ -75,7 +93,7 @@ class TestExponentialBackoff:
         pid = m.shards[0].ref.proclet_id
         with pytest.raises(DeadProclet):
             qs.run(until_event=m.get("k"))
-        assert m.route_counts[pid] == 8 + 1  # +1: the original put
+        assert m.routed[pid] == 8 + 1  # +1: the original put
 
     def test_jitter_is_seeded_and_deterministic(self):
         def total_delay():
@@ -97,13 +115,13 @@ class TestExponentialBackoff:
         qs, m = make_map(route_retry_backoff=1 * MS)
         kill_shard(qs, m)
         pid = m.shards[0].ref.proclet_id
-        routed_before = m.route_counts.get(pid, 0)
+        routed_before = m.routed[pid]
         events = [m.get("k") for _ in range(20)]
         for ev in events:
             with pytest.raises(DeadProclet):
                 qs.run(until_event=ev)
         # Bounded total attempts: exactly the shared budget per caller.
-        assert m.route_counts[pid] - routed_before == 20 * 8
+        assert m.routed[pid] - routed_before == 20 * 8
         # And they were spread out, not a same-instant storm.
         assert qs.sim.now >= 255 * MS
 
