@@ -138,7 +138,7 @@ def scenario_fairshare(quick: bool):
                     priority=1, name=f"w{w}.{i}"))
             ops += per_wave
             # Let roughly half the wave drain before the next burst.
-            yield items[per_wave // 2].done
+            yield items[per_wave // 2]
 
     sim.process(poller(1, 0.0003))
     sim.process(poller(2, 0.0005))
@@ -209,7 +209,7 @@ def scenario_timerstorm(quick: bool):
         for r in range(rounds):
             sched.set_capacity(9.5 if r % 2 else 10.0)
             ops += 1
-            if pulse.done.triggered:
+            if pulse.triggered:
                 pulse = sched.submit(work=0.002, demand=4.0, priority=0,
                                      name="pulse")
                 ops += 1

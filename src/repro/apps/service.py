@@ -83,7 +83,7 @@ class LatencyService:
             work=self.service_cpu, threads=1.0,
             priority=Priority.HIGH, name=f"{self.name}.req",
         )
-        yield item.done
+        yield item
         self.requests_done += 1
         self.samples.append((arrived_at, sim.now - arrived_at))
 
@@ -266,13 +266,13 @@ class CloneService:
         try:
             while True:
                 for _server, item in items:
-                    if item.done.triggered and item.done.ok:
+                    if item.triggered and item.ok:
                         winner = item
                         break
                 if winner is not None:
                     break
-                live = [item.done for _server, item in items
-                        if not item.done.triggered]
+                live = [item for _server, item in items
+                        if not item.triggered]
                 if not live:
                     self.failed_requests += 1  # every clone crashed
                     return
@@ -288,7 +288,7 @@ class CloneService:
                         if not timer.processed:
                             sim.cancel(timer)  # tombstoned, not leaked
                     if timer.processed and not any(
-                            item.done.triggered for _s, item in items):
+                            item.triggered for _s, item in items):
                         if self._acquire_extra():
                             extras += 1
                             self.hedges_fired += 1

@@ -204,7 +204,7 @@ class Tenant:
 
     def _serve(self, proclet: ServingReplica, arrived_at: float) -> None:
         """Start one admitted request: one FluidItem on the replica's
-        current machine, resolved by one callback on its ``done``."""
+        current machine, resolved by one callback on the item."""
         draw = self.rng_service.expovariate(self._service_rate)
         item = proclet.machine.cpu.run(work=draw, threads=1.0,
                                        priority=Priority.HIGH,
@@ -225,7 +225,7 @@ class Tenant:
             if latency <= self.spec.slo_deadline:
                 self.slo_ok += 1
 
-        item.done.subscribe(finish)
+        item.subscribe(finish)
 
     # -- reporting ---------------------------------------------------------
     def mark_baseline(self) -> None:

@@ -54,10 +54,10 @@ class GpuPool:
 
     # -- consumption ----------------------------------------------------------
     def train_batch(self, name: str = "") -> FluidItem:
-        """Occupy one GPU for ``batch_time``; ``done`` fires at completion."""
+        """Occupy one GPU for ``batch_time``; the item fires at completion."""
         item = self.sched.submit(work=self.batch_time, demand=1.0,
                                  name=name or "batch")
-        item.done.subscribe(self._count_batch)
+        item.subscribe(self._count_batch)
         return item
 
     def _count_batch(self, _event) -> None:

@@ -60,7 +60,7 @@ class Fabric:
             yield self._partition_gate()
         if nbytes > 0:
             item = src.nic.send(nbytes, priority=priority, name=name)
-            yield item.done
+            yield item
         dst.nic.note_rx(nbytes)
         if self.metrics is not None:
             self.metrics.count("net.transfers")

@@ -33,8 +33,8 @@ class Nic:
 
     def send(self, nbytes: float, priority: int = 1,
              name: str = "") -> FluidItem:
-        """Enqueue *nbytes* for transmission; the item's ``done`` event
-        fires when the last byte leaves the NIC."""
+        """Enqueue *nbytes* for transmission; the item (an event) fires
+        when the last byte leaves the NIC."""
         if nbytes < 0:
             raise ValueError(f"negative transfer size: {nbytes}")
         if not self.up:

@@ -73,24 +73,24 @@ class StorageDevice:
         self.reads += 1
         op = self.iops.submit(work=1.0, demand=self.spec.iops,
                               priority=priority, name="read-op")
-        yield op.done
+        yield op
         if nbytes > 0:
             xfer = self.read_bw.submit(work=float(nbytes),
                                        demand=self.spec.read_bandwidth,
                                        priority=priority, name="read-bw")
-            yield xfer.done
+            yield xfer
 
     def write(self, nbytes: float, priority: int = 1) -> Generator:
         """Process: one write op (IOPS charge + bandwidth charge)."""
         self.writes += 1
         op = self.iops.submit(work=1.0, demand=self.spec.iops,
                               priority=priority, name="write-op")
-        yield op.done
+        yield op
         if nbytes > 0:
             xfer = self.write_bw.submit(work=float(nbytes),
                                         demand=self.spec.write_bandwidth,
                                         priority=priority, name="write-bw")
-            yield xfer.done
+            yield xfer
 
     def __repr__(self) -> str:
         return (f"<StorageDevice {self.machine_name} "

@@ -33,7 +33,7 @@ class GpuProclet(ResourceProclet):
     def gp_train(self, ctx, batch_key=None):
         """Train on one batch; occupies one GPU for its batch time."""
         item = self._pool().train_batch(name=f"{self.name}.batch")
-        yield item.done
+        yield item
         self.batches_trained += 1
         return batch_key
 

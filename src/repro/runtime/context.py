@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING, Any
 
 from ..cluster import Priority
 from ..sim import Event
+from ..sim.events import PENDING
 
 if TYPE_CHECKING:
     from .proclet import Proclet
@@ -59,27 +60,29 @@ class Context:
     def cpu(self, work: float, threads: float = 1.0) -> Event:
         """Consume *work* core-seconds on the proclet's machine.
 
-        Returns the completion event (``yield ctx.cpu(...)``).  The work
-        item follows the proclet across migrations.
+        Returns the work item, which is its own completion event
+        (``yield ctx.cpu(...)``).  It follows the proclet across
+        migrations.
         """
         proclet = self.proclet
         # Straight to the fluid scheduler (``Cpu.run`` is one more hop on
         # the hottest path); it submits with the same arguments.
         item = proclet._machine.cpu.sched.submit(
-            work, threads, self.priority, f"{proclet.name}.cpu", proclet)
-        done = item.done
-        if done.triggered:
-            return done
+            work, threads, self.priority, f"{proclet._name}.cpu", proclet)
+        if item._value is not PENDING:
+            return item
         active = proclet._active_cpu
         active.add(item)
         # Pending, so not yet processed: append instead of subscribe().
-        cbs = done.callbacks
+        # The item is the event its callbacks receive.
+        cbs = item.callbacks
         if cbs is None:
-            cbs = done.callbacks = []
-        cbs.append(lambda _e: active.discard(item))
+            item.callbacks = [active.discard]
+        else:
+            cbs.append(active.discard)
         if self.work_items is not None:
             self.work_items.append(item)
-        return done
+        return item
 
     def sleep(self, delay: float) -> Event:
         """Suspend the method for *delay* virtual seconds."""
@@ -102,9 +105,10 @@ class Context:
         and an RPC otherwise (§3.1).  ``req_bytes`` models a bulk request
         payload (e.g. a write), charged as a fabric transfer.
         """
+        proclet = self.proclet
         return self.runtime.invoke(
-            ref, method, *args, caller_machine=self.proclet.machine,
-            caller_proclet_id=self.proclet.id,
+            ref, method, *args, caller_machine=proclet._machine,
+            caller_proclet_id=proclet._id,
             priority=self.priority, req_bytes=req_bytes, **kwargs,
         )
 

@@ -202,7 +202,7 @@ class MigrationEngine:
             # proclet still lives there — if the source died, the
             # runtime's fail path already killed proclet and gate.
             for item in paused:
-                if not item.active and not item.done.triggered:
+                if not item.active and not item.triggered:
                     src.cpu.sched.attach(item)
             proclet._status = ProcletStatus.RUNNING
             gate, proclet._migration_gate = proclet._migration_gate, None
@@ -319,7 +319,7 @@ class MigrationEngine:
 
         # Resume threads at the destination.
         for item in paused:
-            if not item.active and not item.done.triggered:
+            if not item.active and not item.triggered:
                 dst.cpu.sched.attach(item)
 
         proclet._status = ProcletStatus.RUNNING

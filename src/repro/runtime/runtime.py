@@ -386,7 +386,7 @@ class NuRuntime:
         if proclet._status is ProcletStatus.DEAD:
             raise DeadProclet(f"{ref!r} was destroyed")
 
-        target = proclet.machine
+        target = proclet._machine
         # Where does the caller *believe* the proclet lives?  With
         # location caching the request first travels to the believed
         # host and pays a forwarding hop when the proclet has moved
@@ -394,11 +394,11 @@ class NuRuntime:
         believed = target
         if (self.location_caching and caller_machine is not None):
             believed = self.locator.cached_lookup(caller_machine,
-                                                  proclet.id)
+                                                  proclet._id)
         remote = caller_machine is not None and (
             caller_machine is not target or believed is not target)
         for listener in self._invocation_listeners:
-            listener(caller_proclet_id, proclet.id, remote)
+            listener(caller_proclet_id, proclet._id, remote)
         spec = self.fabric.spec
         if remote:
             self.remote_calls += 1
@@ -409,7 +409,7 @@ class NuRuntime:
                 # Stale cache: the believed host forwards to the actual
                 # one and the caller's cache is refreshed.
                 hops.append((believed, target))
-                self.locator.note_forwarded(caller_machine, proclet.id)
+                self.locator.note_forwarded(caller_machine, proclet._id)
             for src, dst in hops:
                 yield self.sim.timeout(self.fabric.oneway_delay())
                 if req_bytes > 0 and src is not dst:
@@ -445,7 +445,7 @@ class NuRuntime:
         if remote:
             # The proclet may have moved while executing; the response
             # flows from wherever it lives now.
-            source = proclet.machine if proclet._status is not \
+            source = proclet._machine if proclet._status is not \
                 ProcletStatus.DEAD else target
             yield self.sim.timeout(self.fabric.oneway_delay())
             if resp_bytes > 0 and caller_machine is not source:

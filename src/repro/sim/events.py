@@ -85,7 +85,10 @@ class Event:
             raise EventAlreadyTriggered(f"{self!r} already triggered")
         self._ok = True
         self._value = value
-        self.sim._schedule(self, delay)
+        if delay:
+            self.sim._schedule(self, delay)
+        else:
+            self.sim._ready.append(self)
         return self
 
     def fail(self, exc: BaseException, delay: float = 0.0) -> "Event":
@@ -96,7 +99,10 @@ class Event:
             raise EventAlreadyTriggered(f"{self!r} already triggered")
         self._ok = False
         self._value = exc
-        self.sim._schedule(self, delay)
+        if delay:
+            self.sim._schedule(self, delay)
+        else:
+            self.sim._ready.append(self)
         return self
 
     def trigger(self, event: "Event") -> None:
@@ -167,7 +173,10 @@ class Timeout(Event):
         self._processed = False
         self._cancelled = False
         self.delay = delay
-        sim._schedule(self, delay)
+        if delay:
+            sim._schedule(self, delay)
+        else:
+            sim._ready.append(self)
 
 
 class ConditionBase(Event):

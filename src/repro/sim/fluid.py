@@ -93,7 +93,7 @@ import math
 from typing import Callable, Dict, List, Optional
 
 from .errors import UnboundResource
-from .events import Event, Timeout
+from .events import PENDING, Event, Timeout
 from .simulator import Simulator
 
 _EPS = 1e-12
@@ -154,8 +154,14 @@ def _hist_drop(hist: Dict[float, int], demand: float) -> None:
         hist[demand] = count - 1
 
 
-class FluidItem:
+class FluidItem(Event):
     """One unit of continuous work being served by a :class:`FluidScheduler`.
+
+    The item is its own completion event: it succeeds, with itself as
+    the value, when its work reaches zero, and fails if its scheduler
+    fails it (:meth:`FluidScheduler.fail_all`).  Yield it from a
+    process, or subscribe to it.  A detached item stays untriggered so
+    it can be attached elsewhere; a hold never succeeds.
 
     Attributes
     ----------
@@ -170,23 +176,28 @@ class FluidItem:
     rate:
         Current assigned service rate (managed by the scheduler; reading
         it flushes any pending reassignment first).
-    done:
-        Event that succeeds (with the item) when work reaches zero.
     """
 
-    __slots__ = ("name", "demand", "priority", "remaining", "_rate", "done",
+    __slots__ = ("name", "demand", "priority", "remaining", "_rate",
                  "submitted_at", "started_at", "finished_at", "_sched",
                  "owner")
 
     def __init__(self, sched: "FluidScheduler", name: str, work: float,
                  demand: float, priority: int, owner=None):
+        # Event.__init__ inlined: one item per ``ctx.cpu`` call.
+        sim = sched.sim
+        self.sim = sim
+        self.callbacks = None
+        self._value = PENDING
+        self._ok = True
+        self._processed = False
+        self._cancelled = False
         self.name = name
         self.demand = float(demand)
         self.priority = int(priority)
         self.remaining = float(work)
         self._rate = 0.0
-        self.done: Event = sched.sim.event()
-        self.submitted_at = sched.sim._now
+        self.submitted_at = sim._now
         self.started_at: Optional[float] = None
         self.finished_at: Optional[float] = None
         self._sched: Optional[FluidScheduler] = sched
@@ -310,7 +321,7 @@ class FluidScheduler:
             item._sched = None
             item.remaining = 0.0
             item.finished_at = self.sim.now
-            item.done.succeed(item)
+            item.succeed(item)
             return item
         self._insert(item)
         return item
@@ -331,10 +342,10 @@ class FluidScheduler:
     def detach(self, item: FluidItem) -> float:
         """Remove *item* preserving its remaining work (for migration).
 
-        The ``done`` event is left untriggered so the item can be
-        re-submitted elsewhere via :meth:`attach`.  Service-start
-        tracking is reset so queueing delay is measured afresh wherever
-        the item lands next.
+        The item is left untriggered so it can be re-submitted
+        elsewhere via :meth:`attach`.  Service-start tracking is reset
+        so queueing delay is measured afresh wherever the item lands
+        next.
         """
         if item._sched is not self:
             raise UnboundResource(f"{item!r} is not attached to {self.name}")
@@ -354,7 +365,7 @@ class FluidScheduler:
         """
         if item._sched is not None:
             raise UnboundResource(f"{item!r} is already attached")
-        if item.done.triggered:
+        if item._value is not PENDING:
             raise UnboundResource(f"{item!r} already completed")
         item._sched = self
         item.submitted_at = self.sim.now
@@ -363,9 +374,9 @@ class FluidScheduler:
     def fail_all(self, exc: BaseException) -> None:
         """Fail every attached item with *exc* (machine failure).
 
-        Each item's ``done`` event fails, so processes blocked on the
-        work observe the failure immediately.  A no-op when nothing is
-        attached (no spurious reassignment or observer churn).
+        Each item fails, so processes blocked on the work observe the
+        failure immediately.  A no-op when nothing is attached (no
+        spurious reassignment or observer churn).
         """
         if not self._items:
             return
@@ -384,7 +395,7 @@ class FluidScheduler:
         for item in items:
             item._sched = None
             item._rate = 0.0
-            item.done.fail(exc)
+            item.fail(exc)
         self._mark_dirty()
 
     # -- tuning ---------------------------------------------------------------
@@ -837,7 +848,7 @@ class FluidScheduler:
         self._structure_changed = True
         self._reassign(0.0)
         for it in finished:
-            it.done.succeed(it)
+            it.succeed(it)
 
     def __repr__(self) -> str:
         return (f"<FluidScheduler {self.name!r} cap={self._capacity:g} "

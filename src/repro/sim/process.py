@@ -35,12 +35,11 @@ class Process(Event):
         # re-subscribes this callback, and binding it per-yield is pure
         # allocator churn on the dispatch hot path.
         self._resume_cb = self._resume
-        # Kick off on the next queue pop at the current time.
+        # Kick off from the ready FIFO at the current time.
         init = Event(sim)
-        init._ok = True
         init._value = None
-        sim._schedule(init)
         init.callbacks = [self._resume_cb]
+        sim._ready.append(init)
 
     # -- inspection -------------------------------------------------------
     @property
@@ -73,7 +72,7 @@ class Process(Event):
         # when the generator does not catch it?  No: an uncaught Interrupt
         # fails the process like any exception, which is the semantics we
         # want for preemption-kill.
-        self.sim._schedule(wakeup)
+        self.sim._ready.append(wakeup)
         wakeup.subscribe(self._resume_cb)
 
     # -- engine -----------------------------------------------------------

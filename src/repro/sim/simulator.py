@@ -6,19 +6,35 @@ deterministic simulator.  Time is a ``float`` in *seconds* of virtual time;
 no wall-clock API is consulted anywhere, so runs are exactly reproducible
 given a seed.
 
-The event queue is one binary heap of ``(when, priority, seq, event)``
-tuples, so dispatch order is total: time first, then priority (URGENT
-before NORMAL), then scheduling order.  Scheduled events can be
-*cancelled* (:meth:`Simulator.cancel`): the heap entry is tombstoned
-rather than removed and skipped for free when popped, and the heap is
-compacted in one pass once the dead/live ratio crosses
-:data:`_COMPACT_DEAD_RATIO`.  The fluid scheduler uses this to retire
-superseded completion timers instead of letting them bloat the heap.
+Dispatch order is total: time first, then priority (URGENT before
+NORMAL), then scheduling order.  The queue holding that order has two
+parts.  A binary heap of ``(when, priority, seq, event)`` tuples holds
+everything due later than now and every URGENT event; a *ready FIFO*
+(a ``deque`` of bare events) holds the NORMAL events due at now, in the
+order they were scheduled — most events (process starts and ends,
+succeeded events, fluid completions) have zero delay, and their place
+in the order is already known, so they skip the heap push and pop.
+
+The two parts read as one heap.  Dispatch takes the heap head when its
+time equals now, else the FIFO head, else the heap head (advancing the
+clock).  That is the heap order: a NORMAL heap entry due at now was
+pushed before the clock reached now (a NORMAL event scheduled at now
+goes to the FIFO), so it precedes every FIFO entry in scheduling order;
+an URGENT entry at now precedes them by priority; and the clock only
+advances once the FIFO is empty, so every FIFO entry is due at now.
+
+Scheduled events can be *cancelled* (:meth:`Simulator.cancel`): the
+entry is tombstoned rather than removed and skipped for free when it
+reaches the head, and both parts are compacted in one pass once the
+dead/live ratio crosses :data:`_COMPACT_DEAD_RATIO`.  The fluid
+scheduler uses this to retire superseded completion timers instead of
+letting them bloat the heap.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from typing import Any, Dict, Generator, Iterable, Optional
 
 from .errors import StopSimulation
@@ -81,17 +97,19 @@ class Simulator:
         Master seed for the simulator's named RNG streams.
     """
 
-    __slots__ = ("_now", "_queue", "_seq", "_processed_events", "_dead",
-                 "_cancellations", "_tombstones_popped", "_compactions",
-                 "_running", "_pending_flushes", "_observers", "random",
-                 "tracer", "__weakref__")
+    __slots__ = ("_now", "_queue", "_ready", "_seq", "_processed_events",
+                 "_dead", "_cancellations", "_tombstones_popped",
+                 "_compactions", "_running", "_pending_flushes",
+                 "_observers", "random", "tracer", "__weakref__")
 
     def __init__(self, start: float = 0.0, seed: int = 0):
         self._now = float(start)
         self._queue: list = []  # (time, priority, seq, event)
+        # NORMAL events due at now, in scheduling order (see module doc).
+        self._ready: deque = deque()
         self._seq = 0
         self._processed_events = 0
-        self._dead = 0          # tombstoned entries still in the heap
+        self._dead = 0          # tombstoned entries still queued
         self._cancellations = 0
         self._tombstones_popped = 0
         self._compactions = 0
@@ -120,11 +138,11 @@ class Simulator:
         """Number of events processed so far (for diagnostics)."""
         return self._processed_events
 
-    # -- heap diagnostics ---------------------------------------------------
+    # -- queue diagnostics --------------------------------------------------
     @property
     def queued(self) -> int:
-        """Live (non-tombstoned) events waiting in the heap."""
-        return len(self._queue) - self._dead
+        """Live (non-tombstoned) events waiting in the queue."""
+        return len(self._queue) + len(self._ready) - self._dead
 
     @property
     def dead_entries(self) -> int:
@@ -205,12 +223,20 @@ class Simulator:
     # -- scheduling ---------------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0,
                   priority: int = NORMAL) -> None:
-        """Enqueue *event* for processing at ``now + delay``."""
+        """Enqueue *event* for processing at ``now + delay``.
+
+        A NORMAL event due at now joins the ready FIFO; anything else is
+        pushed on the heap.  ``Event.succeed``/``fail``, ``Timeout`` and
+        ``Process`` append zero-delay events to the FIFO directly.
+        """
         if delay < 0:
             raise ValueError(f"cannot schedule into the past: delay={delay}")
+        when = self._now + delay
+        if when == self._now and priority == NORMAL:
+            self._ready.append(event)
+            return
         self._seq += 1
-        heapq.heappush(self._queue,
-                       (self._now + delay, priority, self._seq, event))
+        heapq.heappush(self._queue, (when, priority, self._seq, event))
 
     def call_at(self, when: float, fn, *args) -> Event:
         """Run ``fn(*args)`` at absolute virtual time *when*."""
@@ -230,10 +256,11 @@ class Simulator:
     def cancel(self, event: Event) -> bool:
         """Tombstone a scheduled-but-unprocessed *event*.
 
-        The event's callbacks will never run; its heap entry is skipped
-        when popped (or reclaimed in bulk by compaction).  Returns True if
-        the event was live and is now cancelled, False if it was never
-        scheduled, already processed, or already cancelled.
+        The event's callbacks will never run; its queue entry is skipped
+        when it reaches the head (or reclaimed in bulk by compaction).
+        Returns True if the event was live and is now cancelled, False
+        if it was never scheduled, already processed, or already
+        cancelled.
 
         Compaction is batched: a cancel issued from inside the dispatch
         loop (the common case — schedulers retiring superseded timers
@@ -248,17 +275,21 @@ class Simulator:
         event._cancelled = True
         self._cancellations += 1
         self._dead += 1
-        if (not self._running and self._dead > _COMPACT_MIN_DEAD
-                and self._dead > _COMPACT_DEAD_RATIO
-                * (len(self._queue) - self._dead)):
+        if not self._running and self._needs_compact():
             self._compact()
         return True
 
     def _compact(self) -> None:
-        """Drop tombstoned heap entries and re-heapify (in place, so
-        aliases held by the run loop stay valid)."""
+        """Drop tombstoned entries from the heap and the ready FIFO and
+        re-heapify (in place, so aliases held by the run loop stay
+        valid)."""
         self._queue[:] = [e for e in self._queue if not e[3]._cancelled]
         heapq.heapify(self._queue)
+        ready = self._ready
+        live = [e for e in ready if not e._cancelled]
+        if len(live) != len(ready):
+            ready.clear()
+            ready.extend(live)
         self._dead = 0
         self._compactions += 1
 
@@ -276,35 +307,51 @@ class Simulator:
         while pending:
             pending.pop(0)._run_pending_flush()
 
+    def _needs_compact(self) -> bool:
+        """True once tombstones outnumber live entries enough to
+        compact (see :data:`_COMPACT_DEAD_RATIO`)."""
+        dead = self._dead
+        return (dead > _COMPACT_MIN_DEAD and dead > _COMPACT_DEAD_RATIO
+                * (len(self._queue) + len(self._ready) - dead))
+
     def step(self) -> None:
         """Process the single next live event (skipping tombstones)."""
         queue = self._queue
+        ready = self._ready
         self._running = True
         try:
             while True:
-                if not queue:
-                    if self._pending_flushes:
+                if ready and (not queue or queue[0][0] != self._now):
+                    if self._needs_compact():
+                        self._compact()
+                        continue
+                    event = ready.popleft()
+                    if event._cancelled:
+                        self._dead -= 1
+                        self._tombstones_popped += 1
+                        continue
+                else:
+                    if not queue:
+                        if self._pending_flushes:
+                            self._drain_flushes()
+                            continue
+                        return
+                    head = queue[0]
+                    if self._pending_flushes and head[0] > self._now:
                         self._drain_flushes()
                         continue
-                    return
-                head = queue[0]
-                if self._pending_flushes and head[0] > self._now:
-                    self._drain_flushes()
-                    continue
-                if (self._dead > _COMPACT_MIN_DEAD
-                        and self._dead > _COMPACT_DEAD_RATIO
-                        * (len(queue) - self._dead)):
-                    self._compact()
-                    continue
-                heapq.heappop(queue)
-                event = head[3]
-                if event._cancelled:
-                    self._dead -= 1
-                    self._tombstones_popped += 1
-                    continue
-                when = head[0]
-                assert when >= self._now, "event queue went backwards"
-                self._now = when
+                    if self._needs_compact():
+                        self._compact()
+                        continue
+                    heapq.heappop(queue)
+                    event = head[3]
+                    if event._cancelled:
+                        self._dead -= 1
+                        self._tombstones_popped += 1
+                        continue
+                    when = head[0]
+                    assert when >= self._now, "event queue went backwards"
+                    self._now = when
                 self._processed_events += 1
                 event._process()
                 if self._observers:
@@ -318,11 +365,20 @@ class Simulator:
     def peek(self) -> float:
         """Time of the next live event, or ``inf`` if none."""
         queue = self._queue
-        while queue and queue[0][3]._cancelled:
-            heapq.heappop(queue)
+        ready = self._ready
+        while True:
+            if ready and (not queue or queue[0][0] != self._now):
+                if not ready[0]._cancelled:
+                    return self._now
+                ready.popleft()
+            elif queue:
+                if not queue[0][3]._cancelled:
+                    return queue[0][0]
+                heapq.heappop(queue)
+            else:
+                return float("inf")
             self._dead -= 1
             self._tombstones_popped += 1
-        return queue[0][0] if queue else float("inf")
 
     def run(self, until: Optional[float] = None,
             until_event: Optional[Event] = None) -> Any:
@@ -345,18 +401,23 @@ class Simulator:
             until_event.subscribe(stop_hit.append)
 
         # Hot loop: local aliases avoid repeated attribute lookups on the
-        # schedule->pop->_process path.  Pending coalesced reassignments
-        # are drained whenever time is about to advance (or the queue
-        # drains), so they are observationally equivalent to eager
-        # per-mutation recomputation.  Dead entries accumulated by
-        # in-loop cancels are reclaimed here, at most one batched
-        # compaction per dispatch, once the dead/live ratio crosses the
-        # threshold.
+        # schedule->pop->_process path.  The ready FIFO is served unless
+        # the heap head is due at now (see the module docstring for why
+        # that is the heap order); only a heap pop advances the clock.
+        # Pending coalesced reassignments are drained whenever time is
+        # about to advance (or the queue drains), so they are
+        # observationally equivalent to eager per-mutation
+        # recomputation.  Dead entries accumulated by in-loop cancels
+        # are reclaimed here, at most one batched compaction per
+        # dispatch, once the dead/live ratio crosses the threshold.
         queue = self._queue
+        ready = self._ready
+        popleft = ready.popleft
         pop = heapq.heappop
         flushes = self._pending_flushes
         observers = self._observers
         horizon = float("inf") if until is None else until
+        now = self._now  # only this loop moves the clock
         events_before = self._processed_events
         cancels_before = self._cancellations
         compactions_before = self._compactions
@@ -366,29 +427,41 @@ class Simulator:
             while True:
                 if stop_hit:
                     break
-                if not queue:
-                    if flushes:
-                        self._drain_flushes()
+                if ready and (not queue or queue[0][0] != now):
+                    if (self._dead > _COMPACT_MIN_DEAD
+                            and self._dead > _COMPACT_DEAD_RATIO
+                            * (len(queue) + len(ready) - self._dead)):
+                        self._compact()
                         continue
-                    break
-                head = queue[0]
-                if flushes and head[0] > self._now:
-                    self._drain_flushes()
-                    continue  # flushing may have enqueued new events
-                if (self._dead > _COMPACT_MIN_DEAD
-                        and self._dead > _COMPACT_DEAD_RATIO
-                        * (len(queue) - self._dead)):
-                    self._compact()
-                    continue
-                if head[0] > horizon:
-                    break
-                pop(queue)
-                event = head[3]
-                if event._cancelled:
-                    self._dead -= 1
-                    self._tombstones_popped += 1
-                    continue
-                self._now = head[0]
+                    event = popleft()
+                    if event._cancelled:
+                        self._dead -= 1
+                        self._tombstones_popped += 1
+                        continue
+                else:
+                    if not queue:
+                        if flushes:
+                            self._drain_flushes()
+                            continue
+                        break
+                    head = queue[0]
+                    if flushes and head[0] > now:
+                        self._drain_flushes()
+                        continue  # flushing may have enqueued new events
+                    if (self._dead > _COMPACT_MIN_DEAD
+                            and self._dead > _COMPACT_DEAD_RATIO
+                            * (len(queue) + len(ready) - self._dead)):
+                        self._compact()
+                        continue
+                    if head[0] > horizon:
+                        break
+                    pop(queue)
+                    event = head[3]
+                    if event._cancelled:
+                        self._dead -= 1
+                        self._tombstones_popped += 1
+                        continue
+                    now = self._now = head[0]
                 self._processed_events += 1
                 # Inlined Event._process (no subclass overrides it): one
                 # method call per event is real money at ~10^5 events/s.

@@ -314,7 +314,7 @@ class TestRequestPath:
         def sabotage():
             t = max(sc.tenants, key=lambda t: len(t.active_items))
             item = min(t.active_items, key=lambda i: i.submitted_at)
-            item.done.fail(RuntimeError("request blew up"))
+            item.fail(RuntimeError("request blew up"))
 
         _at(sc, 0.2, sabotage)
         with pytest.raises(RuntimeError, match="request blew up"):

@@ -24,7 +24,7 @@ class TestCpu:
     def test_run_completes_at_expected_time(self, cluster):
         m = cluster.machine(0)
         item = m.cpu.run(work=2.0, threads=1.0)
-        cluster.run(until_event=item.done)
+        cluster.run(until_event=item)
         assert cluster.sim.now == pytest.approx(2.0)
 
     def test_priority_preemption_signal(self, cluster):

@@ -41,7 +41,7 @@ class TestThreeClasses:
         m.cpu.hold(threads=6.0, priority=Priority.NORMAL)
         harvest = m.cpu.run(work=1.0, threads=8.0, priority=Priority.LOW)
         assert harvest.rate == pytest.approx(2.0)
-        qs.run(until_event=harvest.done)
+        qs.run(until_event=harvest)
         assert qs.sim.now == pytest.approx(0.5)
 
     def test_invocation_priority_propagates(self, qs):

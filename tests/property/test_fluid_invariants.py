@@ -111,7 +111,7 @@ def test_single_item_completion_time_exact(work, demand, capacity):
     sim = Simulator()
     sched = FluidScheduler(sim, capacity, name="cpu")
     item = sched.submit(work=work, demand=demand)
-    sim.run(until_event=item.done)
+    sim.run(until_event=item)
     rate = min(demand, capacity)
     assert math.isclose(sim.now, work / rate, rel_tol=1e-6)
 
@@ -139,7 +139,7 @@ def test_detach_attach_preserves_total_service(works, detach_at):
     served = a.served_integral + b.served_integral
     assert served == __import__("pytest").approx(total, rel=1e-6)
     for it in items:
-        assert it.done.triggered
+        assert it.triggered
 
 
 @settings(max_examples=40, deadline=None)

@@ -365,12 +365,16 @@ def test_split_inside_a_run_of_equal_demands():
 
 
 def _armed_deadline(sched):
-    """When the scheduler's completion timer fires (None if unarmed)."""
+    """When the scheduler's completion timer fires (None if unarmed).
+
+    A timer due later sits on the heap; one due now sits in the
+    simulator's ready FIFO."""
     timer = sched._timer
     if timer is None:
         return None
-    (when,) = [entry[0] for entry in sched.sim._queue
-               if entry[3] is timer]
+    sim = sched.sim
+    (when,) = ([entry[0] for entry in sim._queue if entry[3] is timer]
+               + [sim.now for ev in sim._ready if ev is timer])
     return when
 
 
@@ -547,7 +551,7 @@ def test_simultaneous_finishes_complete_in_submission_order():
     high = sched.submit(work=1.0, demand=1.0, priority=0)
     order = []
     for it in (high, low):
-        it.done.subscribe(lambda ev: order.append(ev.value))
+        it.subscribe(lambda ev: order.append(ev.value))
     sim.run()
     assert low.finished_at == high.finished_at == 1.0
     assert order == [low, high]

@@ -23,7 +23,7 @@ class TestSingleItem:
     def test_full_rate_completion_time(self, sim):
         sched = cpu(sim, cores=2.0)
         item = sched.submit(work=4.0, demand=2.0)
-        sim.run(until_event=item.done)
+        sim.run(until_event=item)
         assert sim.now == pytest.approx(2.0)
         assert item.finished_at == pytest.approx(2.0)
 
@@ -31,13 +31,13 @@ class TestSingleItem:
         sched = cpu(sim, cores=8.0)
         item = sched.submit(work=2.0, demand=1.0)  # one thread
         assert item.rate == pytest.approx(1.0)
-        sim.run(until_event=item.done)
+        sim.run(until_event=item)
         assert sim.now == pytest.approx(2.0)
 
     def test_zero_work_completes_immediately(self, sim):
         sched = cpu(sim)
         item = sched.submit(work=0.0)
-        assert item.done.triggered
+        assert item.triggered
         assert not item.active
 
     def test_negative_work_rejected(self, sim):
@@ -72,9 +72,9 @@ class TestFairSharing:
         short = sched.submit(work=1.0, demand=2.0)
         long = sched.submit(work=3.0, demand=2.0)
         # both at 1.0 until short finishes at t=1, then long at 2.0
-        sim.run(until_event=short.done)
+        sim.run(until_event=short)
         assert sim.now == pytest.approx(1.0)
-        sim.run(until_event=long.done)
+        sim.run(until_event=long)
         # long did 1 unit by t=1, then 2 more at rate 2 -> t=2
         assert sim.now == pytest.approx(2.0)
 
@@ -94,7 +94,7 @@ class TestPriorities:
         assert hi.rate == pytest.approx(2.0)
         assert low.rate == pytest.approx(0.0)
         assert low.starved
-        sim.run(until_event=hi.done)
+        sim.run(until_event=hi)
         assert sim.now == pytest.approx(1.0)
         assert low.rate == pytest.approx(2.0)
 
@@ -112,7 +112,7 @@ class TestPriorities:
         hold = sched.hold(demand=1.0, priority=0)
         sim.run(until=5.0)  # starved for 4s
         sched.cancel(hold)
-        sim.run(until_event=low.done)
+        sim.run(until_event=low)
         assert sim.now == pytest.approx(6.0)
 
     def test_queueing_delay_signal(self, sim):
@@ -129,7 +129,7 @@ class TestHoldAndDetach:
         sched = cpu(sim)
         h = sched.hold(demand=1.0)
         sim.run(until=100.0)
-        assert not h.done.triggered
+        assert not h.triggered
         assert h.remaining is math.inf
 
     def test_detach_preserves_remaining(self, sim):
@@ -142,7 +142,7 @@ class TestHoldAndDetach:
         sim.run(until=10.0)  # no progress while detached
         other = cpu(sim, cores=2.0)
         other.attach(item)
-        sim.run(until_event=item.done)
+        sim.run(until_event=item)
         assert sim.now == pytest.approx(12.0)  # 2.0 work at demand 1.0
 
     def test_detach_unknown_item_raises(self, sim):
@@ -154,7 +154,7 @@ class TestHoldAndDetach:
     def test_attach_completed_item_raises(self, sim):
         sched = cpu(sim)
         item = sched.submit(work=0.5, demand=1.0)
-        sim.run(until_event=item.done)
+        sim.run(until_event=item)
         with pytest.raises(UnboundResource):
             sched.attach(item)
 
@@ -164,7 +164,7 @@ class TestHoldAndDetach:
         sim.run(until=0.5)
         sched.cancel(item)
         sim.run(until=10.0)
-        assert not item.done.triggered
+        assert not item.triggered
 
 
 class TestCapacityChange:
@@ -173,7 +173,7 @@ class TestCapacityChange:
         item = sched.submit(work=4.0, demand=4.0)
         sim.run(until=1.0)
         sched.set_capacity(3.0)
-        sim.run(until_event=item.done)
+        sim.run(until_event=item)
         assert sim.now == pytest.approx(2.0)  # 1 + 3/3
 
     def test_capacity_zero_starves_all(self, sim):
@@ -181,7 +181,7 @@ class TestCapacityChange:
         item = sched.submit(work=1.0, demand=1.0)
         sched.set_capacity(0.0)
         sim.run(until=10.0)
-        assert not item.done.triggered
+        assert not item.triggered
         assert item.starved
 
 
@@ -247,8 +247,8 @@ class TestFailAll:
         sched = cpu(sim)
         item = sched.submit(work=10.0)
         sched.fail_all(RuntimeError("machine died"))
-        assert item.done.triggered
-        assert not item.done.ok
+        assert item.triggered
+        assert not item.ok
         assert not sched.items
 
     def test_fail_all_on_empty_scheduler_is_noop(self, sim):
@@ -260,8 +260,8 @@ class TestFailAll:
         assert sched.load == 0.0
         # the scheduler is still usable afterwards
         item = sched.submit(work=1.0, demand=1.0)
-        sim.run(until_event=item.done)
-        assert item.done.ok
+        sim.run(until_event=item)
+        assert item.ok
 
 
 class TestCoalescedReassignment:
@@ -308,7 +308,7 @@ class TestCoalescedReassignment:
             yield sim.timeout(0.0)
 
         sim.process(churn())
-        sim.run(until_event=keeper.done)
+        sim.run(until_event=keeper)
         # the cancelled flock never absorbed capacity for finite time
         assert sim.now == pytest.approx(1.0)
 

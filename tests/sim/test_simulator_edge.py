@@ -287,10 +287,10 @@ class TestPendingFlushDraining:
         sched, out = self._dirty_scheduler_in_process(sim)
         sim.step()  # runs the process: submit marks the scheduler dirty
         for _ in range(10):
-            if out["item"].done.triggered:
+            if out["item"].triggered:
                 break
             sim.step()
-        assert out["item"].done.triggered
+        assert out["item"].triggered
         assert sim.now == pytest.approx(2.0)
 
     def test_run_observes_flush_at_marking_timestamp(self, sim):
