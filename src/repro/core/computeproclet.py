@@ -14,7 +14,7 @@ pushing results into a sharded queue, ...).
 from __future__ import annotations
 
 import collections
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Deque, List, Optional
 
 from ..runtime import Payload, ProcletRef
@@ -35,7 +35,6 @@ class Task:
     key: Any = None
     fn: Optional[Callable] = None   # generator fn(ctx, task) -> result
     done: Any = None                # Event, attached by the submitter
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.work < 0:

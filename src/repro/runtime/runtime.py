@@ -286,7 +286,7 @@ class NuRuntime:
                 self._invoke_proc(ref, method, args, kwargs, caller_machine,
                                   caller_proclet_id, priority, req_bytes,
                                   retryable),
-                name=f"call:{ref.name}.{method}",
+                name=f"call:{ref._name}.{method}",
             )
         from ..hedge import CloneCall
         self.clone_stats["calls"] += 1
@@ -339,13 +339,90 @@ class NuRuntime:
                      caller_proclet_id: Optional[int], priority: Priority,
                      req_bytes: float, retryable: bool = True,
                      clone_state=None, work_items=None) -> Generator:
+        # One generator per call: each attempt runs inline in the retry
+        # loop, so every resume of the method body passes through one
+        # frame fewer than with a nested per-attempt generator.
         attempt = 0
         while True:
             try:
-                result = yield from self._invoke_attempt(
-                    ref, method, args, kwargs, caller_machine,
-                    caller_proclet_id, priority, req_bytes,
-                    clone_state, work_items)
+                proclet = self.get_proclet(ref.proclet_id)
+
+                # Block while the target is mid-migration (possibly
+                # repeatedly).
+                while proclet._status is ProcletStatus.MIGRATING:
+                    yield proclet._migration_gate
+                if proclet._status is ProcletStatus.DEAD:
+                    raise DeadProclet(f"{ref!r} was destroyed")
+
+                target = proclet._machine
+                # Where does the caller *believe* the proclet lives?
+                # With location caching the request first travels to
+                # the believed host and pays a forwarding hop when the
+                # proclet has moved since (Nu's lazy cache-refresh
+                # protocol).
+                believed = target
+                if (self.location_caching and caller_machine is not None):
+                    believed = self.locator.cached_lookup(caller_machine,
+                                                          proclet._id)
+                remote = caller_machine is not None and (
+                    caller_machine is not target or believed is not target)
+                for listener in self._invocation_listeners:
+                    listener(caller_proclet_id, proclet._id, remote)
+                if remote:
+                    self.remote_calls += 1
+                    hops = []
+                    if believed is not caller_machine:
+                        hops.append((caller_machine, believed))
+                    if believed is not target:
+                        # Stale cache: the believed host forwards to the
+                        # actual one and the caller's cache is refreshed.
+                        hops.append((believed, target))
+                        self.locator.note_forwarded(caller_machine,
+                                                    proclet._id)
+                    for src, dst in hops:
+                        yield self.sim.timeout(self.fabric.oneway_delay())
+                        if req_bytes > 0 and src is not dst:
+                            yield self.fabric.transfer(
+                                src, dst, req_bytes, priority=int(priority),
+                                name=f"req:{method}")
+                else:
+                    self.local_calls += 1
+                    yield self.sim.timeout(
+                        self.fabric.spec.local_call_overhead)
+
+                fn = getattr(proclet, method, None)
+                if fn is None or not callable(fn):
+                    raise UnknownMethod(f"{type(proclet).__name__}.{method}")
+
+                ctx = Context(self, proclet, priority, work_items)
+                proclet._inflight += 1
+                if clone_state is not None:
+                    # The at-most-once marker for non-retryable clones:
+                    # bumped the moment the body is about to run, crash
+                    # or not.
+                    clone_state.executions += 1
+                try:
+                    result = fn(ctx, *args, **kwargs)
+                    if inspect.isgenerator(result):
+                        result = yield from result
+                finally:
+                    proclet._inflight -= 1
+
+                resp_bytes = 0.0
+                if isinstance(result, Payload):
+                    resp_bytes = result.nbytes
+                    result = result.value
+
+                if remote:
+                    # The proclet may have moved while executing; the
+                    # response flows from wherever it lives now.
+                    source = proclet._machine if proclet._status is not \
+                        ProcletStatus.DEAD else target
+                    yield self.sim.timeout(self.fabric.oneway_delay())
+                    if resp_bytes > 0 and caller_machine is not source:
+                        yield self.fabric.transfer(
+                            source, caller_machine, resp_bytes,
+                            priority=int(priority), name=f"resp:{method}")
                 return result
             except (ProcletLost, MachineFailed) as exc:
                 # Transparent retry: only when a recovery manager covers
@@ -372,87 +449,6 @@ class NuRuntime:
                 if self.metrics is not None:
                     self.metrics.count("ft.call_retries")
                 yield self.sim.timeout(delay)
-
-    def _invoke_attempt(self, ref: ProcletRef, method: str, args, kwargs,
-                        caller_machine: Optional[Machine],
-                        caller_proclet_id: Optional[int],
-                        priority: Priority, req_bytes: float,
-                        clone_state=None, work_items=None) -> Generator:
-        proclet = self.get_proclet(ref.proclet_id)
-
-        # Block while the target is mid-migration (possibly repeatedly).
-        while proclet._status is ProcletStatus.MIGRATING:
-            yield proclet._migration_gate
-        if proclet._status is ProcletStatus.DEAD:
-            raise DeadProclet(f"{ref!r} was destroyed")
-
-        target = proclet._machine
-        # Where does the caller *believe* the proclet lives?  With
-        # location caching the request first travels to the believed
-        # host and pays a forwarding hop when the proclet has moved
-        # since (Nu's lazy cache-refresh protocol).
-        believed = target
-        if (self.location_caching and caller_machine is not None):
-            believed = self.locator.cached_lookup(caller_machine,
-                                                  proclet._id)
-        remote = caller_machine is not None and (
-            caller_machine is not target or believed is not target)
-        for listener in self._invocation_listeners:
-            listener(caller_proclet_id, proclet._id, remote)
-        spec = self.fabric.spec
-        if remote:
-            self.remote_calls += 1
-            hops = []
-            if believed is not caller_machine:
-                hops.append((caller_machine, believed))
-            if believed is not target:
-                # Stale cache: the believed host forwards to the actual
-                # one and the caller's cache is refreshed.
-                hops.append((believed, target))
-                self.locator.note_forwarded(caller_machine, proclet._id)
-            for src, dst in hops:
-                yield self.sim.timeout(self.fabric.oneway_delay())
-                if req_bytes > 0 and src is not dst:
-                    yield self.fabric.transfer(src, dst, req_bytes,
-                                               priority=int(priority),
-                                               name=f"req:{method}")
-        else:
-            self.local_calls += 1
-            yield self.sim.timeout(spec.local_call_overhead)
-
-        fn = getattr(proclet, method, None)
-        if fn is None or not callable(fn):
-            raise UnknownMethod(f"{type(proclet).__name__}.{method}")
-
-        ctx = Context(self, proclet, priority, work_items)
-        proclet._inflight += 1
-        if clone_state is not None:
-            # The at-most-once marker for non-retryable clones: bumped
-            # the moment the body is about to run, crash or not.
-            clone_state.executions += 1
-        try:
-            result = fn(ctx, *args, **kwargs)
-            if inspect.isgenerator(result):
-                result = yield from result
-        finally:
-            proclet._inflight -= 1
-
-        resp_bytes = 0.0
-        if isinstance(result, Payload):
-            resp_bytes = result.nbytes
-            result = result.value
-
-        if remote:
-            # The proclet may have moved while executing; the response
-            # flows from wherever it lives now.
-            source = proclet._machine if proclet._status is not \
-                ProcletStatus.DEAD else target
-            yield self.sim.timeout(self.fabric.oneway_delay())
-            if resp_bytes > 0 and caller_machine is not source:
-                yield self.fabric.transfer(source, caller_machine, resp_bytes,
-                                           priority=int(priority),
-                                           name=f"resp:{method}")
-        return result
 
     # -- migration ----------------------------------------------------------------
     def migrate(self, ref_or_proclet, dst: Machine) -> Process:

@@ -157,11 +157,17 @@ def _hist_drop(hist: Dict[float, int], demand: float) -> None:
 class FluidItem(Event):
     """One unit of continuous work being served by a :class:`FluidScheduler`.
 
-    The item is its own completion event: it succeeds, with itself as
-    the value, when its work reaches zero, and fails if its scheduler
+    The item is its own completion event: it succeeds, with value
+    ``None``, when its work reaches zero, and fails if its scheduler
     fails it (:meth:`FluidScheduler.fail_all`).  Yield it from a
-    process, or subscribe to it.  A detached item stays untriggered so
-    it can be attached elsewhere; a hold never succeeds.
+    process, or subscribe to it: either way the event handed over is
+    the item itself.  A detached item stays untriggered so it can be
+    attached elsewhere; a hold never succeeds.
+
+    While pending, an item is referenced by its scheduler's buckets and
+    by whoever waits on it; once finished it holds no reference back to
+    itself (its value is ``None`` and its scheduler is cleared), so it
+    is freed by reference count as soon as its last waiter lets go.
 
     Attributes
     ----------
@@ -316,12 +322,12 @@ class FluidScheduler:
         if demand <= 0:
             raise ValueError(f"demand must be positive: {demand}")
         item = FluidItem(self, name or f"{self.name}-item", work, demand,
-                         priority, owner=owner)
+                         priority, owner)
         if work <= _DONE_TOL:
             item._sched = None
             item.remaining = 0.0
-            item.finished_at = self.sim.now
-            item.succeed(item)
+            item.finished_at = self.sim._now
+            item.succeed()
             return item
         self._insert(item)
         return item
@@ -524,22 +530,31 @@ class FluidScheduler:
 
     # -- engine ------------------------------------------------------------------
     def _insert(self, item: FluidItem) -> None:
+        # One call per submit: _hist_add and _mark_dirty are inlined.
         prio = item.priority
+        demand = item.demand
         self._items[item] = None
         bucket = self._buckets.get(prio)
         if bucket is None:
             self._buckets[prio] = {item: None}
-            self._demands[prio] = {item.demand: 1}
+            self._demands[prio] = {demand: 1}
             self._prio_order = sorted(self._buckets)
         else:
             bucket[item] = None
-            _hist_add(self._demands[prio], item.demand)
-        self._demand_total += item.demand
+            hist = self._demands[prio]
+            hist[demand] = hist.get(demand, 0) + 1
+        self._demand_total += demand
         self._dirty_classes.add(prio)
         if item.remaining != math.inf:
             self._finite[prio] = self._finite.get(prio, 0) + 1
         self._structure_changed = True
-        self._mark_dirty()
+        self._dirty = True
+        sim = self.sim
+        if not sim._running and not self._in_flush:
+            self._flush()
+        elif not self._flush_scheduled:
+            self._flush_scheduled = True
+            sim._pending_flushes.append(self)
 
     def _remove(self, item: FluidItem) -> None:
         prio = item.priority
@@ -847,8 +862,12 @@ class FluidScheduler:
         self._dirty = False
         self._structure_changed = True
         self._reassign(0.0)
+        # Event.succeed() inlined: every finished item is pending and
+        # _ok (a failed item has left the scheduler).
+        ready = self.sim._ready
         for it in finished:
-            it.succeed(it)
+            it._value = None
+            ready.append(it)
 
     def __repr__(self) -> str:
         return (f"<FluidScheduler {self.name!r} cap={self._capacity:g} "

@@ -5,6 +5,11 @@ yielded event is processed, the process resumes with the event's value (or
 has the event's exception thrown into it).  The :class:`Process` object is
 itself an event that triggers when the generator returns, so processes
 compose: one process can ``yield`` another.
+
+A process is freed by reference count once it has finished and nothing
+else holds it: the bound ``_resume`` callback it keeps for its waits is
+dropped on every exit path, and the entry that starts it is a
+:class:`_Start`, not a full :class:`Event`.
 """
 
 from __future__ import annotations
@@ -15,10 +20,45 @@ from .errors import Interrupt
 from .events import PENDING, Event
 
 
-class Process(Event):
-    """Drives a generator as a cooperative simulation process."""
+class _Start:
+    """The ready-FIFO entry that starts a process.
 
-    __slots__ = ("generator", "name", "_target", "_started", "_resume_cb")
+    Dispatch reads only ``callbacks``, ``_processed`` and
+    ``_cancelled``, and ``Process._resume`` only ``_ok`` and ``_value``,
+    so the entry carries two slots and keeps the rest at class level: a
+    start is never cancelled and always succeeds with ``None``.
+    """
+
+    __slots__ = ("callbacks", "_processed")
+
+    _ok = True
+    _value = None
+    _cancelled = False
+
+    def __init__(self, resume):
+        self.callbacks = [resume]
+        self._processed = False
+
+    def _process(self) -> None:
+        """Run the resume callback (``Simulator.step``; ``run`` inlines
+        this like ``Event._process``)."""
+        callbacks, self.callbacks = self.callbacks, None
+        self._processed = True
+        for cb in callbacks:
+            cb(self)
+
+
+class Process(Event):
+    """Drives a generator as a cooperative simulation process.
+
+    While alive, a process is referenced by the event it waits on (its
+    ``_resume_cb`` is in that event's callbacks) or by its start entry
+    in the ready FIFO.  When the generator returns or raises, the
+    process drops ``_resume_cb``, the bound method that would otherwise
+    keep it in a reference cycle with itself.
+    """
+
+    __slots__ = ("generator", "name", "_target", "_resume_cb")
 
     def __init__(self, sim, generator: Generator, name: str = ""):
         if not hasattr(generator, "send"):
@@ -26,20 +66,23 @@ class Process(Event):
                 f"Process needs a generator, got {type(generator).__name__}; "
                 "did you forget to call the generator function?"
             )
-        super().__init__(sim)
+        # Event.__init__ inlined: one process per proclet call.
+        self.sim = sim
+        self.callbacks = None
+        self._value = PENDING
+        self._ok = True
+        self._processed = False
+        self._cancelled = False
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "proc")
         self._target: Optional[Event] = None
-        self._started = False
         # One bound method for the process's whole lifetime: every yield
         # re-subscribes this callback, and binding it per-yield is pure
-        # allocator churn on the dispatch hot path.
-        self._resume_cb = self._resume
+        # allocator churn on the dispatch hot path.  _resume drops it
+        # when the generator ends (it is a reference to self).
+        resume = self._resume_cb = self._resume
         # Kick off from the ready FIFO at the current time.
-        init = Event(sim)
-        init._value = None
-        init.callbacks = [self._resume_cb]
-        sim._ready.append(init)
+        sim._ready.append(_Start(resume))
 
     # -- inspection -------------------------------------------------------
     @property
@@ -83,7 +126,6 @@ class Process(Event):
             # A late wakeup (e.g. a second interrupt scheduled before the
             # first one finished the process) — nothing left to resume.
             return
-        self._started = True
         self._target = None
         while True:
             try:
@@ -92,10 +134,12 @@ class Process(Event):
                 else:
                     next_ev = self.generator.throw(event._value)
             except StopIteration as stop:
+                self._resume_cb = None
                 if self._value is PENDING:
                     self.succeed(stop.value)
                 return
             except BaseException as exc:
+                self._resume_cb = None
                 if self._value is PENDING:
                     self.fail(exc)
                     return
@@ -109,8 +153,10 @@ class Process(Event):
                 try:
                     self.generator.throw(err)
                 except StopIteration:
+                    self._resume_cb = None
                     self.succeed(None)
                 except BaseException as exc:
+                    self._resume_cb = None
                     self.fail(exc)
                 return
 

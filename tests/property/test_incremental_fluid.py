@@ -551,7 +551,7 @@ def test_simultaneous_finishes_complete_in_submission_order():
     high = sched.submit(work=1.0, demand=1.0, priority=0)
     order = []
     for it in (high, low):
-        it.subscribe(lambda ev: order.append(ev.value))
+        it.subscribe(order.append)
     sim.run()
     assert low.finished_at == high.finished_at == 1.0
     assert order == [low, high]
