@@ -53,6 +53,8 @@ from ..runtime.errors import InvalidPlacement, MachineFailed
 from ..units import GiB, MS
 from .traces import ArrivalTrace, TraceSpec
 
+_HIGH = int(Priority.HIGH)
+
 
 @dataclass(frozen=True)
 class TenantSpec:
@@ -131,7 +133,7 @@ class AdmissionController:
 
 class Tenant:
     """Runtime state of one tenant inside a scenario (counters, replica
-    fleet, request loop).  Created by :class:`ServingScenario`."""
+    fleet, request path).  Created by :class:`ServingScenario`."""
 
     def __init__(self, scenario: "ServingScenario", spec: TenantSpec):
         self.scenario = scenario
@@ -151,6 +153,10 @@ class Tenant:
         self._req_name = f"{spec.name}.req"
         self._service_rate = 1.0 / spec.service_mean
         self._rr = 0                      # round-robin cursor
+        self._arrivals = self.trace.arrivals()
+        self._t_prev = 0.0                # time of the last arrival
+        # Admission cap and the fleet size it was computed for.
+        self._cap_size = self._cap = 0
         self.inflight = 0
         self.offered = 0
         self.admitted = 0
@@ -176,56 +182,74 @@ class Tenant:
         return self.replicas
 
     # -- request path ------------------------------------------------------
-    def arrival_loop(self) -> Generator:
-        sim = self.sim
-        spec = self.spec
-        max_inflight = self.scenario.admission.max_inflight
+    def start(self) -> None:
+        """Queue the start of the arrival stream at the current instant.
+
+        A zero-delay timeout, so the first arrival's timeout is created
+        when the start is dispatched, in tenant order with every other
+        entry of the ready FIFO.
+        """
+        self.sim.timeout(0.0).callbacks = [self._next_arrival]
+
+    def _next_arrival(self, _event=None) -> None:
+        """Schedule the timeout of the next arrival, if any is left."""
+        t = next(self._arrivals, None)
+        if t is None:
+            return
+        ev = self.sim.timeout(t - self._t_prev)
+        ev.callbacks = [self._on_arrival]
+        self._t_prev = t
+
+    def _on_arrival(self, _event) -> None:
+        """One arrival: count it, admit or shed it, then arm the next."""
+        self.offered += 1
+        self.window_arrivals += 1
+        live = self.replicas
         # The admission cap depends only on the fleet size, which
         # changes a few times per scheduler round at most.
-        cap_size = cap = 0
-        t_prev = 0.0
-        for t in self.trace.arrivals():
-            yield sim.timeout(t - t_prev)
-            t_prev = t
-            self.offered += 1
-            self.window_arrivals += 1
-            live = self.replicas
-            if len(live) != cap_size:
-                cap_size = len(live)
-                cap = max_inflight(spec, cap_size)
-            if not live or self.inflight >= cap:
-                self.rejected += 1
-                continue
+        if len(live) != self._cap_size:
+            self._cap_size = len(live)
+            self._cap = self.scenario.admission.max_inflight(
+                self.spec, self._cap_size)
+        if not live or self.inflight >= self._cap:
+            self.rejected += 1
+        else:
             self.admitted += 1
             self.inflight += 1
             _ref, proclet = live[self._rr % len(live)]
             self._rr += 1
-            self._serve(proclet, sim.now)
+            self._serve(proclet)
+        self._next_arrival()
 
-    def _serve(self, proclet: ServingReplica, arrived_at: float) -> None:
+    def _serve(self, proclet: ServingReplica) -> None:
         """Start one admitted request: one FluidItem on the replica's
-        current machine, resolved by one callback on the item."""
+        current machine, resolved by :meth:`_finish` on the item."""
         draw = self.rng_service.expovariate(self._service_rate)
-        item = proclet.machine.cpu.run(work=draw, threads=1.0,
-                                       priority=Priority.HIGH,
-                                       name=self._req_name)
+        # Straight to the fluid scheduler, like ``ctx.cpu``: ``Cpu.run``
+        # submits with the same arguments.
+        item = proclet.machine.cpu.sched.submit(
+            draw, 1.0, _HIGH, self._req_name)
         self.active_items.add(item)
+        # A new item has no callbacks and is not yet processed (a
+        # zero-work one is only queued), so no subscribe() is needed.
+        item.callbacks = [self._finish]
 
-        def finish(event) -> None:
-            self.active_items.discard(item)
-            self.inflight -= 1
-            if not event.ok:
-                if isinstance(event.value, MachineFailed):
-                    self.failed += 1
-                    return
-                raise event.value
-            latency = self.sim.now - arrived_at
-            self.completed += 1
-            self.samples.append((arrived_at, latency))
-            if latency <= self.spec.slo_deadline:
-                self.slo_ok += 1
-
-        item.subscribe(finish)
+    def _finish(self, item) -> None:
+        """Resolve one request; its arrival time is the item's
+        submission time."""
+        self.active_items.discard(item)
+        self.inflight -= 1
+        if not item._ok:
+            if isinstance(item._value, MachineFailed):
+                self.failed += 1
+                return
+            raise item._value
+        arrived_at = item.submitted_at
+        latency = self.sim._now - arrived_at
+        self.completed += 1
+        self.samples.append((arrived_at, latency))
+        if latency <= self.spec.slo_deadline:
+            self.slo_ok += 1
 
     # -- reporting ---------------------------------------------------------
     def mark_baseline(self) -> None:
@@ -484,8 +508,7 @@ class ServingScenario:
         else:
             self._bootstrap_static()
         for t in self.tenants:
-            self.qs.sim.process(t.arrival_loop(),
-                                name=f"{t.spec.name}.arrivals")
+            t.start()
         self.qs.sim.process(self._warmup_marker(), name="serving.warmup")
         self._util_t0 = 0.0
         self._util_integrals: List[Tuple[object, float]] = []

@@ -8,8 +8,10 @@ compose: one process can ``yield`` another.
 
 A process is freed by reference count once it has finished and nothing
 else holds it: the bound ``_resume`` callback it keeps for its waits is
-dropped on every exit path, and the entry that starts it is a
-:class:`_Start`, not a full :class:`Event`.
+dropped on every exit path, the traceback of the exception a failed
+process holds does not start at the ``_resume`` frame (whose ``self`` is
+the process), and the entry that starts it is a :class:`_Start`, not a
+full :class:`Event`.
 """
 
 from __future__ import annotations
@@ -141,6 +143,12 @@ class Process(Event):
             except BaseException as exc:
                 self._resume_cb = None
                 if self._value is PENDING:
+                    # The traceback's head is this frame, whose ``self``
+                    # is about to hold the exception: drop it, or the
+                    # failed process sits in a cycle until the cyclic
+                    # collector runs.  (No local for the traceback: a
+                    # frame holding its own traceback is a cycle too.)
+                    exc.__traceback__ = exc.__traceback__.tb_next
                     self.fail(exc)
                     return
                 raise

@@ -31,6 +31,35 @@ _specs = st.builds(
 )
 
 
+# Burst-heavy specs: up to 20 windows per period, so windows coalesce
+# and the burst cursor crosses many of them; plus the flat and the
+# burst-free edges.
+_bursty_specs = st.builds(
+    TraceSpec,
+    base_rate=st.floats(10.0, 2000.0),
+    period=st.floats(0.2, 2.0),
+    amplitude=st.one_of(st.just(0.0), st.floats(0.0, 0.95)),
+    phase=st.floats(0.0, 1.0),
+    burst_factor=st.one_of(st.just(1.0), st.floats(1.0, 4.0)),
+    bursts_per_period=st.floats(0.0, 20.0),
+    burst_duration=st.floats(0.001, 0.2),
+)
+
+
+def _reference_arrivals(trace, rng):
+    """The plain thinning loop: ``expovariate`` gaps, ``rate_at``
+    acceptance.  ``ArrivalTrace.arrivals`` inlines both."""
+    peak = trace.spec.peak_rate
+    t = 0.0
+    out = []
+    while True:
+        t += rng.expovariate(peak)
+        if t >= trace.horizon:
+            return out
+        if rng.random() * peak < trace.rate_at(t):
+            out.append(t)
+
+
 class TestSpecValidation:
     @pytest.mark.parametrize("kwargs", [
         {"base_rate": 0.0},
@@ -123,6 +152,30 @@ class TestArrivals:
         a = list(_trace(spec, seed=seed).arrivals())
         b = list(_trace(spec, seed=seed).arrivals())
         assert a == b
+
+    @given(st.one_of(_specs, _bursty_specs), st.integers(0, 2 ** 16),
+           st.floats(0.01, 4.0))
+    @settings(max_examples=200, deadline=None)
+    def test_sampler_is_the_reference_thinning(self, spec, seed, horizon):
+        """Same times, compared exactly, and the same number of draws."""
+        trace = _trace(spec, horizon=horizon, seed=seed)
+        ref_rng = RandomStreams(seed).stream("trace")
+        ref_rng.setstate(trace.rng.getstate())  # past the burst draws
+        want = _reference_arrivals(trace, ref_rng)
+        assert list(trace.arrivals()) == want
+        assert trace.rng.getstate() == ref_rng.getstate()
+
+    def test_sampler_crosses_touching_windows(self):
+        spec = TraceSpec(base_rate=400.0, amplitude=0.5, burst_factor=3.0,
+                         bursts_per_period=1.0)
+        trace = _trace(spec, horizon=2.0, seed=5)
+        # Back-to-back windows, then a gap, then a late one.
+        trace.bursts = [(0.1, 0.2), (0.2, 0.35), (0.35, 0.4), (0.9, 1.3)]
+        ref_rng = RandomStreams(5).stream("trace")
+        ref_rng.setstate(trace.rng.getstate())
+        want = _reference_arrivals(trace, ref_rng)
+        assert want and list(trace.arrivals()) == want
+        assert trace.rng.getstate() == ref_rng.getstate()
 
     def test_different_streams_differ(self):
         spec = TraceSpec(base_rate=500.0)
