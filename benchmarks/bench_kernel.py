@@ -1,6 +1,6 @@
 """Microbenchmarks for the DES/fluid kernel hot path.
 
-Unlike the ``bench_fig*`` suites (which reproduce paper figures), this
+Unlike ``python -m repro`` (which reproduces the paper's figures), this
 file measures the *simulator itself*: how many events per second the
 kernel sustains under the access patterns every experiment funnels
 through — bursty submit/cancel churn, many-flow fair sharing, deep

@@ -60,18 +60,6 @@ class QuicksandConfig:
     #: Cooldown between scaling actions.
     autoscale_cooldown: float = 2 * MS
 
-    # -- routed-call retry (ShardedBase.call_routed) ---------------------------
-    #: Delay before re-attempting a routed call whose shard was lost to
-    #: a machine failure; doubles per attempt (seeded jitter below).
-    #: The default 0 keeps the historical immediate re-attempts and
-    #: bit-identical trajectories.
-    route_retry_backoff: float = 0.0
-    route_retry_multiplier: float = 2.0
-    #: Fraction of the current backoff added as seeded jitter (drawn
-    #: from the ``ds.route.backoff`` stream); only consulted when
-    #: ``route_retry_backoff`` > 0.
-    route_retry_jitter: float = 0.5
-
     # -- prefetching ---------------------------------------------------------------
     prefetch_depth: int = 4
     prefetch_chunk: int = 32
@@ -92,7 +80,3 @@ class QuicksandConfig:
             raise ValueError(
                 f"unknown global_strategy: {self.global_strategy!r}"
             )
-        if self.route_retry_backoff < 0 or self.route_retry_jitter < 0:
-            raise ValueError("route retry knobs must be non-negative")
-        if self.route_retry_multiplier < 1.0:
-            raise ValueError("route_retry_multiplier must be >= 1")

@@ -23,6 +23,9 @@ from ..runtime.errors import WrongShard
 
 #: Routing-table bytes per shard entry, charged to the index proclet.
 INDEX_ENTRY_BYTES = 48.0
+#: Attempts a routed call makes before its last stale-route error
+#: surfaces.
+ROUTE_ATTEMPTS = 8
 
 
 @functools.total_ordering
@@ -160,54 +163,33 @@ class ShardedBase(ReshardHooks):
         return self.shards[self._shard_index_for(key)].ref
 
     def call_routed(self, key: Any, method: str, *args, ctx=None,
-                    req_bytes: float = 0.0, max_retries: int = 8):
+                    req_bytes: float = 0.0):
         """Invoke *method* on the shard covering *key*, rerouting on
         stale routing.
 
         A shard chosen at submit time can be merged away (DeadProclet)
         or re-ranged by a split (WrongShard) before the invocation
         executes — routing tables are client-side caches, as in Slicer.
-        Both outcomes are retried against the updated table.
-        Application-level ``KeyError`` etc. pass through unchanged.
-
-        ``max_retries`` is one shared budget across both failure kinds
-        (the :meth:`NuRuntime._invoke_proc` convention: attempts count
-        against a single budget no matter why they failed).  A stale
-        route (``WrongShard``) retries immediately — the table is
-        already newer than the attempt.  A *lost* shard retries with
-        seeded exponential backoff when ``route_retry_backoff`` is
-        configured: re-attempting a lost shard at the same instant just
-        storms the routing layer until recovery lands.  The default
-        backoff of 0 preserves historical bit-identical trajectories.
+        Both outcomes are retried at once against the updated table,
+        from one budget of :data:`ROUTE_ATTEMPTS` (the
+        :meth:`NuRuntime._invoke_proc` convention: attempts count
+        against a single budget no matter why they failed).  A call to
+        a shard lost with its machine is retried inside the runtime
+        call, with seeded backoff, when a recovery policy covers the
+        shard (:meth:`RecoveryManager.retry_delay`).  Application-level
+        ``KeyError`` etc. pass through unchanged.
         """
-        config = self.qs.config
-
         def attempt():
             last_exc = None
-            backoff = config.route_retry_backoff
-            for _try in range(max_retries):
+            for _try in range(ROUTE_ATTEMPTS):
                 ref = self.route(key)
                 ev = (ctx.call(ref, method, *args, req_bytes=req_bytes)
                       if ctx is not None
                       else ref.call(method, *args, req_bytes=req_bytes))
                 try:
-                    result = yield ev
-                except WrongShard as exc:
+                    return (yield ev)
+                except (WrongShard, DeadProclet) as exc:
                     last_exc = exc
-                    continue
-                except DeadProclet as exc:
-                    last_exc = exc
-                    if backoff > 0.0:
-                        delay = backoff
-                        if config.route_retry_jitter > 0.0:
-                            rng = self.qs.sim.random.stream(
-                                "ds.route.backoff")
-                            delay += (backoff * config.route_retry_jitter
-                                      * rng.random())
-                        yield self.qs.sim.timeout(delay)
-                        backoff *= config.route_retry_multiplier
-                    continue
-                return result
             raise last_exc
 
         return self.qs.sim.process(attempt(),

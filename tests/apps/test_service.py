@@ -83,9 +83,10 @@ class TestPriorityIsolation:
         # Same arrival seed, same service: the tail must be unaffected
         # by a filler saturating every leftover cycle.
         assert shared.p99 <= alone.p99 * 1.25 + 50e-6
+        assert shared.p50 <= alone.p50 * 1.25 + 50e-6
         # ... while the filler actually harvested the leftovers.
         goodput = filler.goodput_cores(0.1, 0.5)
-        assert goodput > 4.0  # ~6 cores are idle on average
+        assert goodput > 4.5  # ~6 cores are idle on average
 
     def test_filler_yields_instantly_to_bursts(self):
         """Mid-burst, the filler gets nothing; after, everything."""

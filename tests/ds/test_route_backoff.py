@@ -1,19 +1,18 @@
 """Regression tests for routed-call retry behavior.
 
 A routed call whose shard was lost to a machine failure re-attempts
-against the updated table.  Historically every re-attempt fired at the
-same virtual instant — a retry *storm* against the routing layer while
-nothing could possibly have changed.  ``route_retry_backoff`` spaces
-lost-shard retries with seeded exponential backoff; the default of 0
-preserves the old (bit-identical) trajectories.
+against the updated table at once, from one shared budget of
+``ROUTE_ATTEMPTS``; spacing retries to a lost proclet is the recovery
+layer's job (``RecoveryManager.retry_delay``), not the router's.
 """
 
 from collections import Counter
 
 import pytest
 
+from repro.ds.sharding import ROUTE_ATTEMPTS
 from repro.runtime import DeadProclet
-from repro.units import KiB, MS
+from repro.units import KiB
 
 from ..conftest import make_qs
 
@@ -52,15 +51,16 @@ def kill_shard(qs, m):
 
 class TestDefaultNoBackoff:
     def test_lost_shard_retries_do_not_advance_time(self):
-        """Compatibility: with backoff 0 all retries fire at the same
-        instant and no jitter RNG stream is ever created."""
+        """All retries fire at the same instant and draw no random
+        numbers."""
         qs, m = make_map()
         kill_shard(qs, m)
         before = qs.sim.now
+        streams = set(qs.sim.random._streams)
         with pytest.raises(DeadProclet):
             qs.run(until_event=m.get("k"))
         assert qs.sim.now == before
-        assert "ds.route.backoff" not in qs.sim.random._streams
+        assert set(qs.sim.random._streams) == streams
 
     def test_shared_retry_budget_is_exact(self):
         """All 8 attempts of the shared budget are spent on the dead
@@ -71,67 +71,4 @@ class TestDefaultNoBackoff:
         routed_before = m.routed[pid]
         with pytest.raises(DeadProclet):
             qs.run(until_event=m.get("k"))
-        assert m.routed[pid] - routed_before == 8
-
-
-class TestExponentialBackoff:
-    def test_retries_advance_virtual_time(self):
-        qs, m = make_map(route_retry_backoff=1 * MS,
-                         route_retry_jitter=0.0)
-        kill_shard(qs, m)
-        before = qs.sim.now
-        with pytest.raises(DeadProclet):
-            qs.run(until_event=m.get("k"))
-        # 8 failed attempts each back off before the next check:
-        # 1 + 2 + ... + 128 ms = 255 ms of real spacing, not a storm.
-        assert qs.sim.now - before >= 255 * MS
-
-    def test_budget_unchanged_by_backoff(self):
-        qs, m = make_map(route_retry_backoff=1 * MS,
-                         route_retry_jitter=0.0)
-        kill_shard(qs, m)
-        pid = m.shards[0].ref.proclet_id
-        with pytest.raises(DeadProclet):
-            qs.run(until_event=m.get("k"))
-        assert m.routed[pid] == 8 + 1  # +1: the original put
-
-    def test_jitter_is_seeded_and_deterministic(self):
-        def total_delay():
-            qs, m = make_map(route_retry_backoff=1 * MS,
-                             route_retry_jitter=0.5)
-            kill_shard(qs, m)
-            before = qs.sim.now
-            with pytest.raises(DeadProclet):
-                qs.run(until_event=m.get("k"))
-            return qs.sim.now - before
-
-        a, b = total_delay(), total_delay()
-        assert a == b  # same seed, same trajectory
-        assert a > 255 * MS  # jitter only ever adds delay
-
-    def test_no_retry_storm_under_fan_in(self):
-        """Many concurrent callers against a lost shard spread their
-        retries over virtual time instead of hammering one instant."""
-        qs, m = make_map(route_retry_backoff=1 * MS)
-        kill_shard(qs, m)
-        pid = m.shards[0].ref.proclet_id
-        routed_before = m.routed[pid]
-        events = [m.get("k") for _ in range(20)]
-        for ev in events:
-            with pytest.raises(DeadProclet):
-                qs.run(until_event=ev)
-        # Bounded total attempts: exactly the shared budget per caller.
-        assert m.routed[pid] - routed_before == 20 * 8
-        # And they were spread out, not a same-instant storm.
-        assert qs.sim.now >= 255 * MS
-
-
-class TestConfigValidation:
-    @pytest.mark.parametrize("kwargs", [
-        {"route_retry_backoff": -1.0},
-        {"route_retry_jitter": -0.1},
-        {"route_retry_multiplier": 0.5},
-    ])
-    def test_bad_values_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            make_map(**kwargs)
+        assert m.routed[pid] - routed_before == ROUTE_ATTEMPTS == 8

@@ -3,7 +3,8 @@
 These exercise the full stack (apps -> data structures -> Quicksand ->
 Nu runtime -> cluster -> DES kernel) and assert the paper's qualitative
 claims hold at reduced scale, keeping them fast enough for every test
-run.  Full-scale numbers live in the benchmark harness.
+run.  The golden shapes at the report's configurations live in
+``tests/experiments/``.
 """
 
 import pytest
@@ -118,8 +119,11 @@ class TestAblationIntegration:
 
     def test_hybrid_strands_decoupled_fits(self):
         result = run_hybrid_ablation()
-        assert result.hybrid_failed > 0
+        # Most hybrid units strand: the CPU-heavy machine runs out of
+        # DRAM, the memory-heavy one out of cores.
+        assert result.hybrid_failed > result.hybrid_placed
         assert result.decoupled_failed == 0
+        assert result.decoupled_placed == 40
 
     def test_two_level_local_wins(self):
         result = run_two_level_ablation(duration=0.1)
