@@ -9,8 +9,8 @@ compare the tail.
 
 :class:`CloneService` scales the same open-loop workload to a *fleet*
 of PS servers and adds synchronized request cloning (clone-to-c with
-first-finished-wins cancellation), hedging, heterogeneous service-time
-distributions, and clone budgets — the workload half of the
+first-finished-wins cancellation) and heterogeneous service-time
+distributions — the workload half of the
 :mod:`repro.hedge` differential suite, built so its steady state is
 *exactly* the M/G/1-PS model the closed-form oracle predicts.
 """
@@ -87,20 +87,12 @@ class LatencyService:
         self.requests_done += 1
         self.samples.append((arrived_at, sim.now - arrived_at))
 
-    def latency_summary(self, since: Optional[float] = None,
-                        since_index: int = 0) -> Summary:
-        """Summary of response times, trimmed by either form.
-
-        ``since`` (virtual time) keeps requests *arriving* at or after
-        that instant — the same warmup-trimming contract as
-        :meth:`CloneService.latency_summary`.  ``since_index`` (the
-        legacy form) slices by completion order.  ``since`` wins when
-        both are given.
-        """
-        if since is not None:
-            return Summary.of([latency for arrived, latency in self.samples
-                               if arrived >= since])
-        return Summary.of(self.latencies[since_index:])
+    def latency_summary(self, since: float = 0.0) -> Summary:
+        """Summary of response times for requests arriving at or after
+        *since* (the same warmup-trimming contract as
+        :meth:`CloneService.latency_summary`)."""
+        return Summary.of([latency for arrived, latency in self.samples
+                           if arrived >= since])
 
     def __repr__(self) -> str:
         return (f"<LatencyService {self.name!r} on {self.machine.name} "
@@ -125,25 +117,14 @@ class CloneService:
     request an equal ``cores/k`` share: processor sharing, not an
     approximation of it.
 
-    Options off the oracle's path (each documented in docs/cloning.md):
-
-    * ``hedge_after=t`` launches the sibling clones one at a time, t
-      virtual seconds apart, instead of all at once — the hedge timer
-      is cancelled through :meth:`Simulator.cancel` when the primary
-      wins, exercising the tombstone machinery at workload scale.
-    * ``clone_budget=k`` caps the fleet-wide number of *extra* clones
-      in flight; a request that cannot acquire budget degrades toward
-      an un-cloned call (``budget_denied`` counts the degradations).
-    * A clone stranded on a crashed machine fails without failing the
-      request while any sibling survives (cloning doubles as fault
-      tolerance); only requests losing *all* clones count as
-      ``failed_requests``.
+    A clone stranded on a crashed machine fails without failing the
+    request while any sibling survives (cloning doubles as fault
+    tolerance); only requests losing *all* clones count as
+    ``failed_requests``.
     """
 
     def __init__(self, machines: Sequence[Machine], arrival_rate: float,
                  service_dist, clone_factor: int = 1,
-                 hedge_after: Optional[float] = None,
-                 clone_budget: Optional[int] = None,
                  priority: Priority = Priority.HIGH,
                  name: str = "clones"):
         if not machines:
@@ -157,17 +138,11 @@ class CloneService:
             raise ValueError(
                 f"clone_factor {clone_factor} must divide the server "
                 f"count {len(machines)} (synchronized cloning)")
-        if hedge_after is not None and hedge_after <= 0:
-            raise ValueError("hedge_after must be positive")
-        if clone_budget is not None and clone_budget < 0:
-            raise ValueError("clone_budget must be >= 0")
         self.machines = list(machines)
         self.sim = machines[0].sim
         self.arrival_rate = arrival_rate
         self.service_dist = service_dist
         self.clone_factor = clone_factor
-        self.hedge_after = hedge_after
-        self.clone_budget = clone_budget
         self.priority = priority
         self.name = name
         c = clone_factor
@@ -186,9 +161,6 @@ class CloneService:
         self.failed_requests = 0
         self.clones_launched = 0
         self.clones_cancelled = 0
-        self.hedges_fired = 0
-        self.budget_denied = 0
-        self._budget_in_use = 0
         self._running = False
 
     # -- derived ----------------------------------------------------------
@@ -230,16 +202,6 @@ class CloneService:
             sim.process(self._serve(group, sim.now), name=f"{self.name}.req")
 
     # -- request path -----------------------------------------------------
-    def _acquire_extra(self) -> bool:
-        """Take one unit of the fleet-wide extra-clone budget."""
-        if self.clone_budget is None:
-            return True
-        if self._budget_in_use >= self.clone_budget:
-            self.budget_denied += 1
-            return False
-        self._budget_in_use += 1
-        return True
-
     def _launch(self, server: Machine, items: List) -> None:
         draw = self.service_dist.sample(self.rng_service)
         cores = server.cpu.cores
@@ -252,16 +214,8 @@ class CloneService:
     def _serve(self, group: Sequence[Machine], arrived_at: float) -> Generator:
         sim = self.sim
         items: List = []
-        extras = 0
-        self._launch(group[0], items)
-        hedging = self.hedge_after is not None
-        if not hedging:
-            for server in group[1:]:
-                if not self._acquire_extra():
-                    break
-                extras += 1
-                self._launch(server, items)
-        budget_blocked = False
+        for server in group:
+            self._launch(server, items)
         winner = None
         try:
             while True:
@@ -276,40 +230,19 @@ class CloneService:
                 if not live:
                     self.failed_requests += 1  # every clone crashed
                     return
-                want_hedge = (hedging and not budget_blocked
-                              and len(items) < len(group))
-                if want_hedge:
-                    timer = sim.timeout(self.hedge_after)
-                    try:
-                        yield sim.any_of(live + [timer])
-                    except MachineFailed:
-                        continue  # a clone died; re-wait on the rest
-                    finally:
-                        if not timer.processed:
-                            sim.cancel(timer)  # tombstoned, not leaked
-                    if timer.processed and not any(
-                            item.triggered for _s, item in items):
-                        if self._acquire_extra():
-                            extras += 1
-                            self.hedges_fired += 1
-                            self._launch(group[len(items)], items)
-                        else:
-                            budget_blocked = True
-                else:
-                    try:
-                        yield sim.any_of(live)
-                    except MachineFailed:
-                        continue
+                try:
+                    yield sim.any_of(live)
+                except MachineFailed:
+                    continue  # a clone died; re-wait on the rest
             self.requests_done += 1
             self.samples.append((arrived_at, sim.now - arrived_at))
         finally:
             # First-finished-wins: reclaim every losing clone's CPU at
-            # this virtual instant (and release the budget units).
+            # this virtual instant.
             for server, item in items:
                 if item is not winner and item.active:
                     server.cpu.release(item)
                     self.clones_cancelled += 1
-            self._budget_in_use -= extras
 
     def __repr__(self) -> str:
         return (f"<CloneService {self.name!r} n={len(self.machines)} "

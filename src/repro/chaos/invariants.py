@@ -29,14 +29,7 @@ injected:
    held-bytes ledger.
 7. **Recovered-state convergence** — every completed restore matched its
    expected state (the manager records divergences).
-8. **Clone-set hygiene** (:mod:`repro.hedge`) — every cloned call has
-   at most one winner; once a call is decided and virtual time has
-   advanced past the decision instant, every losing attempt has
-   actually terminated and none of its cancelled CPU work items is
-   still active on a scheduler (cancelled clones must not leak
-   capacity, DRAM-backed work, or gated proclets — the DRAM and gate
-   invariants above apply to clone losers like everything else).
-9. **Reshard integrity** (:mod:`repro.runtime.reshard`) — for every
+8. **Reshard integrity** (:mod:`repro.runtime.reshard`) — for every
    tracked sharded structure: the routing table covers the full key
    space at every instant (first bound is BOTTOM, bounds strictly
    sorted, parallel arrays agree — *routable-keys-always*); every table
@@ -54,8 +47,8 @@ Two passes evaluate the same predicates with the same messages.
   each kind of runtime state: the locator (invariant 1, collecting the
   resident footprints for 2), the migration and checkpoint reservations
   (shared by 2 and 6), the machines and their schedulers (2, 3), the
-  loss/incarnation and clone ledgers (5–8), each shard table (9) and
-  the live proclets (4, and 9's orphans).  Its cost is O(proclets +
+  loss/incarnation and convergence ledgers (5–7), each shard table (8)
+  and the live proclets (4, and 8's orphans).  Its cost is O(proclets +
   shards + schedulers + snapshots).  Tests, ``run_chaos``'s final-state
   check and every other external caller get this pass.
 * The **incremental pass** runs from the simulator observer after each
@@ -66,11 +59,11 @@ Two passes evaluate the same predicates with the same messages.
   status, gate, incarnation and orphan checks of each dirty proclet.
   Every event it also runs the checks that are global or
   time-dependent: the table/residency/proclet cardinalities, live/lost
-  disjointness, the convergence ledger, the gate timeout (against the
-  oldest recorded gate; the gated proclets are re-walked once that one
-  may have outlived it), and the whole clone pass whenever a cloned
-  call is open.  Every :data:`FULL_PASS_EVERY`-th event runs the full
-  pass instead.  Both passes count once in :attr:`checks`.
+  disjointness, the convergence ledger and the gate timeout (against
+  the oldest recorded gate; the gated proclets are re-walked once that
+  one may have outlived it).  Every :data:`FULL_PASS_EVERY`-th event
+  runs the full pass instead.  Both passes count once in
+  :attr:`checks`.
 
 What marks an entity dirty.  :meth:`attach` subscribes to mutation
 points the program already has, so a run without a checker does no
@@ -280,8 +273,6 @@ class InvariantChecker:
         resident = self._check_placement()
         held = self._check_machines(resident)
         self._check_recovery(held)
-        if self.runtime.clone_calls:
-            self._check_clones()
         self._check_proclets(self._check_shard_tables())
 
     def _on_event(self, _sim=None) -> None:
@@ -334,8 +325,6 @@ class InvariantChecker:
         recovery = runtime.recovery
         if recovery is not None and recovery.convergence_errors:
             self._check_convergence()
-        if runtime.clone_calls:
-            self._check_clones()
         if pids or tables:
             self._check_changed_proclets(pids, tables)
         now = runtime.sim._now
@@ -599,38 +588,6 @@ class InvariantChecker:
                        + "; ".join(recovery.convergence_errors))
 
     # -- invariant 8 -------------------------------------------------------------
-    def _check_clones(self) -> None:
-        """Clone-set hygiene (invariant 8)."""
-        now = self.runtime.sim.now
-        for call in self.runtime.clone_calls:
-            winners = sum(1 for att in call.attempts if att.won)
-            if winners > 1:
-                self._fail(f"{call!r} has {winners} winners")
-            if not call.decided:
-                continue
-            if winners == 0 and call.process is not None \
-                    and call.process.triggered and call.process.ok:
-                self._fail(f"{call!r} decided successfully without a "
-                           f"winning attempt")
-            if now <= call.decided_at:
-                # Cancellation lands within the decision instant; give
-                # the interrupt wakeups this timestamp to process.
-                continue
-            for att in call.attempts:
-                if att.won:
-                    continue
-                if not att.process.triggered:
-                    self._fail(
-                        f"{call!r}: losing clone {att.index} still alive "
-                        f"{now - call.decided_at:.6f}s after the "
-                        f"decision (cancel leaked)")
-                for item in att.work_items:
-                    if item.active:
-                        self._fail(
-                            f"{call!r}: cancelled clone {att.index} "
-                            f"leaked active work item {item.name!r}")
-
-    # -- invariant 9 -------------------------------------------------------------
     def _table_context(self):
         """``(protected, lost, live, restoring)`` for table checks."""
         runtime = self.runtime
@@ -641,7 +598,7 @@ class InvariantChecker:
 
     def _check_shard_tables(self) -> Optional[Tuple[Dict[int, Set[int]],
                                                     Set[int]]]:
-        """Invariant 9's table checks, one pass per tracked structure.
+        """Invariant 8's table checks, one pass per tracked structure.
         Returns each structure's table pids (keyed by ``id``) and the
         ledger-protected pids for the orphan check, or None when no
         sharded structure is tracked."""
@@ -655,7 +612,7 @@ class InvariantChecker:
 
     def _check_table(self, ds, protected, lost, live,
                      restoring) -> Set[int]:
-        """Invariant 9 over one structure's routing table; returns the
+        """Invariant 8 over one structure's routing table; returns the
         pids it lists."""
         shards = ds.shards
         los = getattr(ds, "_los", None)
@@ -721,9 +678,9 @@ class InvariantChecker:
                            f"{i}: {prev!r} !< {lo!r}")
             prev = lo
 
-    # -- invariants 4 and 9 (per proclet) ------------------------------------------
+    # -- invariants 4 and 8 (per proclet) ------------------------------------------
     def _check_proclets(self, tables) -> None:
-        """Invariant 4 and invariant 9's orphan check, in one pass over
+        """Invariant 4 and invariant 8's orphan check, in one pass over
         the live proclets; *tables* is :meth:`_check_shard_tables`'s
         result."""
         now = self.runtime.sim.now
@@ -744,8 +701,8 @@ class InvariantChecker:
                     del gate_seen[pid]
 
     def _check_changed_proclets(self, pids, tables) -> None:
-        """The incremental pass's invariant 9 over the dirty tables, then
-        invariant 4 and 9's orphan check over the dirty proclets and the
+        """The incremental pass's invariant 8 over the dirty tables, then
+        invariant 4 and 8's orphan check over the dirty proclets and the
         pids that left a table."""
         runtime = self.runtime
         structures = runtime.reshard_ledger._structures
@@ -810,7 +767,7 @@ class InvariantChecker:
 
     def _check_proclet(self, pid: int, proclet, now: float, owned,
                        protected) -> bool:
-        """Invariant 4 and invariant 9's orphan check for one live
+        """Invariant 4 and invariant 8's orphan check for one live
         proclet; returns whether it is gated."""
         status = proclet._status
         gated = False

@@ -28,6 +28,44 @@ INDEX_ENTRY_BYTES = 48.0
 ROUTE_ATTEMPTS = 8
 
 
+def routed_call(owner, key: Any, method: str, *args, ctx=None,
+                req_bytes: float = 0.0):
+    """Invoke *method* on the shard of *owner* covering *key*,
+    rerouting on stale routing.
+
+    *owner* is a range-sharded structure: it has ``qs``, ``name`` and
+    ``route(key)``.  :class:`ShardedBase` and
+    :class:`repro.storage.ShardedStore` both bind this function as their
+    ``call_routed`` method.
+
+    A shard chosen at submit time can be merged away (DeadProclet)
+    or re-ranged by a split (WrongShard) before the invocation
+    executes — routing tables are client-side caches, as in Slicer.
+    Both outcomes are retried at once against the updated table,
+    from one budget of :data:`ROUTE_ATTEMPTS` (the
+    :meth:`NuRuntime._invoke_proc` convention: attempts count
+    against a single budget no matter why they failed).  A call to
+    a shard lost with its machine is retried inside the runtime
+    call, with seeded backoff, when a recovery policy covers the
+    shard (:meth:`RecoveryManager.retry_delay`).  Application-level
+    ``KeyError`` etc. pass through unchanged.
+    """
+    def attempt():
+        last_exc = None
+        for _try in range(ROUTE_ATTEMPTS):
+            ref = owner.route(key)
+            ev = (ctx.call(ref, method, *args, req_bytes=req_bytes)
+                  if ctx is not None
+                  else ref.call(method, *args, req_bytes=req_bytes))
+            try:
+                return (yield ev)
+            except (WrongShard, DeadProclet) as exc:
+                last_exc = exc
+        raise last_exc
+
+    return owner.qs.sim.process(attempt(), name=f"{owner.name}.{method}")
+
+
 @functools.total_ordering
 class _Bottom:
     """Sentinel ordered below every key (the first shard's lower bound)."""
@@ -162,38 +200,7 @@ class ShardedBase(ReshardHooks):
         """The shard ref whose range covers *key*."""
         return self.shards[self._shard_index_for(key)].ref
 
-    def call_routed(self, key: Any, method: str, *args, ctx=None,
-                    req_bytes: float = 0.0):
-        """Invoke *method* on the shard covering *key*, rerouting on
-        stale routing.
-
-        A shard chosen at submit time can be merged away (DeadProclet)
-        or re-ranged by a split (WrongShard) before the invocation
-        executes — routing tables are client-side caches, as in Slicer.
-        Both outcomes are retried at once against the updated table,
-        from one budget of :data:`ROUTE_ATTEMPTS` (the
-        :meth:`NuRuntime._invoke_proc` convention: attempts count
-        against a single budget no matter why they failed).  A call to
-        a shard lost with its machine is retried inside the runtime
-        call, with seeded backoff, when a recovery policy covers the
-        shard (:meth:`RecoveryManager.retry_delay`).  Application-level
-        ``KeyError`` etc. pass through unchanged.
-        """
-        def attempt():
-            last_exc = None
-            for _try in range(ROUTE_ATTEMPTS):
-                ref = self.route(key)
-                ev = (ctx.call(ref, method, *args, req_bytes=req_bytes)
-                      if ctx is not None
-                      else ref.call(method, *args, req_bytes=req_bytes))
-                try:
-                    return (yield ev)
-                except (WrongShard, DeadProclet) as exc:
-                    last_exc = exc
-            raise last_exc
-
-        return self.qs.sim.process(attempt(),
-                                   name=f"{self.name}.{method}")
+    call_routed = routed_call
 
     def shard_covering(self, key: Any) -> Tuple[ProcletRef, Any]:
         """``(shard_ref, range_end)`` — the prefetcher's routing query.

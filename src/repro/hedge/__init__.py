@@ -1,24 +1,18 @@
-"""Request cloning & hedging with a closed-form PS oracle.
+"""Closed-form oracle for synchronized request cloning.
 
-Two halves: :mod:`repro.hedge.clone` is the mechanism — a
-first-response-wins coordinator over the proclet call path
-(``runtime.invoke(..., clone_to=N, hedge_after=t)``) whose losers are
-cancelled through the kernel's real timer-tombstone and fluid-cancel
-machinery.  :mod:`repro.hedge.oracle` is the check — closed-form
-M/G/1-PS mean-response-time predictions for synchronized cloning
-(Pellegrini 2020), differentially compared against the simulated
+:mod:`repro.hedge.oracle` holds closed-form M/G/1-PS mean-response-time
+predictions for synchronized clone-to-c (Pellegrini 2020).  The CLONING
+experiment compares them against the simulated
 :class:`repro.apps.CloneService` across an arrival-rate x clone-factor
 x seed grid in CI.
 """
 
-from .clone import CloneAttempt, CloneCall, CloneCancelled, CloneState
 from .oracle import (CloneDivergence, Deterministic, Exponential, HyperExp,
                      ServiceDist, best_clone_factor, clone_mean_response,
                      clone_utilization, compare_cells, group_arrival_rate,
                      ps_mean_response, tolerance_for)
 
 __all__ = [
-    "CloneAttempt", "CloneCall", "CloneCancelled", "CloneState",
     "CloneDivergence", "Deterministic", "Exponential", "HyperExp",
     "ServiceDist", "best_clone_factor", "clone_mean_response",
     "clone_utilization", "compare_cells", "group_arrival_rate",

@@ -74,8 +74,7 @@ class MetricsRecorder:
 
         Every component that reports counters exposes ``stats() -> dict``
         of numbers: the simulator's event heap, an exec report, the
-        recovery manager, the shard autoscaler, the runtime's cloning
-        layer and a span tracer.
+        recovery manager, the shard autoscaler and a span tracer.
         """
         stats = source.stats()
         now = self.sim.now

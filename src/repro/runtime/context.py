@@ -25,19 +25,13 @@ if TYPE_CHECKING:
 class Context:
     """Per-invocation execution context."""
 
-    __slots__ = ("runtime", "proclet", "priority", "work_items")
+    __slots__ = ("runtime", "proclet", "priority")
 
     def __init__(self, runtime, proclet: "Proclet",
-                 priority: Priority = Priority.NORMAL,
-                 work_items=None):
+                 priority: Priority = Priority.NORMAL):
         self.runtime = runtime
         self.proclet = proclet
         self.priority = priority
-        #: Optional per-invocation cancel scope (a list): every CPU work
-        #: item started through this context is appended, so a losing
-        #: clone attempt can reclaim exactly its own in-flight work
-        #: (see :mod:`repro.hedge`).  None for plain calls — zero cost.
-        self.work_items = work_items
 
     # -- environment -----------------------------------------------------
     @property
@@ -80,8 +74,6 @@ class Context:
             item.callbacks = [active.discard]
         else:
             cbs.append(active.discard)
-        if self.work_items is not None:
-            self.work_items.append(item)
         return item
 
     def sleep(self, delay: float) -> Event:

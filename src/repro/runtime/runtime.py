@@ -28,11 +28,7 @@ class NuRuntime:
     """Distributed proclet runtime over a simulated cluster."""
 
     def __init__(self, cluster: Cluster,
-                 migration_config: MigrationConfig = MigrationConfig(),
-                 location_caching: bool = True):
-        #: Nu-style per-machine location caches with lazy forwarding.
-        #: Disable for an always-consistent control plane (ablations).
-        self.location_caching = location_caching
+                 migration_config: MigrationConfig = MigrationConfig()):
         self.cluster = cluster
         self.sim = cluster.sim
         self.fabric = cluster.fabric
@@ -60,18 +56,6 @@ class NuRuntime:
         #: The attached repro.ft.RecoveryManager, or None (the default:
         #: fail-stop semantics, bit-identical to runs without repro.ft).
         self.recovery = None
-        #: Unsettled CloneCall coordinators (clone_to/hedge_after calls
-        #: whose loser attempts have not all finished; drains to []) —
-        #: the chaos invariant checker walks this to prove cancellation
-        #: landed.
-        self.clone_calls: List = []
-        #: Monotonic counters for the cloning/hedging layer, read by
-        #: :meth:`stats` and the chaos invariants.
-        self.clone_stats: Dict[str, int] = {
-            "calls": 0, "calls_won": 0, "clones_launched": 0,
-            "losers_cancelled": 0, "hedges_fired": 0,
-            "late_completions": 0,
-        }
         self._heap_listeners: List[Callable[[Proclet], None]] = []
         #: Called as fn(caller_proclet_id_or_None, callee_id, remote: bool)
         #: on every invocation — feeds the affinity tracker.
@@ -240,7 +224,6 @@ class NuRuntime:
                caller_proclet_id: Optional[int] = None,
                priority: Priority = Priority.NORMAL,
                req_bytes: float = 0.0, retryable: bool = True,
-               clone_to: int = 1, hedge_after: Optional[float] = None,
                **kwargs) -> Process:
         """Invoke *method* on the proclet behind *ref*.
 
@@ -257,63 +240,13 @@ class NuRuntime:
         against the respawned incarnation (at-least-once semantics).
         Pass ``retryable=False`` for calls that must not re-execute,
         e.g. worker-loop drivers restarted by ``on_start`` instead.
-
-        ``clone_to=N`` races up to N attempts of the call
-        first-response-wins, cancelling the losers; ``hedge_after=t``
-        staggers the extra attempts t seconds apart instead of firing
-        them all at once (see :mod:`repro.hedge`).  ``clone_to=1`` with
-        no hedge is *exactly* the plain call path — bit-identical
-        trajectories, pinned by tests.  Hedging a non-retryable call is
-        rejected (a hedge can double-execute by construction); cloning
-        one degrades to sequential failover that stops at the first
-        attempt whose method body started (at-most-once).
         """
-        if not isinstance(clone_to, int) or clone_to < 1:
-            raise ValueError(f"clone_to must be a positive int, "
-                             f"got {clone_to!r}")
-        if hedge_after is not None:
-            if hedge_after <= 0:
-                raise ValueError(f"hedge_after must be positive, "
-                                 f"got {hedge_after!r}")
-            if not retryable and clone_to > 1:
-                raise ValueError(
-                    "hedge_after with retryable=False is rejected: a "
-                    "hedged attempt races the original, so the method "
-                    "body may run twice; use clone_to alone (sequential "
-                    "failover) for at-most-once calls")
-        if clone_to == 1:
-            return self.sim.process(
-                self._invoke_proc(ref, method, args, kwargs, caller_machine,
-                                  caller_proclet_id, priority, req_bytes,
-                                  retryable),
-                name=f"call:{ref._name}.{method}",
-            )
-        from ..hedge import CloneCall
-        self.clone_stats["calls"] += 1
-        if self.metrics is not None:
-            self.metrics.count("hedge.calls")
-        call = CloneCall(self, ref, method, args, kwargs,
-                         caller_machine=caller_machine,
-                         caller_proclet_id=caller_proclet_id,
-                         priority=priority, req_bytes=req_bytes,
-                         retryable=retryable, clone_to=clone_to,
-                         hedge_after=hedge_after)
-        return call.start()
-
-    # -- clone-call registry (read by chaos invariants) ---------------------
-    def _register_clone_call(self, call) -> None:
-        self.clone_calls.append(call)
-
-    def _unregister_clone_call(self, call) -> None:
-        try:
-            self.clone_calls.remove(call)
-        except ValueError:
-            pass
-
-    def stats(self) -> Dict[str, int]:
-        """The cloning/hedging counters plus the number of unsettled
-        cloned calls."""
-        return dict(self.clone_stats, unsettled_calls=len(self.clone_calls))
+        return self.sim.process(
+            self._invoke_proc(ref, method, args, kwargs, caller_machine,
+                              caller_proclet_id, priority, req_bytes,
+                              retryable),
+            name=f"call:{ref._name}.{method}",
+        )
 
     # -- decisions ------------------------------------------------------------
     def decide(self, category: str, message: str, span=None,
@@ -337,8 +270,7 @@ class NuRuntime:
     def _invoke_proc(self, ref: ProcletRef, method: str, args, kwargs,
                      caller_machine: Optional[Machine],
                      caller_proclet_id: Optional[int], priority: Priority,
-                     req_bytes: float, retryable: bool = True,
-                     clone_state=None, work_items=None) -> Generator:
+                     req_bytes: float, retryable: bool = True) -> Generator:
         # One generator per call: each attempt runs inline in the retry
         # loop, so every resume of the method body passes through one
         # frame fewer than with a nested per-attempt generator.
@@ -356,12 +288,12 @@ class NuRuntime:
 
                 target = proclet._machine
                 # Where does the caller *believe* the proclet lives?
-                # With location caching the request first travels to
-                # the believed host and pays a forwarding hop when the
+                # The request first travels to the host in the caller's
+                # location cache and pays a forwarding hop when the
                 # proclet has moved since (Nu's lazy cache-refresh
                 # protocol).
                 believed = target
-                if (self.location_caching and caller_machine is not None):
+                if caller_machine is not None:
                     believed = self.locator.cached_lookup(caller_machine,
                                                           proclet._id)
                 remote = caller_machine is not None and (
@@ -394,13 +326,8 @@ class NuRuntime:
                 if fn is None or not callable(fn):
                     raise UnknownMethod(f"{type(proclet).__name__}.{method}")
 
-                ctx = Context(self, proclet, priority, work_items)
+                ctx = Context(self, proclet, priority)
                 proclet._inflight += 1
-                if clone_state is not None:
-                    # The at-most-once marker for non-retryable clones:
-                    # bumped the moment the body is about to run, crash
-                    # or not.
-                    clone_state.executions += 1
                 try:
                     result = fn(ctx, *args, **kwargs)
                     if inspect.isgenerator(result):
@@ -435,17 +362,10 @@ class NuRuntime:
                 if not (isinstance(exc, ProcletLost)
                         or ref.proclet_id in self._lost):
                     raise
-                # Clones share one retry budget: the recovery manager
-                # sees the clone-set-wide attempt index, so retries and
-                # hedges compose instead of multiplying.
-                shared = attempt if clone_state is None else \
-                    clone_state.retries
-                delay = recovery.retry_delay(ref.proclet_id, shared, exc)
+                delay = recovery.retry_delay(ref.proclet_id, attempt, exc)
                 if delay is None:
                     raise
                 attempt += 1
-                if clone_state is not None:
-                    clone_state.retries += 1
                 if self.metrics is not None:
                     self.metrics.count("ft.call_retries")
                 yield self.sim.timeout(delay)

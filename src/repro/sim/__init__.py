@@ -2,7 +2,6 @@
 
 from .errors import (
     EventAlreadyTriggered,
-    Interrupt,
     SimulationError,
     StopSimulation,
     UnboundResource,
@@ -20,7 +19,6 @@ __all__ = [
     "EventAlreadyTriggered",
     "FluidItem",
     "FluidScheduler",
-    "Interrupt",
     "Process",
     "RandomStreams",
     "SimulationError",

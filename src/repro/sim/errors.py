@@ -19,17 +19,5 @@ class StopSimulation(SimulationError):
         self.value = value
 
 
-class Interrupt(SimulationError):
-    """Thrown into a process by :meth:`Process.interrupt`.
-
-    The interrupted process may catch this to clean up or to react to
-    preemption; ``cause`` carries the interrupter's reason.
-    """
-
-    def __init__(self, cause=None):
-        super().__init__(cause)
-        self.cause = cause
-
-
 class UnboundResource(SimulationError):
     """An operation referenced a resource item not currently submitted."""

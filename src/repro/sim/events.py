@@ -124,14 +124,6 @@ class Event:
             else:
                 cbs.append(callback)
 
-    def unsubscribe(self, callback: Callable[["Event"], None]) -> None:
-        """Remove a previously registered callback (no-op if absent)."""
-        if self.callbacks is not None:
-            try:
-                self.callbacks.remove(callback)
-            except ValueError:
-                pass
-
     # -- kernel hook ------------------------------------------------------
     def _process(self) -> None:
         """Run callbacks.  Called by the simulator only.

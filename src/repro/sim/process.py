@@ -16,9 +16,8 @@ full :class:`Event`.
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional
+from typing import Generator
 
-from .errors import Interrupt
 from .events import PENDING, Event
 
 
@@ -60,7 +59,7 @@ class Process(Event):
     keep it in a reference cycle with itself.
     """
 
-    __slots__ = ("generator", "name", "_target", "_resume_cb")
+    __slots__ = ("generator", "name", "_resume_cb")
 
     def __init__(self, sim, generator: Generator, name: str = ""):
         if not hasattr(generator, "send"):
@@ -77,7 +76,6 @@ class Process(Event):
         self._cancelled = False
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "proc")
-        self._target: Optional[Event] = None
         # One bound method for the process's whole lifetime: every yield
         # re-subscribes this callback, and binding it per-yield is pure
         # allocator churn on the dispatch hot path.  _resume drops it
@@ -92,43 +90,8 @@ class Process(Event):
         """True while the generator has not finished."""
         return not self.triggered
 
-    @property
-    def target(self) -> Optional[Event]:
-        """The event this process is currently waiting on (if any)."""
-        return self._target
-
-    # -- control ----------------------------------------------------------
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process as soon as possible.
-
-        The process is detached from whatever event it was waiting on; that
-        event remains valid but will no longer resume this process.
-        Interrupting a finished process is a no-op.
-        """
-        if self.triggered:
-            return
-        if self._target is not None:
-            self._target.unsubscribe(self._resume_cb)
-            self._target = None
-        wakeup = Event(self.sim)
-        wakeup._ok = False
-        wakeup._value = Interrupt(cause)
-        # Mark so _resume throws instead of failing the whole process
-        # when the generator does not catch it?  No: an uncaught Interrupt
-        # fails the process like any exception, which is the semantics we
-        # want for preemption-kill.
-        self.sim._ready.append(wakeup)
-        wakeup.subscribe(self._resume_cb)
-
     # -- engine -----------------------------------------------------------
     def _resume(self, event: Event) -> None:
-        # ``_value is not PENDING`` is the ``triggered`` property inlined:
-        # this runs on every wakeup of every process.
-        if self._value is not PENDING:
-            # A late wakeup (e.g. a second interrupt scheduled before the
-            # first one finished the process) — nothing left to resume.
-            return
-        self._target = None
         while True:
             try:
                 if event._ok:
@@ -172,7 +135,6 @@ class Process(Event):
                 # Already-processed event: continue synchronously.
                 event = next_ev
                 continue
-            self._target = next_ev
             # Inlined subscribe (next_ev is known unprocessed here).
             cbs = next_ev.callbacks
             if cbs is None:

@@ -26,6 +26,7 @@ from ..runtime.errors import WrongShard
 from ..sim import Event
 from ..units import GiB, US
 from ..core.resource import ResourceKind, ResourceProclet
+from ..ds.sharding import routed_call
 
 _OP_CPU = 0.3 * US
 _INDEX_BYTES = 64.0
@@ -219,35 +220,18 @@ class ShardedStore(ReshardHooks):
                           if i + 1 < len(self.shards) else None)
 
     # -- API ---------------------------------------------------------------------
-    def _call(self, key, method, *args, ctx=None,
-              req_bytes: float = 0.0) -> Event:
-        from ..runtime import DeadProclet
-
-        def attempt():
-            last = None
-            for _try in range(8):
-                ref = self.route(key)
-                ev = (ctx.call(ref, method, *args, req_bytes=req_bytes)
-                      if ctx is not None
-                      else ref.call(method, *args, req_bytes=req_bytes))
-                try:
-                    return (yield ev)
-                except (DeadProclet, WrongShard) as exc:
-                    last = exc
-            raise last
-
-        return self.qs.sim.process(attempt(), name=f"{self.name}.{method}")
+    call_routed = routed_call
 
     def write(self, key, nbytes: float, value: Any = None,
               ctx=None) -> Event:
-        return self._call(key, "ss_write", key, nbytes, value, ctx=ctx,
-                          req_bytes=nbytes)
+        return self.call_routed(key, "ss_write", key, nbytes, value,
+                                ctx=ctx, req_bytes=nbytes)
 
     def read(self, key, ctx=None) -> Event:
-        return self._call(key, "ss_read", key, ctx=ctx)
+        return self.call_routed(key, "ss_read", key, ctx=ctx)
 
     def delete(self, key, ctx=None) -> Event:
-        return self._call(key, "ss_delete", key, ctx=ctx)
+        return self.call_routed(key, "ss_delete", key, ctx=ctx)
 
     @property
     def shard_count(self) -> int:

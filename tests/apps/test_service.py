@@ -3,7 +3,7 @@
 import pytest
 
 from repro.apps import CloneService, FillerApp, LatencyService
-from repro.hedge import Deterministic, Exponential
+from repro.hedge import Exponential
 from repro.units import MS, US
 
 from ..conftest import make_qs
@@ -123,10 +123,6 @@ class TestCloneService:
         with pytest.raises(ValueError):
             # 3 does not divide 2 machines.
             CloneService(qs.machines, 100.0, dist, clone_factor=3)
-        with pytest.raises(ValueError):
-            CloneService(qs.machines, 100.0, dist, hedge_after=0.0)
-        with pytest.raises(ValueError):
-            CloneService(qs.machines, 100.0, dist, clone_budget=-1)
 
     def test_double_start_rejected(self):
         qs = quiet_qs()
@@ -160,35 +156,6 @@ class TestCloneService:
         assert svc.offered_load == pytest.approx(
             clone_utilization(500.0, 2, 2, dist))
 
-    def test_hedging_fires_only_for_slow_requests(self):
-        qs = quiet_qs()
-        # Deterministic 5 ms service, 1 ms hedge: every request hedges.
-        svc = CloneService(qs.machines, 50.0, Deterministic(value=5 * MS),
-                           clone_factor=2, hedge_after=1 * MS)
-        svc.start()
-        qs.run(until=0.3)
-        assert svc.requests_done > 5
-        assert svc.hedges_fired >= 0.9 * svc.requests_done
-        # A hedge timer that loses is cancelled through the kernel
-        # machinery: once arrivals stop and the sim drains, every
-        # tombstoned entry was reclaimed.
-        svc.stop()
-        qs.sim.run()
-        assert qs.sim.stats()["dead_entries"] == 0
-
-    def test_zero_budget_degrades_to_uncloned(self):
-        qs = quiet_qs()
-        svc = CloneService(qs.machines, 200.0, Exponential(mean=1 * MS),
-                           clone_factor=2, clone_budget=0)
-        svc.start()
-        qs.run(until=0.3)
-        assert svc.requests_done > 20
-        # No extras ever launched: exactly one clone per request.
-        assert svc.clones_launched == \
-            svc.requests_done + svc.failed_requests
-        assert svc.budget_denied >= svc.requests_done
-        assert svc.clones_cancelled == 0
-
     def test_crashed_server_does_not_fail_cloned_requests(self):
         qs = quiet_qs()
         m0, _m1 = qs.machines
@@ -217,7 +184,7 @@ class TestCloneService:
 
 class TestUnifiedLatencySummary:
     """Both services expose the same `since` (virtual-time) trimming
-    contract; LatencyService keeps the legacy `since_index` form."""
+    contract."""
 
     def _run(self):
         qs = quiet_qs()
@@ -236,20 +203,9 @@ class TestUnifiedLatencySummary:
         want = [lat for arr, lat in svc.samples if arr >= 0.2]
         assert trimmed.count == len(want)
 
-    def test_since_index_still_works(self):
-        svc = self._run()
-        full = svc.latency_summary()
-        legacy = svc.latency_summary(since_index=10)
-        assert legacy.count == full.count - 10
-
     def test_since_zero_equals_untrimmed(self):
         svc = self._run()
         assert svc.latency_summary(since=0.0) == svc.latency_summary()
-
-    def test_since_wins_over_since_index(self):
-        svc = self._run()
-        both = svc.latency_summary(since=0.2, since_index=10**6)
-        assert both == svc.latency_summary(since=0.2)
 
     def test_matches_clone_service_shape(self):
         """The two services' samples lists are interchangeable."""

@@ -11,8 +11,6 @@ poke of private state then marks the entity through :func:`fire`, the
 hook its program mutation point reaches.
 """
 
-from types import SimpleNamespace
-
 import pytest
 
 from repro.chaos import InvariantChecker, InvariantViolation
@@ -55,18 +53,6 @@ def sharded_map(qs, n_shards=3):
             m.shards[-1].ref.proclet_id))
     assert qs.runtime.reshard_ledger.active_count() == 0
     return m
-
-
-def clone_call(*attempts, decided=True, decided_at=-1.0, process=None):
-    """A stand-in for a :class:`repro.hedge.CloneCall` coordinator."""
-    return SimpleNamespace(attempts=list(attempts), decided=decided,
-                           decided_at=decided_at, process=process)
-
-
-def attempt(index, won=False, triggered=True, work_items=()):
-    return SimpleNamespace(index=index, won=won,
-                           process=SimpleNamespace(triggered=triggered),
-                           work_items=list(work_items))
 
 
 class TestHealthyRuns:
@@ -495,57 +481,8 @@ class TestRecoveryCorruptionDetected(FullPass):
             self.run_pass(checker)
 
 
-class TestCloneCorruptionDetected(FullPass):
-    """Invariant 8: clone-set hygiene."""
-
-    def test_two_winners(self, qs):
-        checker = checked(qs)
-        self.settle(checker)
-        qs.runtime.clone_calls.append(clone_call(
-            attempt(0, won=True), attempt(1, won=True), decided=False))
-        with pytest.raises(InvariantViolation, match="has 2 winners"):
-            self.run_pass(checker)
-
-    def test_decided_ok_without_winner(self, qs):
-        checker = checked(qs)
-        self.settle(checker)
-        done = SimpleNamespace(triggered=True, ok=True)
-        qs.runtime.clone_calls.append(clone_call(
-            attempt(0), attempt(1), process=done))
-        with pytest.raises(InvariantViolation,
-                           match="without a winning attempt"):
-            self.run_pass(checker)
-
-    def test_loser_still_alive(self, qs):
-        checker = checked(qs)
-        self.settle(checker)
-        qs.runtime.clone_calls.append(clone_call(
-            attempt(0, won=True), attempt(1, triggered=False)))
-        with pytest.raises(InvariantViolation,
-                           match="losing clone 1 still alive"):
-            self.run_pass(checker)
-
-    def test_leaked_loser_work_item(self, qs):
-        checker = checked(qs)
-        self.settle(checker)
-        item = SimpleNamespace(active=True, name="clone-work")
-        qs.runtime.clone_calls.append(clone_call(
-            attempt(0, won=True), attempt(1, work_items=[item])))
-        with pytest.raises(InvariantViolation,
-                           match="leaked active work item 'clone-work'"):
-            self.run_pass(checker)
-
-    def test_loser_inside_decision_instant_is_legal(self, qs):
-        checker = checked(qs)
-        self.settle(checker)
-        qs.runtime.clone_calls.append(clone_call(
-            attempt(0, won=True), attempt(1, triggered=False),
-            decided_at=qs.sim.now))
-        self.run_pass(checker)
-
-
 class TestReshardCorruptionDetected(FullPass):
-    """Invariant 9: routable keys, range agreement, no orphans."""
+    """Invariant 8: routable keys, range agreement, no orphans."""
 
     def test_settled_table_passes(self, qs):
         checker = checked(qs)
@@ -694,11 +631,6 @@ class TestGateCorruptionDetectedIncrementally(IncrementalPass,
 
 class TestRecoveryCorruptionDetectedIncrementally(
         IncrementalPass, TestRecoveryCorruptionDetected):
-    pass
-
-
-class TestCloneCorruptionDetectedIncrementally(IncrementalPass,
-                                              TestCloneCorruptionDetected):
     pass
 
 

@@ -12,7 +12,6 @@ from repro.runtime import (
     MigrationFailed,
     NuRuntime,
     Proclet,
-    ProcletLost,
 )
 from repro.units import GiB, MiB
 
@@ -176,58 +175,3 @@ class TestMigrationRetryJitter:
     def test_negative_jitter_rejected(self):
         with pytest.raises(ValueError):
             MigrationConfig(retry_jitter=-0.1)
-
-
-class Once(Proclet):
-    """Counts method-body starts — the at-most-once witness."""
-
-    def __init__(self):
-        super().__init__()
-        self.executions = 0
-
-    def work(self, ctx):
-        self.executions += 1
-        yield ctx.cpu(5e-3)
-        return "done"
-
-
-class TestCloneAtMostOnce:
-    """``retryable=False`` + ``clone_to=N``: sequential failover must
-    never double-execute, even when the crash lands mid-body."""
-
-    def test_mid_call_crash_does_not_launch_a_sibling(self, qs):
-        m0, m1 = qs.machines
-        ref = qs.spawn(Once(), m0)
-        target = ref.proclet
-        ev = ref.call("work", clone_to=3, retryable=False,
-                      caller_machine=m1)
-        call = qs.runtime.clone_calls[-1]
-        # Let the body start, then kill the host mid-execution.
-        qs.run(until=qs.sim.now + 2e-3)
-        assert target.executions == 1
-        qs.runtime.fail_machine(m0)
-        with pytest.raises((DeadProclet, MachineFailed, ProcletLost)):
-            qs.run(until_event=ev)
-        # The failed attempt had provably started executing, so no
-        # sibling was launched: the body ran exactly once.
-        assert target.executions == 1
-        assert len(call.attempts) == 1
-        assert call.state.executions == 1
-
-    def test_nonretryable_success_runs_exactly_once(self, qs):
-        m0, _ = qs.machines
-        ref = qs.spawn(Once(), m0)
-        ev = ref.call("work", clone_to=3, retryable=False)
-        call = qs.runtime.clone_calls[-1]
-        assert qs.run(until_event=ev) == "done"
-        # Sequential mode: one attempt sufficed, no parallel fan-out.
-        assert ref.proclet.executions == 1
-        assert len(call.attempts) == 1
-
-    def test_retryable_fanout_still_fans_out(self, qs):
-        """The contrast case: the default at-least-once mode does run
-        the body once per clone (that is the point of cloning)."""
-        m0, _ = qs.machines
-        ref = qs.spawn(Once(), m0)
-        qs.run(until_event=ref.call("work", clone_to=3))
-        assert ref.proclet.executions == 3

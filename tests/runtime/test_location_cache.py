@@ -70,18 +70,6 @@ class TestForwarding:
         qs.run(until_event=ref.call("ping", caller_machine=m2))
         assert qs.runtime.locator.forwarding_hops == 2
 
-    def test_caching_disabled_never_forwards(self):
-        from repro import Cluster, NuRuntime, symmetric_cluster
-
-        cluster = Cluster(symmetric_cluster(2, cores=4, dram_bytes=GiB))
-        rt = NuRuntime(cluster, location_caching=False)
-        m0, m1 = cluster.machines
-        ref = rt.spawn(Echo(), m0)
-        rt.sim.run(until_event=ref.call("ping", caller_machine=m1))
-        rt.sim.run(until_event=rt.migrate(ref.proclet, m1))
-        rt.sim.run(until_event=ref.call("ping", caller_machine=m1))
-        assert rt.locator.forwarding_hops == 0
-
     def test_destroy_clears_cache_entries(self, qs):
         m0, m1, _m2 = qs.machines
         ref = qs.spawn(Echo(), m1)

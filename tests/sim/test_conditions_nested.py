@@ -1,8 +1,8 @@
-"""Nested condition and interrupt edge cases in the kernel."""
+"""Nested condition edge cases in the kernel."""
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Interrupt, Simulator
+from repro.sim import AllOf, AnyOf, Simulator
 
 
 @pytest.fixture
@@ -45,44 +45,3 @@ class TestNestedConditions:
 
         p = sim.process(proc())
         assert sim.run(until_event=p) == ["x", "y"]
-
-
-class TestInterruptEdges:
-    def test_interrupt_process_waiting_on_condition(self, sim):
-        def proc():
-            try:
-                yield AllOf(sim, [sim.timeout(10.0), sim.timeout(20.0)])
-            except Interrupt:
-                return "bailed"
-
-        p = sim.process(proc())
-        sim.call_in(1.0, p.interrupt)
-        assert sim.run(until_event=p) == "bailed"
-
-    def test_double_interrupt_is_safe(self, sim):
-        def proc():
-            try:
-                yield sim.timeout(10.0)
-            except Interrupt:
-                return "once"
-
-        p = sim.process(proc())
-        sim.call_in(1.0, p.interrupt)
-        sim.call_in(1.0, p.interrupt)  # second lands after completion
-        assert sim.run(until_event=p) == "once"
-
-    def test_interrupt_then_new_wait(self, sim):
-        """An interrupted process can keep waiting on new events."""
-        def proc():
-            total = 0
-            try:
-                yield sim.timeout(100.0)
-            except Interrupt:
-                total += 1
-            yield sim.timeout(1.0)
-            return total
-
-        p = sim.process(proc())
-        sim.call_in(0.5, p.interrupt)
-        assert sim.run(until_event=p) == 1
-        assert sim.now == pytest.approx(1.5)

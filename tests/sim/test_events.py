@@ -72,16 +72,6 @@ class TestEvent:
         ev.subscribe(lambda e: got.append(e.value))
         assert got == ["x"]
 
-    def test_unsubscribe(self, sim):
-        ev = sim.event()
-        got = []
-        cb = lambda e: got.append(1)  # noqa: E731
-        ev.subscribe(cb)
-        ev.unsubscribe(cb)
-        ev.succeed()
-        sim.run()
-        assert got == []
-
     def test_succeed_with_delay(self, sim):
         ev = sim.event()
         seen = []

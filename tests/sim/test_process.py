@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Interrupt, Simulator
+from repro.sim import Simulator
 
 
 @pytest.fixture
@@ -105,57 +105,6 @@ class TestProcessBasics:
         p = sim.process(proc())
         sim.run()
         assert p.value == "early"
-
-
-class TestInterrupt:
-    def test_interrupt_wakes_waiter(self, sim):
-        def proc():
-            try:
-                yield sim.timeout(100.0)
-            except Interrupt as i:
-                return ("interrupted", i.cause, sim.now)
-
-        p = sim.process(proc())
-        sim.call_in(1.0, p.interrupt, "preempted")
-        sim.run()
-        assert p.value == ("interrupted", "preempted", 1.0)
-
-    def test_uncaught_interrupt_fails_process(self, sim):
-        def proc():
-            yield sim.timeout(100.0)
-
-        p = sim.process(proc())
-        sim.call_in(1.0, p.interrupt)
-        sim.run()
-        assert not p.ok
-        assert isinstance(p.value, Interrupt)
-
-    def test_interrupt_finished_process_is_noop(self, sim):
-        def proc():
-            yield sim.timeout(1.0)
-            return "fine"
-
-        p = sim.process(proc())
-        sim.run()
-        p.interrupt()
-        sim.run()
-        assert p.ok and p.value == "fine"
-
-    def test_interrupted_wait_event_still_fires(self, sim):
-        marker = sim.event()
-
-        def proc():
-            try:
-                yield marker
-            except Interrupt:
-                yield sim.timeout(5.0)
-                return "resumed"
-
-        p = sim.process(proc())
-        sim.call_in(1.0, p.interrupt)
-        sim.call_in(2.0, marker.succeed)
-        sim.run()
-        assert p.value == "resumed"
 
 
 class TestSimulatorRun:
