@@ -52,11 +52,6 @@ class TrainerApp:
     def stop(self) -> None:
         self.running = False
 
-    @property
-    def consumption_rate_nominal(self) -> float:
-        """Steady-state batches/second at the current GPU count."""
-        return self.machine.gpus.service_rate
-
 
 class GpuAvailabilityDriver:
     """Fig. 3's perturbation: toggle available GPUs on a fixed period.

@@ -77,9 +77,6 @@ class FillerApp:
         sums = self._units.series.bucket_sums(t0, t1, bucket)
         return [(t, units * self.work_unit / bucket) for t, units in sums]
 
-    def machines_now(self) -> List[Machine]:
-        return [ref.machine for ref in self.refs]
-
     def total_migrations(self) -> int:
         return sum(ref.proclet.migrations for ref in self.refs)
 

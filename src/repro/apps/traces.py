@@ -149,13 +149,6 @@ class ArrivalTrace:
             rate *= self.spec.burst_factor
         return rate
 
-    def offered_rate_mean(self) -> float:
-        """Realized mean rate over the horizon (bursts as drawn)."""
-        burst_time = sum(end - start for start, end in self.bursts)
-        duty = min(1.0, burst_time / self.horizon)
-        return self.spec.base_rate * (
-            1.0 + duty * (self.spec.burst_factor - 1.0))
-
     def arrivals(self) -> Generator[float, None, None]:
         """Yield arrival times in ``(0, horizon)``, strictly increasing.
 

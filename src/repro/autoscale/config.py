@@ -1,9 +1,10 @@
 """Autoscaler knobs.
 
-The size band itself is not here: the autoscaler reads
-``QuicksandConfig.max_shard_bytes`` / ``min_shard_bytes``, the same band
-every merge check reads, and :mod:`repro.autoscale.policy` holds the
-no-ping-pong hysteresis proof beside its one merge fraction.
+The size band itself is not here: the autoscaler reads each
+structure's ``max_shard_bytes`` / ``min_shard_bytes`` (``QuicksandConfig``'s
+unless the structure has its own), the same band its merge checks
+read, and :mod:`repro.autoscale.policy` holds the no-ping-pong
+hysteresis proof beside its one merge fraction.
 """
 
 from __future__ import annotations
@@ -33,9 +34,6 @@ class AutoscaleConfig:
     #: How long a shed lasts before the controller automatically
     #: resumes structural changes.
     shed_backoff: float = 20 * MS
-    #: Freeze structural decisions while the failure detector suspects
-    #: any machine (decisions are still evaluated and logged).
-    freeze_on_suspect: bool = True
 
     def __post_init__(self):
         if self.period <= 0:

@@ -1,13 +1,15 @@
 """The shard autoscaler control loop.
 
 A single DES process samples every tracked range-sharded structure each
-``period`` and compares each shard's heap bytes against the one size
-band in ``QuicksandConfig`` (the paper's §3.3 rule: the size cap bounds
-migration latency).  Out-of-band shards are driven through the
-two-phase reshard protocol (:mod:`repro.autoscale.reshard`).  Decisions
-obey hysteresis (see :mod:`repro.autoscale.policy`), a per-shard
-cool-down, and a per-structure concurrency cap, so the loop cannot
-oscillate or stampede.
+``period`` and compares each shard's size reading against its
+structure's size band (heap bytes against ``QuicksandConfig``'s band
+for the memory structures, stored bytes against the store's own; the
+paper's §3.3 rule: the size cap bounds migration latency).
+Out-of-band shards are driven through the two-phase reshard protocol
+(:mod:`repro.autoscale.reshard`).  Decisions obey hysteresis (see
+:mod:`repro.autoscale.policy`), a per-shard cool-down, and a
+per-structure concurrency cap, so the loop cannot oscillate or
+stampede.
 
 Fault posture:
 
@@ -90,8 +92,6 @@ class ShardAutoscaler:
         return "active"
 
     def _frozen(self) -> bool:
-        if not self.config.freeze_on_suspect:
-            return False
         recovery = self.qs.recovery
         return (recovery is not None
                 and recovery.detector.any_suspected())
@@ -159,15 +159,14 @@ class ShardAutoscaler:
 
     # -- decisions -----------------------------------------------------------
     def _decide(self, ds, pid: int, proclet) -> Tuple[Optional[str], str]:
-        band = self.qs.config
-        heap = proclet.heap_bytes
-        if policy.oversized(heap, band.max_shard_bytes):
-            return "split", (f"bytes {heap:.0f} > "
-                             f"{band.max_shard_bytes:.0f}")
-        if policy.undersized(heap, band.min_shard_bytes) \
+        size = ds.shard_bytes(proclet)
+        if policy.oversized(size, ds.max_shard_bytes):
+            return "split", (f"bytes {size:.0f} > "
+                             f"{ds.max_shard_bytes:.0f}")
+        if policy.undersized(size, ds.min_shard_bytes) \
                 and ds.wants_merge(pid):
-            return "merge", (f"bytes {heap:.0f} < "
-                             f"{band.min_shard_bytes:.0f}")
+            return "merge", (f"bytes {size:.0f} < "
+                             f"{ds.min_shard_bytes:.0f}")
         return None, ""
 
     # -- op settlement -------------------------------------------------------

@@ -3,11 +3,14 @@
 Both the deprecated heap-change-driven
 :class:`~repro.core.splitmerge.ShardSizeController` and the
 :class:`~repro.autoscale.ShardAutoscaler` control loop decide through
-these three functions on the one band in ``QuicksandConfig``, so the
-two paths provably agree on what counts as oversized/undersized
-(pinned by the fig2 decision-parity test).
+these three functions, on the size reading and band each structure
+supplies (:class:`~repro.autoscale.reshard.ReshardHooks`: heap bytes
+against ``QuicksandConfig``'s band for the memory structures, stored
+bytes against its own band for the sharded store), so the two paths
+provably agree on what counts as oversized/undersized (pinned by the
+fig2 decision-parity test).
 
-Hysteresis: a split fires at ``heap > max_shard_bytes`` and produces
+Hysteresis: a split fires at ``size > max_shard_bytes`` and produces
 two children of ~``max/2`` bytes each; a merge fires only when the
 *combined* size of a shard and its partner is below
 ``MERGE_FRACTION * max_shard_bytes``.  With a fraction below 1
@@ -25,14 +28,14 @@ from __future__ import annotations
 MERGE_FRACTION = 0.7
 
 
-def oversized(heap_bytes: float, max_shard_bytes: float) -> bool:
+def oversized(size: float, max_shard_bytes: float) -> bool:
     """Should this shard split on byte size?"""
-    return heap_bytes > max_shard_bytes
+    return size > max_shard_bytes
 
 
-def undersized(heap_bytes: float, min_shard_bytes: float) -> bool:
+def undersized(size: float, min_shard_bytes: float) -> bool:
     """Is this shard small enough to consider merging away?"""
-    return heap_bytes < min_shard_bytes
+    return size < min_shard_bytes
 
 
 def merge_fits(combined_bytes: float, max_shard_bytes: float) -> bool:

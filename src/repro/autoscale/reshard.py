@@ -3,10 +3,11 @@
 Every shard split and merge in the system (§3.3) runs here, whatever
 the structure (map, vector, queue, store) and whoever asked (the
 :class:`~repro.autoscale.ShardAutoscaler` loop, the paper's heap-change
-:class:`~repro.core.splitmerge.ShardSizeController`, the store's own
-size trigger, or a test).  Callers use ``ds.reshard_split_by_id`` /
-``ds.reshard_merge_by_id``; each structure mixes in
-:class:`ReshardHooks` and supplies only what differs by shape.
+:class:`~repro.core.splitmerge.ShardSizeController`, or a test).
+Callers use ``ds.reshard_split_by_id`` / ``ds.reshard_merge_by_id``;
+each structure mixes in :class:`ReshardHooks` and supplies only what
+differs by shape, including the size reading and band both
+controllers hold its shards to.
 
 ``PREPARE``
     Gate the donor shard (reusing the migration-gate mechanism, so
@@ -36,6 +37,7 @@ authoritative, which the chaos invariants verify after every event.
 
 from __future__ import annotations
 
+import operator
 from typing import Any, Generator, List, Optional, Tuple
 
 from ..runtime.errors import MachineFailed
@@ -46,17 +48,26 @@ from ..runtime.reshard import ReshardPhase
 class ReshardHooks:
     """The structure-specific half of the protocol.
 
-    A host class provides ``qs``, ``name`` and ``shards`` (its routing
-    table) and implements :meth:`_publish_split` and
-    :meth:`_publish_merge`.  The other hooks default to range-sharded
-    DRAM shards (maps, vectors); the queue and the store override what
-    differs.  Shard proclets provide ``object_count``,
-    ``install(items)`` and ``extract_all()``.
+    A host class provides ``qs``, ``name``, ``shards`` (its routing
+    table) and its size band ``max_shard_bytes``/``min_shard_bytes``,
+    and implements :meth:`_publish_split` and :meth:`_publish_merge`.
+    The other hooks default to range-sharded DRAM shards (maps,
+    vectors); the queue and the store override what differs.  Shard
+    proclets provide ``object_count``, ``install(items)`` and
+    ``extract_all()``.
     """
 
     qs: Any
     name: str
     shards: List[Any]
+    max_shard_bytes: float
+    min_shard_bytes: float
+
+    #: A shard proclet's size reading, the one the band bounds: its heap
+    #: bytes (``Proclet.heap_bytes``, read without the property call:
+    #: the controllers read it per shard on every tick or heap change),
+    #: unless the structure keeps its data elsewhere.
+    shard_bytes = operator.attrgetter("_heap_bytes")
 
     def reshard_split_by_id(self, proclet_id: int):
         """Split the named shard; returns the completion event (value

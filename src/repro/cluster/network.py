@@ -83,12 +83,6 @@ class Fabric:
         self._partitions.discard(frozenset((a.id, b.id)))
         self._release_stalled()
 
-    def heal_all(self) -> None:
-        """Drop every partition."""
-        if self._partitions:
-            self._partitions.clear()
-            self._release_stalled()
-
     def is_partitioned(self, a: Machine, b: Machine) -> bool:
         return bool(self._partitions) and \
             frozenset((a.id, b.id)) in self._partitions

@@ -75,19 +75,6 @@ class Nic:
     def note_rx(self, nbytes: float) -> None:
         self.rx_bytes += nbytes
 
-    def tx_utilization_since(self, t0: float, integral0: float = 0.0) -> float:
-        return self.tx.utilization_since(t0, integral0)
-
-    @property
-    def tx_load(self) -> float:
-        """Aggregate transmit rate right now (cached, O(1))."""
-        return self.tx.load
-
-    @property
-    def tx_queue_depth(self) -> int:
-        """Number of in-flight transfers on the TX scheduler."""
-        return len(self.tx)
-
     def __repr__(self) -> str:
         return (f"<Nic {self.machine_name} bw={self.bandwidth:.3g} B/s "
                 f"tx_queue={len(self.tx)}>")

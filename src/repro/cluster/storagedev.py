@@ -42,16 +42,6 @@ class StorageDevice:
     def free(self) -> float:
         return self.capacity - self.used
 
-    @property
-    def iops_load(self) -> float:
-        """Current aggregate op service rate (cached, O(1))."""
-        return self.iops.load
-
-    def free_iops(self, priority: int = 1) -> float:
-        """IOPS headroom a new op at *priority* would see (uses the
-        scheduler's cached per-class rate sums)."""
-        return self.iops.free_capacity(priority=priority)
-
     def reserve(self, nbytes: float) -> None:
         if nbytes < 0:
             raise ValueError(f"negative reservation: {nbytes}")

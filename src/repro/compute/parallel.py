@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Any, Callable, List, Optional, Union
 
 from ..core.computeproclet import Task
+from ..core.prefetch import CHUNK, DEPTH
 from ..sim import Event
 
 #: Per-element work: either a constant (seconds) or fn(key, value) -> s.
@@ -37,8 +38,8 @@ def _slice_tasks(pool, vector, lo: int, hi: int, task_elems: int,
 
 def for_each(pool, vector, work: WorkSpec, emit=None,
              lo: int = 0, hi: Optional[int] = None,
-             task_elems: int = 512, reader_depth: Optional[int] = None,
-             reader_chunk: Optional[int] = None) -> Event:
+             task_elems: int = 512, reader_depth: int = DEPTH,
+             reader_chunk: int = CHUNK) -> Event:
     """Apply per-element *work* over ``vector[lo:hi]`` using *pool*.
 
     ``emit(ctx, key, value)`` is an optional generator run after each

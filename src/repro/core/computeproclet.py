@@ -120,12 +120,6 @@ class ComputeProclet(ResourceProclet):
         for task in tasks:
             self._enqueue(task)
 
-    def cp_stop(self, ctx):
-        """Stop accepting work; idle workers exit, queue drains first."""
-        yield ctx.cpu(_DISPATCH_CPU)
-        self._stopped = True
-        self._wake_all()
-
     def cp_extract_half(self, ctx):
         """Give away the back half of the queue (split mechanism, §3.3).
 
@@ -144,14 +138,6 @@ class ComputeProclet(ResourceProclet):
         extracted = list(self._queue)
         self._queue.clear()
         return Payload(extracted, nbytes=TASK_WIRE_BYTES * len(extracted))
-
-    def cp_stats(self, ctx):
-        yield ctx.cpu(_DISPATCH_CPU)
-        return {
-            "queue": len(self._queue),
-            "busy": self.busy_workers,
-            "done": self.tasks_done,
-        }
 
     # -- the worker loop --------------------------------------------------------
     def cp_worker(self, ctx, wid: int):

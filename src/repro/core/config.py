@@ -9,7 +9,7 @@ from ..units import MS, MiB, US
 
 @dataclass(frozen=True)
 class QuicksandConfig:
-    """Configuration of schedulers, split/merge, and prefetching.
+    """Configuration of schedulers and split/merge.
 
     Defaults are calibrated to the paper's regime: sub-millisecond
     migrations, ~millisecond-scale reactions, 10–15 ms re-equilibration.
@@ -31,38 +31,15 @@ class QuicksandConfig:
     migration_cooldown: float = 2 * MS
     #: DRAM fraction that triggers memory-pressure eviction.
     memory_watermark: float = 0.92
-    #: Required free-memory advantage at the destination before evicting.
-    memory_hysteresis_bytes: float = 32 * MiB
 
     # -- global (slow) scheduler ---------------------------------------------
     global_interval: float = 50 * MS
-    #: "greedy" = pairwise most/least-loaded rebalance; "binpack" = the
-    #: §3.3-cited sticky first-fit-decreasing packing pass.
-    global_strategy: str = "greedy"
-    #: Target bin fill for the binpack strategy.
-    binpack_headroom: float = 0.9
-    #: Moves the binpack pass may issue per round (bounds churn).
-    binpack_max_moves: int = 4
-    #: Normal-priority CPU demand/capacity imbalance that triggers a move.
-    cpu_imbalance_threshold: float = 0.25
-    #: Memory-pressure imbalance that triggers a shard move.
-    memory_imbalance_threshold: float = 0.25
     #: Decayed remote-call count beyond which colocation is considered.
     affinity_threshold: float = 50.0
 
     # -- compute autoscaling (§3.3 / Fig. 3) -----------------------------------
     #: Controller sampling period.
     autoscale_period: float = 1 * MS
-    #: EWMA time constant for rate estimation.
-    rate_time_constant: float = 4 * MS
-    #: Queue-length band (in batches) the controller tolerates.
-    queue_setpoint: float = 8.0
-    #: Cooldown between scaling actions.
-    autoscale_cooldown: float = 2 * MS
-
-    # -- prefetching ---------------------------------------------------------------
-    prefetch_depth: int = 4
-    prefetch_chunk: int = 32
 
     # -- feature switches (for ablations) -----------------------------------------
     enable_local_scheduler: bool = True
@@ -76,7 +53,3 @@ class QuicksandConfig:
             raise ValueError("memory_watermark must be in (0, 1]")
         if self.autoscale_period <= 0 or self.global_interval <= 0:
             raise ValueError("scheduler periods must be positive")
-        if self.global_strategy not in ("greedy", "binpack"):
-            raise ValueError(
-                f"unknown global_strategy: {self.global_strategy!r}"
-            )

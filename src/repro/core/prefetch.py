@@ -16,6 +16,11 @@ from typing import Any, Deque, Generator, List, Tuple
 from ..runtime import DeadProclet
 from ..runtime.errors import WrongShard
 
+#: Elements per batch read, and batch reads kept in flight, unless a
+#: reader is given its own.
+CHUNK = 32
+DEPTH = 4
+
 
 class PrefetchingReader:
     """Pipelined batch reader over a key range of a sharded structure.
@@ -35,8 +40,8 @@ class PrefetchingReader:
         ABL-PREFETCH ablation.
     """
 
-    def __init__(self, ds, lo: int, hi: int, chunk: int = 32,
-                 depth: int = 4):
+    def __init__(self, ds, lo: int, hi: int, chunk: int = CHUNK,
+                 depth: int = DEPTH):
         if chunk < 1:
             raise ValueError(f"chunk must be >= 1: {chunk}")
         if depth < 0:

@@ -17,9 +17,9 @@ scheduler, split/merge, and the high-level data structures::
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional, Tuple, Union
+from typing import Generator, List, Optional, Union
 
-from ..cluster import Cluster, ClusterSpec, Machine, Priority
+from ..cluster import Cluster, ClusterSpec, Machine
 from ..runtime import (
     MigrationConfig,
     NuRuntime,
@@ -56,13 +56,11 @@ class Quicksand:
         self.runtime = NuRuntime(self.cluster, migration_config)
         self.sim = self.cluster.sim
         self.metrics = self.cluster.metrics
-        self.placement = PlacementPolicy(self.cluster)
-        self.placement.attach_runtime(self.runtime)
         #: Bucketed machine views (free DRAM, planned compute, eligible
         #: list) so placement argmax and scheduler scans stay O(buckets)
         #: rather than O(machines) at thousand-machine scale.
         self.machine_index = MachineIndex(self.cluster, self.runtime)
-        self.placement.index = self.machine_index
+        self.placement = PlacementPolicy(self.cluster, self.machine_index)
         self.runtime.locator.add_listener(
             self.machine_index.on_location_change)
         self.runtime.on_machine_failure(self.machine_index.on_machine_failure)
@@ -176,7 +174,7 @@ class Quicksand:
                     live,
                     key=lambda x: min(
                         x.cpu.free_cores(),
-                        x.cpu.cores - self.placement._planned_demand(x),
+                        x.cpu.cores - self.machine_index.planned(x),
                     ),
                 ) if live else None
         elif kind is ResourceKind.GPU:

@@ -2,7 +2,6 @@
 rebalancing (§5 of the paper)."""
 
 from .affinity import AffinityTracker
-from .binpack import Move, PackItem, pack_quality, plan_packing
 from .global_ import GlobalScheduler
 from .local import LocalScheduler
 from .machine_index import MachineIndex
@@ -13,9 +12,5 @@ __all__ = [
     "GlobalScheduler",
     "LocalScheduler",
     "MachineIndex",
-    "Move",
-    "PackItem",
     "PlacementPolicy",
-    "pack_quality",
-    "plan_packing",
 ]

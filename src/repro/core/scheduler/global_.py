@@ -24,6 +24,12 @@ from ...runtime import MigrationFailed, ProcletStatus
 from ..config import QuicksandConfig
 from ..resource import ResourceKind, ResourceProclet
 
+#: Planned-CPU-per-core gap between the most and least committed
+#: machines that triggers a compute move.
+_CPU_IMBALANCE = 0.25
+#: Memory-pressure gap that triggers a shard move.
+_MEMORY_IMBALANCE = 0.25
+
 
 class GlobalScheduler:
     """Periodic cluster-wide placement refinement."""
@@ -45,60 +51,15 @@ class GlobalScheduler:
                 # spawned, not awaited), so a region cleanly scopes it:
                 # every migration requested inside nests under the round.
                 with tr.region("sched-global", f"round#{self.rounds}",
-                               track="sched:global",
-                               strategy=self.config.global_strategy):
+                               track="sched:global"):
                     self._round()
             else:
                 self._round()
 
     def _round(self) -> None:
-        if self.config.global_strategy == "binpack":
-            self._rebalance_by_packing()
-        else:
-            self._rebalance_compute()
-            self._rebalance_memory()
+        self._rebalance_compute()
+        self._rebalance_memory()
         self._colocate_by_affinity()
-
-    # -- binpack strategy (§3.3 / POP) -----------------------------------------
-    def _rebalance_by_packing(self) -> None:
-        from .binpack import PackItem, plan_packing
-
-        machines = self.qs.eligible_machines()
-        by_name = {m.name: m for m in machines}
-
-        def apply_plan(items, capacities):
-            try:
-                moves = plan_packing(items, capacities,
-                                     headroom=self.config.binpack_headroom)
-            except ValueError:
-                return  # cluster genuinely overloaded; nothing sane to do
-            for move in moves[:self.config.binpack_max_moves]:
-                proclet = self.qs.runtime._proclets.get(move.key)
-                if (proclet is None
-                        or proclet.status is not ProcletStatus.RUNNING):
-                    continue
-                self._move(proclet, by_name[move.dst],
-                           reason="global-binpack")
-
-        mem_items = []
-        cpu_items = []
-        for m in machines:
-            for p in self.qs.runtime.proclets_on(m):
-                if not isinstance(p, ResourceProclet):
-                    continue
-                if p.status is not ProcletStatus.RUNNING:
-                    continue
-                if p.kind is ResourceKind.MEMORY:
-                    mem_items.append(PackItem(key=p.id, size=p.footprint,
-                                              current_bin=m.name))
-                elif p.kind is ResourceKind.COMPUTE:
-                    cpu_items.append(PackItem(
-                        key=p.id,
-                        size=float(getattr(p, "parallelism", 1)),
-                        current_bin=m.name))
-        apply_plan(mem_items,
-                   {m.name: m.memory.capacity for m in machines})
-        apply_plan(cpu_items, {m.name: m.cpu.cores for m in machines})
 
     # -- compute balance -----------------------------------------------------
     def _rebalance_compute(self) -> None:
@@ -113,7 +74,7 @@ class GlobalScheduler:
         low, low_ratio, high, high_ratio = index.cpu_ratio_extremes(healthy)
         if high is None or low is high:
             return
-        if high_ratio - low_ratio < self.config.cpu_imbalance_threshold:
+        if high_ratio - low_ratio < _CPU_IMBALANCE:
             return
         if low.cpu.free_cores() < 1.0:
             return
@@ -140,7 +101,7 @@ class GlobalScheduler:
         low, low_p, high, high_p = index.pressure_extremes(healthy)
         if high is None or low is high:
             return
-        if high_p - low_p < self.config.memory_imbalance_threshold:
+        if high_p - low_p < _MEMORY_IMBALANCE:
             return
         candidates = [
             p for p in self.qs.runtime.proclets_on(high)

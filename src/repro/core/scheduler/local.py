@@ -21,9 +21,13 @@ from typing import Set
 
 from ...cluster import Machine
 from ...runtime import MigrationFailed, ProcletStatus
+from ...units import MiB
 from ..config import QuicksandConfig
 from ..pressure import StarvationTracker
 from ..resource import ResourceKind, ResourceProclet
+
+#: Free-memory advantage the destination must have before an eviction.
+_EVICT_HYSTERESIS_BYTES = 32 * MiB
 
 
 class LocalScheduler:
@@ -124,7 +128,7 @@ class LocalScheduler:
             return
         # Only evict when the destination is meaningfully better off.
         advantage = dst.memory.free - victim.footprint - memory.free
-        if advantage < self.config.memory_hysteresis_bytes:
+        if advantage < _EVICT_HYSTERESIS_BYTES:
             return
         self.evictions_triggered += 1
         self._start_migration(victim, dst, reason="memory-pressure")

@@ -198,9 +198,9 @@ class MachineIndex:
 
         Every dirty scheduler sits on the simulator's pending-flush
         list (``_mark_dirty`` either flushes immediately or enqueues),
-        so the placement pre-flush — which must replicate the linear
-        scan's flush visit order before the bucketed argmax does its
-        pure reads — costs O(dirty at this instant), not O(fleet).
+        so the placement pre-flush — which flushes them in cluster
+        order before the bucketed argmax does its pure reads — costs
+        O(dirty at this instant), not O(fleet).
         """
         by_sched = self._machine_by_cpu_sched
         dirty = []

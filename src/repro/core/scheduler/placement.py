@@ -23,26 +23,18 @@ class PlacementPolicy:
     migration and data-path costs, not by control-plane staleness.
     """
 
-    def __init__(self, cluster: Cluster, runtime=None):
+    def __init__(self, cluster: Cluster, index):
         self.cluster = cluster
-        self.runtime = runtime
+        #: The :class:`MachineIndex`: the memory/compute argmax queries
+        #: run over its log2 buckets, and planned compute demand comes
+        #: from its exact cache.
+        self.index = index
         #: Optional health gate (wired to the failure detector by
         #: ``Quicksand.enable_recovery``): machines it rejects — e.g.
         #: *suspected* but not yet confirmed dead — receive no new
         #: placements, even while ``machine.up`` still reads True to the
         #: data plane.
         self.health: Optional[Callable[[Machine], bool]] = None
-        #: Optional :class:`MachineIndex` (wired by ``Quicksand``): when
-        #: present, the memory/compute argmax queries run over log2
-        #: buckets instead of a full linear scan, and planned compute
-        #: demand comes from the index's exact cache.  ``None`` keeps
-        #: the original scans (standalone-policy tests, partial wiring).
-        self.index = None
-
-    def attach_runtime(self, runtime) -> None:
-        """Give the policy visibility into hosted proclets (for planned
-        compute demand)."""
-        self.runtime = runtime
 
     def _healthy(self, machine: Machine) -> bool:
         return machine.up and (self.health is None or self.health(machine))
@@ -51,20 +43,8 @@ class PlacementPolicy:
     def best_for_memory(self, nbytes: float,
                         exclude: Iterable[Machine] = ()) -> Optional[Machine]:
         """Machine with the most free DRAM that fits *nbytes*."""
-        skip = set(exclude)
-        if self.index is not None:
-            return self.index.best_for_memory(nbytes, skip, self._healthy)
-        best, best_free = None, -1.0
-        for m in self.cluster.machines:
-            if m in skip or not self._healthy(m):
-                continue
-            free = m.memory.free
-            if free >= nbytes and free > best_free:
-                best, best_free = m, free
-        return best
-
-    def memory_headroom(self, machine: Machine) -> float:
-        return machine.memory.free
+        return self.index.best_for_memory(nbytes, set(exclude),
+                                          self._healthy)
 
     # -- compute --------------------------------------------------------------
     def best_for_compute(self, threads: float = 1.0,
@@ -78,48 +58,27 @@ class PlacementPolicy:
         enough CPU resources in the cluster".
         """
         skip = set(exclude)
-        if self.index is not None:
-            # Reading free_cores flushes a dirty fluid scheduler, and a
-            # flush schedules events (seq numbers!), so the indexed path
-            # must replicate the linear scan's flush visit order exactly
-            # before the bucket scan does its pure reads.  The index
-            # finds the dirty schedulers on the simulator's pending-
-            # flush list — O(dirty), not O(fleet).
-            for m in self.index.dirty_cpu_machines():
-                if m in skip or not self._healthy(m):
-                    continue
-                sched = m.cpu.sched
-                if sched._dirty:
-                    sched._flush()
-            best, best_free = self.index.best_for_compute(
-                priority, skip, self._healthy)
-        else:
-            best, best_free = None, 0.0
-            for m in self.cluster.machines:
-                if m in skip or not self._healthy(m):
-                    continue
-                free = m.cpu.free_cores(priority)
-                # Also subtract *planned* demand: compute proclets
-                # already hosted here will use their worker threads even
-                # if they are momentarily idle — without this, a burst
-                # of spawns lands every member on the same machine.
-                free = min(free, m.cpu.cores - self._planned_demand(m))
-                if free > best_free:
-                    best, best_free = m, free
+        # Reading free_cores flushes a dirty fluid scheduler, and a
+        # flush schedules events (seq numbers!), so the dirty schedulers
+        # are flushed first, in cluster order, before the bucket scan
+        # does its pure reads.  The index finds them on the simulator's
+        # pending-flush list — O(dirty), not O(fleet).
+        for m in self.index.dirty_cpu_machines():
+            if m in skip or not self._healthy(m):
+                continue
+            sched = m.cpu.sched
+            if sched._dirty:
+                sched._flush()
+        # The index scores free cores net of *planned* demand: compute
+        # proclets already hosted on a machine will use their worker
+        # threads even if they are momentarily idle — without this, a
+        # burst of spawns lands every member on the same machine.
+        best, best_free = self.index.best_for_compute(
+            priority, skip, self._healthy)
         # Require at least half a core of headroom to be worth it.
         if best is not None and best_free < min(0.5, threads * 0.5):
             return None
         return best
-
-    def _planned_demand(self, machine: Machine) -> float:
-        if self.index is not None:
-            return self.index.planned(machine)
-        if self.runtime is None:
-            return 0.0
-        total = 0.0
-        for proclet in self.runtime.proclets_on(machine):
-            total += getattr(proclet, "parallelism", 0) or 0
-        return total
 
     def total_free_cores(self, priority: Priority = Priority.NORMAL) -> float:
         return sum(m.cpu.free_cores(priority)

@@ -2,11 +2,12 @@
 
 Two controllers:
 
-* :class:`ShardSizeController` keeps memory proclets granular: whenever a
-  registered shard's heap crosses ``max_shard_bytes`` it asks the owning
-  sharded data structure to split it; shards that shrink below
-  ``min_shard_bytes`` are merged into a neighbour.  Bounding shard size
-  bounds migration latency — the paper's stated reason for the rule.
+* :class:`ShardSizeController` keeps memory and storage shards granular:
+  whenever a heap change of a registered shard leaves its size reading
+  above its structure's ``max_shard_bytes`` it asks the structure to
+  split it; shards that shrink below ``min_shard_bytes`` are merged into
+  a neighbour.  Bounding shard size bounds migration latency — the
+  paper's stated reason for the rule.
 
 * :class:`ComputeAutoscaler` matches a compute pool's production rate to
   a downstream consumer (Fig. 3): it samples queue flow every
@@ -23,9 +24,16 @@ from typing import Dict, Generator, Optional, Set
 
 from ..autoscale import policy
 from ..runtime import ProcletStatus
+from ..units import MS
 from .config import QuicksandConfig
 from .pressure import RateEstimator
-from .resource import ResourceKind
+
+#: EWMA time constant of the compute autoscaler's rate estimates.
+_RATE_TIME_CONSTANT = 4 * MS
+#: Queue length (in batches) the compute autoscaler tolerates.
+_QUEUE_SETPOINT = 8.0
+#: Minimum time between two compute scaling actions.
+_SCALE_COOLDOWN = 2 * MS
 
 
 class ShardSizeController:
@@ -50,7 +58,6 @@ class ShardSizeController:
 
     def __init__(self, qs):
         self.qs = qs
-        self.config: QuicksandConfig = qs.config
         self._owners: Dict[int, object] = {}  # proclet_id -> sharded DS
         self._busy: Set[int] = set()
         self._detached = False
@@ -101,12 +108,12 @@ class ShardSizeController:
             # would destroy the incarnation being recovered.  The
             # manager re-pokes this hook when the restore completes.
             return
-        if policy.oversized(proclet.heap_bytes, self.config.max_shard_bytes):
+        size = ds.shard_bytes(proclet)
+        if policy.oversized(size, ds.max_shard_bytes):
             self._busy.add(proclet.id)
             self.splits_requested += 1
             self.qs.sim.call_in(0.0, self._run_split, proclet.id, ds)
-        elif (policy.undersized(proclet.heap_bytes,
-                                self.config.min_shard_bytes)
+        elif (policy.undersized(size, ds.min_shard_bytes)
               and ds.wants_merge(proclet.id)):
             self._busy.add(proclet.id)
             self.merges_requested += 1
@@ -191,9 +198,8 @@ class ComputeAutoscaler:
         self.nominal_task_rate = nominal_task_rate
         self.min_members = min_members
         self.max_members = max_members
-        tc = self.config.rate_time_constant
-        self.production = RateEstimator(tc)
-        self.consumption = RateEstimator(tc)
+        self.production = RateEstimator(_RATE_TIME_CONSTANT)
+        self.consumption = RateEstimator(_RATE_TIME_CONSTANT)
         self._last_pushed = 0
         self._last_popped = 0
         self._last_waits = 0
@@ -254,13 +260,12 @@ class ComputeAutoscaler:
         if now < self._cooldown_until:
             return
         backlog = self.queue.length
-        setpoint = self.config.queue_setpoint
 
         # Consumer starving: it blocked on an empty queue since the last
         # sample.  Measured consumption == production in this regime, so
         # the true demand is unknown; step up multiplicatively until the
         # waits stop (reaches any demand in O(log) cooldown periods).
-        starving = self._waits_delta > 0 and backlog < setpoint
+        starving = self._waits_delta > 0 and backlog < _QUEUE_SETPOINT
         if starving:
             step = max(1, math.ceil(actual / 2))
             if self.max_members is not None:
@@ -270,7 +275,7 @@ class ComputeAutoscaler:
             added = self.pool.grow(step)
             if added:
                 self.scale_ups += added
-                self._cooldown_until = now + self.config.autoscale_cooldown
+                self._cooldown_until = now + _SCALE_COOLDOWN
             return
 
         # Producers outrunning the consumer: the backlog confirms it and
@@ -278,11 +283,11 @@ class ComputeAutoscaler:
         # implied count, at most two per cooldown: scaling down has no
         # deadline (only efficiency), and gentle steps avoid overshooting
         # into a starve-grow limit cycle.
-        if backlog > 2 * setpoint and desired < actual:
+        if backlog > 2 * _QUEUE_SETPOINT and desired < actual:
             removed = self.pool.shrink(min(actual - desired, 2))
             if removed:
                 self.scale_downs += removed
-                self._cooldown_until = now + self.config.autoscale_cooldown
+                self._cooldown_until = now + _SCALE_COOLDOWN
 
     def _decide_declared(self, now: float) -> None:
         """Scaling against a declared consumer-demand rate (Fig. 3).
@@ -309,7 +314,7 @@ class ComputeAutoscaler:
             added = self.pool.grow(desired - actual)
             if added:
                 self.scale_ups += added
-                self._cooldown_until = now + self.config.autoscale_cooldown
+                self._cooldown_until = now + _SCALE_COOLDOWN
                 self.qs.runtime.decide(
                     "autoscale", f"grow +{added} (declared demand)",
                     desired=desired, actual=actual)
@@ -317,7 +322,7 @@ class ComputeAutoscaler:
             removed = self.pool.shrink(actual - desired)
             if removed:
                 self.scale_downs += removed
-                self._cooldown_until = now + self.config.autoscale_cooldown
+                self._cooldown_until = now + _SCALE_COOLDOWN
                 self.qs.runtime.decide(
                     "autoscale", f"shrink -{removed} (declared demand)",
                     desired=desired, actual=actual)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from ..cluster import Machine
-from ..core.prefetch import PrefetchingReader
+from ..core.prefetch import CHUNK, DEPTH, PrefetchingReader
 from ..sim import Event
 from .sharding import ShardedBase
 
@@ -55,15 +55,10 @@ class ShardedMap(ShardedBase):
     def contains(self, key: Any, ctx=None) -> Event:
         return self.call_routed(key, "mp_contains", key, ctx=ctx)
 
-    def range_reader(self, lo: Any, hi: Any, chunk: Optional[int] = None,
-                     depth: Optional[int] = None) -> PrefetchingReader:
+    def range_reader(self, lo: Any, hi: Any, chunk: int = CHUNK,
+                     depth: int = DEPTH) -> PrefetchingReader:
         """Prefetching scan over keys in ``[lo, hi)``."""
-        cfg = self.qs.config
-        return PrefetchingReader(
-            self, lo, hi,
-            chunk=cfg.prefetch_chunk if chunk is None else chunk,
-            depth=cfg.prefetch_depth if depth is None else depth,
-        )
+        return PrefetchingReader(self, lo, hi, chunk=chunk, depth=depth)
 
 
 class ShardedSet:

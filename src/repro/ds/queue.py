@@ -57,10 +57,6 @@ class QueueShardProclet(ResourceProclet):
             owner._note_pop()
         return Payload(value, nbytes=nbytes)
 
-    def qp_len(self, ctx):
-        yield ctx.cpu(_OP_CPU)
-        return len(self._items)
-
     # -- split/merge primitives (queue-specific, §3.3) --------------------------
     @property
     def object_count(self) -> int:
@@ -99,6 +95,8 @@ class ShardedQueue(ReshardHooks):
             raise ValueError("a queue needs at least one shard")
         self.qs = qs
         self.name = name
+        self.max_shard_bytes = qs.config.max_shard_bytes
+        self.min_shard_bytes = qs.config.min_shard_bytes
         self.shards: List = []
         self.pushed = 0
         self.popped = 0

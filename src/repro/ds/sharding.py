@@ -1,8 +1,9 @@
 """General sharding library (§3.2).
 
 Partitions a keyed collection into disjoint key ranges, each stored in
-its own memory proclet, with an index proclet holding the routing table.
-A size controller keeps shards inside the configured size band by
+its own shard proclet (a memory proclet, or a storage proclet for the
+sharded store), with an index proclet holding the routing table.  A
+size controller keeps shards inside the structure's size band by
 splitting oversized shards and merging undersized ones through the
 two-phase protocol in :mod:`repro.autoscale.reshard`; users never see
 shard boundaries.
@@ -34,8 +35,7 @@ def routed_call(owner, key: Any, method: str, *args, ctx=None,
     rerouting on stale routing.
 
     *owner* is a range-sharded structure: it has ``qs``, ``name`` and
-    ``route(key)``.  :class:`ShardedBase` and
-    :class:`repro.storage.ShardedStore` both bind this function as their
+    ``route(key)``.  :class:`ShardedBase` binds this function as its
     ``call_routed`` method.
 
     A shard chosen at submit time can be merged away (DeadProclet)
@@ -94,17 +94,27 @@ class Shard:
     ref: ProcletRef
 
     @property
-    def proclet(self) -> MemoryProclet:
+    def proclet(self):
         return self.ref.proclet
 
 
 class ShardedBase(ReshardHooks):
-    """Common machinery for range-sharded structures."""
+    """Common machinery for range-sharded structures.
+
+    *band* is ``(max_shard_bytes, min_shard_bytes)``; it defaults to
+    ``QuicksandConfig``'s band.
+    """
+
+    #: The proclet class of every shard.
+    shard_class = MemoryProclet
 
     def __init__(self, qs, name: str,
-                 initial_machine: Optional[Machine] = None):
+                 initial_machine: Optional[Machine] = None,
+                 band: Optional[Tuple[float, float]] = None):
         self.qs = qs
         self.name = name
+        self.max_shard_bytes, self.min_shard_bytes = band or (
+            qs.config.max_shard_bytes, qs.config.min_shard_bytes)
         self.shards: List[Shard] = []
         self._los: List[Any] = []  # parallel array for bisect routing
         # The index memory proclet: holds the shard routing table (§3.2).
@@ -117,7 +127,7 @@ class ShardedBase(ReshardHooks):
     # -- shard bookkeeping --------------------------------------------------
     def _spawn_shard(self, lo: Any,
                      machine: Optional[Machine] = None) -> Shard:
-        proclet = MemoryProclet()
+        proclet = self.shard_class()
         proclet.shard_owner = self
         ref = self.qs.spawn(proclet, machine,
                             name=f"{self.name}.shard@{lo!r}")
@@ -219,7 +229,7 @@ class ShardedBase(ReshardHooks):
 
     @property
     def total_bytes(self) -> float:
-        return sum(s.proclet.heap_bytes for s in self.shards)
+        return sum(self.shard_bytes(s.proclet) for s in self.shards)
 
     @property
     def total_objects(self) -> int:
@@ -239,13 +249,13 @@ class ShardedBase(ReshardHooks):
         if neighbour is None:
             return False
         try:
-            combined = (self.shards[idx].proclet.heap_bytes
-                        + neighbour.proclet.heap_bytes)
+            combined = (self.shard_bytes(self.shards[idx].proclet)
+                        + self.shard_bytes(neighbour.proclet))
         except DeadProclet:
             # The partner is lost to a machine failure (possibly
             # awaiting recovery): there is nothing to merge into.
             return False
-        return policy.merge_fits(combined, self.qs.config.max_shard_bytes)
+        return policy.merge_fits(combined, self.max_shard_bytes)
 
     def _publish_split(self, shard: Shard, split_key: Any,
                        child_ref: ProcletRef) -> None:

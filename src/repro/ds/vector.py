@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from ..cluster import Machine
-from ..core.prefetch import PrefetchingReader
+from ..core.prefetch import CHUNK, DEPTH, PrefetchingReader
 from ..sim import Event
 from .sharding import ShardedBase
 
@@ -57,15 +57,13 @@ class ShardedVector(ShardedBase):
         return self.call_routed(index, "mp_get", index, ctx=ctx)
 
     def reader(self, lo: int = 0, hi: Optional[int] = None,
-               chunk: Optional[int] = None,
-               depth: Optional[int] = None) -> PrefetchingReader:
+               chunk: int = CHUNK,
+               depth: int = DEPTH) -> PrefetchingReader:
         """A prefetching sequential reader over ``[lo, hi)`` (§3.2
         iterators with prefetch hints)."""
-        cfg = self.qs.config
         return PrefetchingReader(
             self, lo, self._length if hi is None else hi,
-            chunk=cfg.prefetch_chunk if chunk is None else chunk,
-            depth=cfg.prefetch_depth if depth is None else depth,
+            chunk=chunk, depth=depth,
         )
 
     def _check_index(self, index: int) -> None:

@@ -172,10 +172,6 @@ class RecoveryManager:
         spec = self._specs.get(proclet_id)
         return spec is not None and spec.policy is not RecoveryPolicy.NONE
 
-    def policy_of(self, proclet_id: int) -> RecoveryPolicy:
-        spec = self._specs.get(proclet_id)
-        return spec.policy if spec is not None else RecoveryPolicy.NONE
-
     # -- transparent-retry support (called by NuRuntime._invoke_proc) --------
     def retry_delay(self, proclet_id: int, attempt: int,
                     exc: BaseException) -> Optional[float]:

@@ -238,9 +238,6 @@ class SpanTracer:
             out[f"category.{cat}"] = count
         return out
 
-    def children_of(self, span: Span) -> List[Span]:
-        return [s for s in self.spans if s.parent_id == span.sid]
-
     def digest(self) -> str:
         """sha256 over the canonical serialization of every span.
 

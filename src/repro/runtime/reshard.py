@@ -2,8 +2,9 @@
 
 Every structural change to a sharded data structure runs through the
 one two-phase protocol in :mod:`repro.autoscale.reshard` — whoever
-asked for it: the heap-change size controller, the autoscaler loop,
-the sharded store's size trigger or an experiment script — and that
+asked for it: the heap-change size controller, the autoscaler loop or
+an experiment script, and whatever the structure, the sharded store
+included — and that
 protocol registers a :class:`ReshardOp` here for the op's whole
 lifetime.  The ledger is what makes resharding *auditable*: the chaos
 invariant checker runs after every simulator event and needs to

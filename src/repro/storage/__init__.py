@@ -2,6 +2,6 @@
 and range-sharded persistent store with §3.3 split/merge."""
 
 from .flat import FlatStorage
-from .sharded import ShardedStore, StoreShardProclet
+from .sharded import ShardedStore
 
-__all__ = ["FlatStorage", "ShardedStore", "StoreShardProclet"]
+__all__ = ["FlatStorage", "ShardedStore"]

@@ -9,7 +9,7 @@ are the sums of all devices.
 from __future__ import annotations
 
 import zlib
-from typing import Any, List, Optional
+from typing import Any, List
 
 from ..runtime import ProcletRef
 from ..sim import Event
@@ -74,11 +74,6 @@ class FlatStorage:
     @property
     def total_capacity(self) -> float:
         return sum(m.storage.capacity
-                   for m in self.qs.placement.storage_machines())
-
-    @property
-    def total_free(self) -> float:
-        return sum(m.storage.free
                    for m in self.qs.placement.storage_machines())
 
     @property

@@ -217,21 +217,6 @@ class TestFaultPosture:
         assert any(d.fields["state"] == "degraded"
                    for d in shard_decisions(qs))
 
-    def test_freeze_can_be_disabled(self):
-        qs = make_auto_qs(machines=self._three_machines())
-        qs.enable_recovery(RecoveryConfig(
-            heartbeat_interval=1 * MS, suspect_after=2, confirm_after=60))
-        auto = qs.enable_autoscaler(AutoscaleConfig(
-            freeze_on_suspect=False))
-        m = qs.sharded_map(name="kv")
-        qs.run(until_event=m.put("seed", 0, 1 * KiB))
-        used = {s.ref.machine for s in m.shards} | {m.index_ref.machine}
-        victim = next(mach for mach in qs.machines if mach not in used)
-        qs.runtime.fail_machine(victim)
-        qs.run(until=qs.sim.now + 4 * MS)
-        assert qs.recovery.detector.any_suspected()
-        assert auto.state == "active"  # operator opted out of freezing
-
 
 class TestDetectorFreezeAccounting:
     def test_suspected_count_round_trip(self):

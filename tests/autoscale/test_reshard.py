@@ -401,8 +401,10 @@ class TestStoreProtocol:
     def _qs(self):
         from ..conftest import storage_machine
 
-        return make_quiet_qs(machines=[storage_machine(name="s0"),
-                                       storage_machine(name="s1")])
+        qs = make_quiet_qs(machines=[storage_machine(name="s0"),
+                                     storage_machine(name="s1")])
+        checked(qs)
+        return qs
 
     def test_split_commits_and_charges_devices(self):
         qs = self._qs()
@@ -410,9 +412,9 @@ class TestStoreProtocol:
         donor = st.shards[0]
         split_key, child = qs.run(until_event=st.reshard_split_by_id(
             donor.ref.proclet_id))
-        assert [s.lo for s in st.shards] == [None, split_key]
+        assert [s.lo for s in st.shards] == [BOTTOM, split_key]
         assert child.machine is not donor.ref.machine
-        assert st.splits == 1
+        assert qs.runtime.reshard_ledger.counters["split_committed"] == 1
         assert child.proclet.range_lo == split_key
         assert sum(m.storage.used for m in qs.machines) == 8 * ITEM
         for i in range(8):
@@ -433,7 +435,8 @@ class TestStoreProtocol:
         assert qs.run(until_event=ev) is None
         assert ledger.counters["split_aborted"] == 1
         assert child_id not in qs.runtime._proclets
-        assert st.shard_count == 1 and st.splits == 0
+        assert st.shard_count == 1
+        assert ledger.counters["split_committed"] == 0
         assert donor.proclet.object_count == 8
         assert src.storage.used == 8 * ITEM
         for i in range(8):

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro import MachineSpec, StorageSpec
 from repro.cluster import OutOfStorage
 from repro.units import GiB, KiB, MiB
 
@@ -115,6 +114,17 @@ class TestFlatStorage:
         one = timed_reads(1)
         four = timed_reads(4)
         assert four < one / 2
+
+    def test_over_capacity_overwrite_keeps_old_object(self, qs):
+        fs = qs.flat_storage()
+        dev = fs._route("obj").machine.storage
+        qs.sim.run(until_event=fs.write("obj", 512 * MiB, "old"))
+        with pytest.raises(OutOfStorage):
+            qs.sim.run(until_event=fs.write("obj", 9 * GiB, "new"))
+        assert dev.used == 512 * MiB
+        assert qs.sim.run(until_event=fs.read("obj")) == "old"
+        qs.sim.run(until_event=fs.delete("obj"))
+        assert dev.used == 0.0
 
     def test_stats(self, qs):
         fs = qs.flat_storage()
