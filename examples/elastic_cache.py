@@ -20,7 +20,7 @@ def main():
         MachineSpec(name="m0", cores=8, dram_bytes=2 * GiB),
         MachineSpec(name="m1", cores=8, dram_bytes=2 * GiB),
     ]))
-    cache = ElasticCache(qs, budget_bytes=64 * MiB, shards=4)
+    cache = ElasticCache(qs, budget_bytes=64 * MiB)
 
     # Fill with a 100-key working set; CLOCK eviction keeps the budget.
     for i in range(200):

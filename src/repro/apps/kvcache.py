@@ -8,9 +8,13 @@ them rent bundled CPU.  Built on memory proclets, the cache consumes
 have free memory, and keeps shrinking/growing per-machine as the
 local/global schedulers move its shards.
 
-The cache enforces a byte budget with CLOCK-style eviction batched per
-shard (second-chance bits live with the data, so eviction is a local
-operation on each memory proclet).
+It is a :class:`~repro.ds.sharding.ShardedBase` over
+:func:`~repro.ds.sharding.hash_key`: it starts as one shard and the
+size controller splits and merges it like any sharded structure.  The
+cache enforces a byte budget with CLOCK-style eviction batched per
+shard; each entry's second-chance bit is stored with its value, so it
+moves with the item through split, merge, migration and checkpoint,
+and eviction is a local operation on each memory proclet.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 from typing import Any
 
 from ..core.memproclet import MemoryProclet
+from ..ds.sharding import ShardedBase, hash_key
 from ..runtime import Payload
 from ..sim import Event
 from ..units import MiB, US
@@ -26,29 +31,26 @@ _OP_CPU = 0.3 * US
 
 
 class CacheShardProclet(MemoryProclet):
-    """Memory proclet with second-chance (CLOCK) eviction support."""
+    """Memory proclet with second-chance (CLOCK) eviction support.
 
-    def __init__(self):
-        super().__init__()
-        self._referenced: dict = {}
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
+    Entries are stored as ``(value, referenced)``; hits, misses and
+    evictions are counted on the owning cache.
+    """
 
     def cs_get(self, ctx, key):
         yield ctx.cpu(_OP_CPU)
+        self._check_range(key)
         entry = self._objects.get(key)
         if entry is None:
-            self.misses += 1
+            self.shard_owner.misses += 1
             return Payload(None, nbytes=0.0)
-        self._referenced[key] = True
-        self.hits += 1
-        nbytes, value = entry
+        self.shard_owner.hits += 1
+        nbytes, (value, _referenced) = entry
+        self._objects[key] = (nbytes, (value, True))
         return Payload(value, nbytes=nbytes)
 
     def cs_put(self, ctx, key, nbytes: float, value: Any):
-        yield from self.mp_put(ctx, key, nbytes, value)
-        self._referenced[key] = True
+        yield from self.mp_put(ctx, key, nbytes, (value, True))
 
     def cs_evict(self, ctx, target_bytes: float):
         """Free at least *target_bytes* using the CLOCK second chance."""
@@ -56,94 +58,71 @@ class CacheShardProclet(MemoryProclet):
         freed = 0.0
         # First pass: clear reference bits, evict unreferenced entries.
         for _pass in range(2):
-            if freed >= target_bytes:
-                break
             for key in list(self._keys):
                 if freed >= target_bytes:
-                    break
-                if self._referenced.get(key, False):
-                    self._referenced[key] = False
-                    continue
-                entry = self._objects.pop(key)
-                self._keys.remove(key)
-                self._referenced.pop(key, None)
-                self.heap_free(entry[0])
-                freed += entry[0]
-                self.evictions += 1
+                    return freed
+                nbytes, (value, referenced) = self._objects[key]
+                if referenced:
+                    self._objects[key] = (nbytes, (value, False))
+                else:
+                    freed += self._remove(key)
+                    self.shard_owner.evictions += 1
         return freed
 
 
-class ElasticCache:
+class ElasticCache(ShardedBase):
     """A byte-budgeted cache namespace spread over cache shards."""
 
+    shard_class = CacheShardProclet
+
     def __init__(self, qs, name: str = "cache",
-                 budget_bytes: float = 256 * MiB, shards: int = 4):
+                 budget_bytes: float = 256 * MiB):
         if budget_bytes <= 0:
             raise ValueError("budget must be positive")
-        if shards < 1:
-            raise ValueError("need at least one shard")
-        self.qs = qs
-        self.name = name
+        super().__init__(qs, name)
         self.budget_bytes = float(budget_bytes)
-        self.shards = []
-        for i in range(shards):
-            proclet = CacheShardProclet()
-            ref = qs.spawn(proclet, name=f"{name}.{i}")
-            self.shards.append(ref)
-        self.puts = 0
-        self.gets = 0
-
-    # -- routing -------------------------------------------------------------
-    def _route(self, key: Any):
-        return self.shards[hash(key) % len(self.shards)]
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+        # Bytes asked of evictions still running.
+        self._evicting = 0.0
 
     # -- API -------------------------------------------------------------------
     def get(self, key: Any, ctx=None) -> Event:
         """Event value: the cached object or ``None`` on a miss."""
-        self.gets += 1
-        ref = self._route(key)
-        if ctx is not None:
-            return ctx.call(ref, "cs_get", key)
-        return ref.call("cs_get", key)
+        key = hash_key(key)
+        return self.call_routed(key, "cs_get", key, ctx=ctx)
 
     def put(self, key: Any, value: Any, nbytes: float, ctx=None) -> Event:
         """Insert; triggers shard-local eviction if over budget."""
-        self.puts += 1
-        ref = self._route(key)
-        ev = (ctx.call(ref, "cs_put", key, nbytes, value, req_bytes=nbytes)
-              if ctx is not None
-              else ref.call("cs_put", key, nbytes, value))
-        ev.subscribe(lambda _e: self._maybe_evict())
+        key = hash_key(key)
+        ev = self.call_routed(key, "cs_put", key, nbytes, value,
+                              ctx=ctx, req_bytes=nbytes)
+        ev.subscribe(self._maybe_evict)
         return ev
 
-    def _maybe_evict(self) -> None:
-        over = self.used_bytes - self.budget_bytes
+    def _maybe_evict(self, _event=None) -> None:
+        over = self.used_bytes - self.budget_bytes - self._evicting
         if over <= 0:
             return
         # Ask the fullest shard to shed the overage.
-        fullest = max(self.shards, key=lambda r: r.proclet.heap_bytes)
-        fullest.call("cs_evict", over)
+        fullest = max(self.shards, key=lambda s: s.proclet.heap_bytes)
+        self._evicting += over
+        fullest.ref.call("cs_evict", over).subscribe(
+            lambda ev: self._evicted(ev, over))
+
+    def _evicted(self, event, asked: float) -> None:
+        self._evicting -= asked
+        if event.ok and event.value > 0:
+            # The shard may have held less than the overage.
+            self._maybe_evict()
 
     # -- stats --------------------------------------------------------------------
     @property
     def used_bytes(self) -> float:
-        return sum(r.proclet.heap_bytes for r in self.shards)
+        return self.total_bytes
 
     @property
     def hit_rate(self) -> float:
-        hits = sum(r.proclet.hits for r in self.shards)
-        misses = sum(r.proclet.misses for r in self.shards)
-        total = hits + misses
-        return hits / total if total else 0.0
-
-    @property
-    def evictions(self) -> int:
-        return sum(r.proclet.evictions for r in self.shards)
-
-    def shard_machines(self):
-        return [r.machine for r in self.shards]
-
-    def destroy(self) -> None:
-        for ref in self.shards:
-            self.qs.runtime.destroy(ref)
-        self.shards.clear()
+        total = self.hits + self.misses
+        return self.hits / total if total else 0.0

@@ -1,8 +1,9 @@
 """The split/merge protocol: two-phase, crash-safe, journaled.
 
 Every shard split and merge in the system (§3.3) runs here, whatever
-the structure (map, vector, queue, store) and whoever asked (the
-:class:`~repro.autoscale.ShardAutoscaler` loop, the paper's heap-change
+the structure (map, vector, queue, store, flat storage, elastic cache)
+and whoever asked (the :class:`~repro.autoscale.ShardAutoscaler` loop,
+the paper's heap-change
 :class:`~repro.core.splitmerge.ShardSizeController`, or a test).
 Callers use ``ds.reshard_split_by_id`` / ``ds.reshard_merge_by_id``;
 each structure mixes in :class:`ReshardHooks` and supplies only what
@@ -52,9 +53,9 @@ class ReshardHooks:
     table) and its size band ``max_shard_bytes``/``min_shard_bytes``,
     and implements :meth:`_publish_split` and :meth:`_publish_merge`.
     The other hooks default to range-sharded DRAM shards (maps,
-    vectors); the queue and the store override what differs.  Shard
-    proclets provide ``object_count``, ``install(items)`` and
-    ``extract_all()``.
+    vectors, the elastic cache); the queue and the store (flat storage
+    included) override what differs.  Shard proclets provide
+    ``object_count``, ``install(items)`` and ``extract_all()``.
     """
 
     qs: Any

@@ -23,6 +23,11 @@ class OutOfMemory(Exception):
         self.requested = requested
         self.free = free
 
+    def __reduce__(self):
+        # Rebuild from the fields, not the formatted message, so the
+        # error survives the trip home from a worker process.
+        return type(self), (self.machine, self.requested, self.free)
+
 
 class Memory:
     """DRAM ledger of one machine."""

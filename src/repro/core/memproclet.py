@@ -135,13 +135,16 @@ class MemoryProclet(ResourceProclet):
         """Remove one object, returning its size."""
         yield ctx.cpu(_OP_CPU)
         self._check_range(key)
-        entry = self._objects.pop(key, None)
-        if entry is None:
+        if key not in self._objects:
             raise KeyError(f"{self.name}: no object {key!r}")
-        idx = bisect.bisect_left(self._keys, key)
-        del self._keys[idx]
-        self.heap_free(entry[0])
-        return entry[0]
+        return self._remove(key)
+
+    def _remove(self, key) -> float:
+        """Drop one present object and free its bytes; returns its size."""
+        nbytes = self._objects.pop(key)[0]
+        del self._keys[bisect.bisect_left(self._keys, key)]
+        self.heap_free(nbytes)
+        return nbytes
 
     def mp_get_range(self, ctx, lo, hi):
         """Batch-read objects with ``lo <= key < hi`` (prefetch path).

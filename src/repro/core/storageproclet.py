@@ -4,10 +4,9 @@ Implements the ``ReadObject(id)`` / ``WriteObject(id)`` API of §3.1.
 Object bytes live on the hosting machine's :class:`StorageDevice` — the
 proclet's DRAM heap holds only its index — so a storage proclet is cheap
 to account for in memory while consuming the device's capacity and IOPS.
-The flat-storage abstraction (:mod:`repro.storage`) spreads many storage
-proclets across devices to aggregate both sub-resources (§3.2, §5); the
-sharded store range-shards them and splits/merges them like memory
-shards (§3.3).
+The sharded store (:mod:`repro.storage`) range-shards them and
+splits/merges them like memory shards (§3.3); flat storage is a store
+striped over every device to aggregate both sub-resources (§3.2, §5).
 """
 
 from __future__ import annotations

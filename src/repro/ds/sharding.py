@@ -1,17 +1,20 @@
 """General sharding library (§3.2).
 
 Partitions a keyed collection into disjoint key ranges, each stored in
-its own shard proclet (a memory proclet, or a storage proclet for the
-sharded store), with an index proclet holding the routing table.  A
-size controller keeps shards inside the structure's size band by
-splitting oversized shards and merging undersized ones through the
-two-phase protocol in :mod:`repro.autoscale.reshard`; users never see
-shard boundaries.
+its own shard proclet (a memory proclet for the map, vector, queue and
+elastic cache; a storage proclet for the sharded store and flat
+storage), with an index proclet holding the routing table.  A size
+controller keeps shards inside the structure's size band by splitting
+oversized shards and merging undersized ones through the two-phase
+protocol in :mod:`repro.autoscale.reshard`; users never see shard
+boundaries.  Hash-partitioned namespaces (flat storage, the elastic
+cache) range-shard :func:`hash_key` instead of the key itself.
 """
 
 from __future__ import annotations
 
 import functools
+import hashlib
 from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
 
@@ -27,6 +30,19 @@ INDEX_ENTRY_BYTES = 48.0
 #: Attempts a routed call makes before its last stale-route error
 #: surfaces.
 ROUTE_ATTEMPTS = 8
+
+
+def hash_key(key: Any) -> Tuple[int, str]:
+    """The routing key of *key* in a hash-partitioned namespace.
+
+    ``(h, repr(key))``, where ``h`` is the first 32 bits of the BLAKE2b
+    digest of ``repr(key)``: independent of ``PYTHONHASHSEED``, ordered
+    (so the range-sharding machinery applies unchanged), uniform over
+    near-identical keys, and distinct for distinct str and int keys.
+    """
+    text = repr(key)
+    digest = hashlib.blake2b(text.encode()).digest()
+    return int.from_bytes(digest[:4], "big"), text
 
 
 def routed_call(owner, key: Any, method: str, *args, ctx=None,

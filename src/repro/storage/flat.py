@@ -1,74 +1,60 @@
 """Flat storage abstraction (§3.2): aggregate capacity and IOPS.
 
-Modeled on Flat Datacenter Storage [40]: objects are hashed across many
-fine-grained storage proclets spread over every machine with a storage
-device, so the application sees one namespace whose capacity and IOPS
-are the sums of all devices.
+Modeled on Flat Datacenter Storage [40]: one object namespace striped
+over fine-grained storage proclets on every machine with a storage
+device, so the application sees the sum of all devices' capacity and
+IOPS.  It is a :class:`~repro.storage.ShardedStore` over
+:func:`~repro.ds.sharding.hash_key`: the table starts as a stripe of
+:data:`SHARDS_PER_DEVICE` shards per device over equal hash ranges, a
+shard splits when it outgrows 1 GiB, and no shard ever merges, so the
+stripe keeps its IOPS spread.  Routing, teardown (device bytes
+included), the reshard ledger and chaos invariant 8 are the store's.
 """
 
 from __future__ import annotations
 
-import zlib
-from typing import Any, List
+from typing import Any
 
-from ..runtime import ProcletRef
+from ..ds.sharding import hash_key
 from ..sim import Event
+from ..units import GiB
+from .sharded import ShardedStore
+
+#: Shards per storage device in the initial stripe.
+SHARDS_PER_DEVICE = 4
 
 
-class FlatStorage:
+class FlatStorage(ShardedStore):
     """One flat object namespace over all storage devices."""
 
-    def __init__(self, qs, name: str = "storage",
-                 proclets_per_device: int = 4):
-        if proclets_per_device < 1:
-            raise ValueError("need at least one proclet per device")
-        self.qs = qs
-        self.name = name
-        self.proclets: List[ProcletRef] = []
+    def __init__(self, qs, name: str = "storage"):
         machines = qs.placement.storage_machines()
         if not machines:
             raise RuntimeError(
                 "flat storage needs at least one machine with a storage "
                 "device (MachineSpec.storage)"
             )
-        for machine in machines:
-            for i in range(proclets_per_device):
-                self.proclets.append(
-                    qs.spawn_storage(machine,
-                                     name=f"{name}.{machine.name}.{i}")
-                )
-
-    # -- routing ------------------------------------------------------------
-    def _route(self, key: Any) -> ProcletRef:
-        digest = zlib.crc32(repr(key).encode())
-        return self.proclets[digest % len(self.proclets)]
+        super().__init__(qs, name, max_shard_bytes=1 * GiB,
+                         min_shard_bytes=0.0, initial_machine=machines[0])
+        stripe = SHARDS_PER_DEVICE * len(machines)
+        for i in range(1, stripe):
+            lo = (i * 2**32 // stripe, "")
+            self._insert_shard(
+                self._spawn_shard(lo, machines[i // SHARDS_PER_DEVICE]))
 
     # -- object API (§3.1 ReadObject/WriteObject) ------------------------------
     def write(self, key: Any, nbytes: float, value: Any = None,
               ctx=None) -> Event:
-        ref = self._route(key)
-        if ctx is not None:
-            return ctx.call(ref, "sp_write", key, nbytes, value,
-                            req_bytes=nbytes)
-        return ref.call("sp_write", key, nbytes, value)
+        return super().write(hash_key(key), nbytes, value, ctx=ctx)
 
     def read(self, key: Any, ctx=None) -> Event:
-        ref = self._route(key)
-        if ctx is not None:
-            return ctx.call(ref, "sp_read", key)
-        return ref.call("sp_read", key)
+        return super().read(hash_key(key), ctx=ctx)
 
     def delete(self, key: Any, ctx=None) -> Event:
-        ref = self._route(key)
-        if ctx is not None:
-            return ctx.call(ref, "sp_delete", key)
-        return ref.call("sp_delete", key)
+        return super().delete(hash_key(key), ctx=ctx)
 
     def contains(self, key: Any, ctx=None) -> Event:
-        ref = self._route(key)
-        if ctx is not None:
-            return ctx.call(ref, "sp_contains", key)
-        return ref.call("sp_contains", key)
+        return super().contains(hash_key(key), ctx=ctx)
 
     # -- aggregate stats --------------------------------------------------------
     @property
@@ -80,16 +66,3 @@ class FlatStorage:
     def aggregate_iops(self) -> float:
         return sum(m.storage.spec.iops
                    for m in self.qs.placement.storage_machines())
-
-    @property
-    def object_count(self) -> int:
-        return sum(ref.proclet.object_count for ref in self.proclets)
-
-    def destroy(self) -> None:
-        for ref in self.proclets:
-            self.qs.runtime.destroy(ref)
-        self.proclets.clear()
-
-    def __repr__(self) -> str:
-        return (f"<FlatStorage {self.name!r} proclets={len(self.proclets)} "
-                f"objects={self.object_count}>")

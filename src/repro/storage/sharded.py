@@ -55,6 +55,9 @@ class ShardedStore(ShardedBase):
     def delete(self, key, ctx=None) -> Event:
         return self.call_routed(key, "sp_delete", key, ctx=ctx)
 
+    def contains(self, key, ctx=None) -> Event:
+        return self.call_routed(key, "sp_contains", key, ctx=ctx)
+
     # -- reshard hooks ---------------------------------------------------------------
     def _place_child(self, child, nbytes: float):
         return self.qs.placement.best_for_storage(nbytes)

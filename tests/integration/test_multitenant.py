@@ -28,7 +28,7 @@ class TestMultiTenant:
         svc.start()
 
         # Tenant 2: elastic cache (memory-only).
-        cache = ElasticCache(qs, budget_bytes=256 * MiB, shards=4)
+        cache = ElasticCache(qs, budget_bytes=256 * MiB)
         for i in range(32):
             qs.run(until_event=cache.put(f"obj{i}", i, 4 * MiB))
 
@@ -62,7 +62,7 @@ class TestMultiTenant:
 
     def test_cluster_survives_tenant_teardown(self):
         qs = make_qs(enable_global_scheduler=False)
-        cache = ElasticCache(qs, budget_bytes=64 * MiB, shards=2)
+        cache = ElasticCache(qs, budget_bytes=64 * MiB)
         qs.run(until_event=cache.put("k", 1, 1 * MiB))
         vec = qs.sharded_vector(name="v")
         qs.run(until_event=vec.append(0, 1 * MiB))

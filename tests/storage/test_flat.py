@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.chaos import InvariantChecker
 from repro.cluster import OutOfStorage
+from repro.ds.sharding import hash_key
 from repro.units import GiB, KiB, MiB
 
 from ..conftest import make_qs, storage_machine
@@ -72,10 +74,10 @@ class TestStorageProclet:
 
 class TestFlatStorage:
     def test_spreads_proclets_over_devices(self, qs):
-        fs = qs.flat_storage(proclets_per_device=4)
-        machines = {ref.machine.name for ref in fs.proclets}
-        assert machines == {"s0", "s1"}
-        assert len(fs.proclets) == 8
+        fs = qs.flat_storage()
+        machines = [shard.ref.machine.name for shard in fs.shards]
+        assert machines == ["s0"] * 4 + ["s1"] * 4
+        assert fs in qs.runtime.reshard_ledger.structures()
 
     def test_write_read_delete(self, qs):
         fs = qs.flat_storage()
@@ -89,23 +91,29 @@ class TestFlatStorage:
         fs = qs.flat_storage()
         events = [fs.write(f"k{i}", 64 * KiB, None) for i in range(64)]
         qs.sim.run(until_event=qs.sim.all_of(events))
-        populated = sum(1 for ref in fs.proclets
-                        if ref.proclet.object_count > 0)
-        assert populated >= len(fs.proclets) // 2
-        assert fs.object_count == 64
+        populated = sum(1 for shard in fs.shards
+                        if shard.proclet.object_count > 0)
+        assert populated >= fs.shard_count // 2
+        assert fs.total_objects == 64
 
-    def test_aggregate_iops_speeds_up_reads(self):
-        """The §3.2 claim: spreading combines capacity AND IOPS."""
+    @pytest.mark.parametrize("controller", ["off", "heap-change",
+                                            "autoscale"])
+    def test_aggregate_iops_speeds_up_reads(self, controller):
+        """The §3.2 claim: spreading combines capacity AND IOPS (and no
+        size controller merges the stripe away)."""
 
         def timed_reads(n_machines):
             qs = make_qs(machines=[
                 storage_machine(name=f"s{i}", capacity=8 * GiB, iops=1000)
                 for i in range(n_machines)
             ], enable_local_scheduler=False, enable_global_scheduler=False,
-                enable_split_merge=False)
+                enable_split_merge=controller != "off")
+            if controller == "autoscale":
+                qs.enable_autoscaler()
             fs = qs.flat_storage()
             writes = [fs.write(f"k{i}", 4 * KiB, None) for i in range(64)]
             qs.sim.run(until_event=qs.sim.all_of(writes))
+            qs.sim.run(until=qs.sim.now + 0.1)
             t0 = qs.sim.now
             reads = [fs.read(f"k{i}") for i in range(64)]
             qs.sim.run(until_event=qs.sim.all_of(reads))
@@ -117,7 +125,7 @@ class TestFlatStorage:
 
     def test_over_capacity_overwrite_keeps_old_object(self, qs):
         fs = qs.flat_storage()
-        dev = fs._route("obj").machine.storage
+        dev = fs.route(hash_key("obj")).machine.storage
         qs.sim.run(until_event=fs.write("obj", 512 * MiB, "old"))
         with pytest.raises(OutOfStorage):
             qs.sim.run(until_event=fs.write("obj", 9 * GiB, "new"))
@@ -138,12 +146,49 @@ class TestFlatStorage:
         with pytest.raises(RuntimeError):
             qs.flat_storage()
 
-    def test_validation(self, qs):
-        with pytest.raises(ValueError):
-            qs.flat_storage(proclets_per_device=0)
-
     def test_destroy(self, qs):
         fs = qs.flat_storage()
-        qs.sim.run(until_event=fs.write("k", 1 * MiB, None))
+        used0 = [m.storage.used for m in qs.machines]
+        events = [fs.write(f"k{i}", 10 * MiB, None) for i in range(10)]
+        qs.sim.run(until_event=qs.sim.all_of(events))
+        assert sum(m.storage.used for m in qs.machines) == 100 * MiB
         fs.destroy()
-        assert fs.proclets == []
+        assert fs.shard_count == 0
+        assert [m.storage.used for m in qs.machines] == used0
+        assert fs not in qs.runtime.reshard_ledger.structures()
+
+
+@pytest.mark.parametrize("controller", ["heap-change", "autoscale"])
+def test_flat_storage_churn_passes_invariant_checks(controller):
+    """Writes, automatic splits and deletes with the chaos invariant
+    checker auditing the stripe's routing table after every event."""
+    qs = make_qs(machines=[
+        storage_machine(name="s0", capacity=64 * GiB, iops=50_000),
+        storage_machine(name="s1", capacity=64 * GiB, iops=50_000),
+    ], enable_local_scheduler=False, enable_global_scheduler=False)
+    if controller == "autoscale":
+        qs.enable_autoscaler()
+    checker = InvariantChecker(qs.runtime).attach(qs.sim)
+    fs = qs.flat_storage()
+    stripe = fs.shard_count
+    # Twenty 64 MiB objects in the first stripe shard take it past its
+    # 1 GiB bound.
+    first_hi = fs.shards[1].lo
+    keys = [k for k in (f"k{i}" for i in range(1000))
+            if hash_key(k) < first_hi][:20]
+    for i, key in enumerate(keys):
+        qs.run(until_event=fs.write(key, 64 * MiB, i))
+    qs.run(until=qs.sim.now + 2.0)
+    splits = qs.runtime.reshard_ledger.counters["split_committed"]
+    assert splits >= 1 and fs.shard_count == stripe + splits
+    for key in keys[:16]:
+        qs.run(until_event=fs.delete(key))
+    qs.run(until=qs.sim.now + 0.5)
+    # The stripe never merges away.
+    assert qs.runtime.reshard_ledger.counters["merge_committed"] == 0
+    assert fs.shard_count == stripe + splits
+    for i in range(16, 20):
+        assert qs.run(until_event=fs.read(keys[i])) == i
+    assert sum(m.storage.used for m in qs.machines) == 4 * 64 * MiB
+    checker.check()
+    assert checker.checks > 0

@@ -1,4 +1,5 @@
-"""Every script under ``examples/`` runs to completion."""
+"""Every script under ``examples/`` runs to completion, and prints the
+same bytes whatever the interpreter's string-hash seed."""
 
 import os
 import subprocess
@@ -17,8 +18,13 @@ def test_examples_found():
 
 @pytest.mark.parametrize("script", EXAMPLES, ids=lambda p: p.stem)
 def test_example_exits_zero(script, tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    out = subprocess.run([sys.executable, str(script)], cwd=tmp_path,
-                         env=env, capture_output=True, text=True,
-                         timeout=120)
-    assert out.returncode == 0, out.stderr
+    stdout = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+                   PYTHONHASHSEED=seed)
+        out = subprocess.run([sys.executable, str(script)], cwd=tmp_path,
+                             env=env, capture_output=True, text=True,
+                             timeout=120)
+        assert out.returncode == 0, out.stderr
+        stdout.append(out.stdout)
+    assert stdout[0] == stdout[1], "output depends on PYTHONHASHSEED"
