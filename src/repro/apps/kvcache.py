@@ -33,8 +33,10 @@ _OP_CPU = 0.3 * US
 class CacheShardProclet(MemoryProclet):
     """Memory proclet with second-chance (CLOCK) eviction support.
 
-    Entries are stored as ``(value, referenced)``; hits, misses and
-    evictions are counted on the owning cache.
+    Entries are stored as ``(value, referenced)``: a put stores its
+    entry unreferenced and only a read sets the bit, so an entry read
+    since the last sweep outlives one that was only written.  Hits,
+    misses and evictions are counted on the owning cache.
     """
 
     def cs_get(self, ctx, key):
@@ -50,7 +52,7 @@ class CacheShardProclet(MemoryProclet):
         return Payload(value, nbytes=nbytes)
 
     def cs_put(self, ctx, key, nbytes: float, value: Any):
-        yield from self.mp_put(ctx, key, nbytes, (value, True))
+        yield from self.mp_put(ctx, key, nbytes, (value, False))
 
     def cs_evict(self, ctx, target_bytes: float):
         """Free at least *target_bytes* using the CLOCK second chance."""

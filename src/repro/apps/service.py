@@ -17,7 +17,7 @@ distributions — the workload half of the
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional, Sequence, Tuple
+from typing import Generator, List, Sequence, Tuple
 
 from ..cluster import Machine, Priority
 from ..metrics import Summary
@@ -30,7 +30,6 @@ class LatencyService:
 
     def __init__(self, machine: Machine, arrival_rate: float,
                  service_cpu: float = 500 * US,
-                 concurrency: Optional[int] = None,
                  name: str = "service", rng_stream: str = "service"):
         if arrival_rate <= 0:
             raise ValueError("arrival_rate must be positive")
@@ -39,9 +38,6 @@ class LatencyService:
         self.machine = machine
         self.arrival_rate = arrival_rate
         self.service_cpu = service_cpu
-        #: Max requests in service simultaneously (thread pool size).
-        self.concurrency = (int(machine.cpu.cores) if concurrency is None
-                            else concurrency)
         self.name = name
         self.rng = machine.sim.random.stream(rng_stream)
         #: (arrival time, response time) per completed request, in

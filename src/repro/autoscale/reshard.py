@@ -183,7 +183,7 @@ def _split_proc(ds, shard) -> Generator:
         return None
 
     gate_t0 = sim.now
-    gate = qs._block(src)
+    runtime.gate(src)
 
     def close_gate_window():
         runtime.migration.note_gate_window("reshard.split",
@@ -197,17 +197,16 @@ def _split_proc(ds, shard) -> Generator:
         # (now lost) shard stays in the table for recovery to handle.
         return abort("source machine failed in prepare", "machine-failed")
     if src.object_count < 2:
-        qs._unblock(src, gate)
+        runtime.ungate(src)
         close_gate_window()
         return abort("stale: shard shrank below two keys", "stale")
 
     split_key, items, nbytes = ds._carve(src)
-    child = type(src)()
-    child.shard_owner = ds
+    child = src.twin()
     dst = ds._place_child(child, nbytes)
     if dst is None:
         src.install(items)  # rollback: nowhere to put the moving half
-        qs._unblock(src, gate)
+        runtime.ungate(src)
         close_gate_window()
         return abort("no room for the child shard", "no-room")
 
@@ -215,15 +214,14 @@ def _split_proc(ds, shard) -> Generator:
     ledger.add_child(op, child_ref.proclet_id)
     # The child stays gated (dark) until commit: nothing can observe it
     # half-filled, and a concurrent controller cannot merge it away.
-    child_gate = qs._block(child)
+    runtime.gate(child)
 
     def rollback_to_parent(reason: str):
-        if child.status is not ProcletStatus.DEAD:
-            qs._unblock(child, child_gate)
-            runtime.destroy(child_ref)
+        runtime.ungate(child)
+        runtime.destroy(child_ref)
         if src.status is not ProcletStatus.DEAD:
             src.install(items)
-            qs._unblock(src, gate)
+            runtime.ungate(src)
             close_gate_window()
         return abort(reason, "machine-failed")
 
@@ -247,8 +245,8 @@ def _split_proc(ds, shard) -> Generator:
 
     # -- CLEANUP ------------------------------------------------------------
     ledger.advance(op, ReshardPhase.CLEANUP)
-    qs._unblock(child, child_gate)
-    qs._unblock(src, gate)
+    runtime.ungate(child)
+    runtime.ungate(src)
     close_gate_window()
     ledger.complete(op)
     runtime.decide(
@@ -292,8 +290,8 @@ def _merge_proc(ds, shard, partner) -> Generator:
         return None
 
     gate_t0 = sim.now
-    src_gate = qs._block(src)
-    dst_gate = qs._block(dst)
+    runtime.gate(src)
+    runtime.gate(dst)
 
     def close_gate_window():
         runtime.migration.note_gate_window("reshard.merge",
@@ -302,10 +300,8 @@ def _merge_proc(ds, shard, partner) -> Generator:
     def unblock_survivors(reinstall: bool):
         if reinstall and src.status is ProcletStatus.MIGRATING:
             src.install(items)
-        if src.status is ProcletStatus.MIGRATING:
-            qs._unblock(src, src_gate)
-        if dst.status is ProcletStatus.MIGRATING:
-            qs._unblock(dst, dst_gate)
+        runtime.ungate(src)
+        runtime.ungate(dst)
         close_gate_window()
 
     # -- PREPARE ------------------------------------------------------------
@@ -342,8 +338,8 @@ def _merge_proc(ds, shard, partner) -> Generator:
 
     # -- CLEANUP ------------------------------------------------------------
     ledger.advance(op, ReshardPhase.CLEANUP)
-    qs._unblock(dst, dst_gate)
-    qs._unblock(src, src_gate)
+    runtime.ungate(dst)
+    runtime.ungate(src)
     close_gate_window()
     runtime.destroy(donor_ref)
     ledger.complete(op)

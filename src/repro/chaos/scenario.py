@@ -339,8 +339,7 @@ class _Workload:
                              if policy is not RecoveryPolicy.NONE
                              else RecoveryPolicy.NONE)
             for ref in self.pool.members:
-                manager.protect(ref, member_policy,
-                                factory=self._make_member)
+                manager.protect(ref, member_policy)
         if self.config.autoscale:
             # Routed traffic against a range-sharded map: splits/merges
             # re-route keys while faults land at every protocol phase.
@@ -348,17 +347,6 @@ class _Workload:
             self.qs.sim.process(self._map_driver(), name="chaos-map-churn")
         self.qs.sim.process(self._task_driver(), name="chaos-tasks")
         self.qs.sim.process(self._churn_driver(), name="chaos-churn")
-
-    def _make_member(self):
-        """RESTART factory for a pool member: a fresh worker wired back
-        into the pool's completion accounting."""
-        from ..core.computeproclet import ComputeProclet
-
-        proclet = ComputeProclet(parallelism=self.pool.parallelism,
-                                 source=self.pool.source)
-        proclet.on_task_done = self.pool._on_task_done
-        proclet.shard_owner = self.pool
-        return proclet
 
     # -- fault recovery ------------------------------------------------------
     def heal(self) -> None:

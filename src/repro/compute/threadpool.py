@@ -104,7 +104,6 @@ class ComputePool:
             raise event.value
         new_ref = event.value
         if new_ref is not None:
-            new_ref.proclet.shard_owner = self
             self.members.append(new_ref)
 
     def shrink(self, count: int = 1) -> int:

@@ -88,6 +88,13 @@ class ComputeProclet(ResourceProclet):
         return ProcletRef(self._runtime, self._id, self._name)
 
     # -- lifecycle -------------------------------------------------------------
+    def twin(self) -> "ComputeProclet":
+        twin = super().twin()
+        twin.parallelism = self.parallelism
+        twin.source = self.source
+        twin.on_task_done = self.on_task_done
+        return twin
+
     def on_start(self, ctx):
         ref = self.self_ref()
         self._live_workers = self.parallelism

@@ -32,7 +32,7 @@ from .computeproclet import TASK_WIRE_BYTES, ComputeProclet, TaskSource
 from .config import QuicksandConfig
 from .gpuproclet import GpuProclet
 from .memproclet import MemoryProclet
-from .resource import ResourceKind, ResourceProclet
+from .resource import ResourceKind
 from .scheduler import (
     AffinityTracker,
     GlobalScheduler,
@@ -235,12 +235,10 @@ class Quicksand:
         if tr is not None:
             span = tr.begin("split", f"split {src.name}",
                             track=f"proclet:{src.name}", kind="compute")
-        gate = self._block(src)
+        self.runtime.gate(src)
         yield self.sim.timeout(self.config.split_overhead)
 
-        new = ComputeProclet(parallelism=src.parallelism, source=src.source)
-        new.shard_owner = src.shard_owner
-        new.on_task_done = src.on_task_done
+        new = src.twin()
         new_ref = self.runtime.spawn(new, dst, name=f"{src.name}.split")
 
         n = len(src._queue) // 2
@@ -254,7 +252,7 @@ class Quicksand:
                 )
             for task in moved:
                 new._enqueue(task)
-        self._unblock(src, gate)
+        self.runtime.ungate(src)
         self.splits += 1
         if self.metrics is not None:
             self.metrics.count("quicksand.splits.compute")
@@ -308,31 +306,6 @@ class Quicksand:
         if tr is not None:
             tr.end(span, moved_tasks=len(pending))
         return True
-
-    # -- invocation gates used by split/merge ----------------------------------------
-    @staticmethod
-    def _block(proclet: ResourceProclet):
-        """Block new invocations (reuses the migration gate mechanism)."""
-        proclet._status = ProcletStatus.MIGRATING
-        proclet._migration_gate = proclet._runtime.sim.event()
-        proclet._runtime._notify_proclet_state(proclet.id)
-        tr = proclet._runtime.sim.tracer
-        if tr is not None:
-            proclet._gate_span = tr.begin(
-                "gate", f"gated:{proclet.name}", parent=proclet._span,
-                track=f"proclet:{proclet.name}")
-        return proclet._migration_gate
-
-    @staticmethod
-    def _unblock(proclet: ResourceProclet, gate) -> None:
-        proclet._status = ProcletStatus.RUNNING
-        proclet._migration_gate = None
-        gate.succeed()
-        proclet._runtime._notify_proclet_state(proclet.id)
-        tr = proclet._runtime.sim.tracer
-        if tr is not None:
-            tr.end(proclet._gate_span)
-            proclet._gate_span = None
 
     # -- high-level abstractions -----------------------------------------------------
     def sharded_vector(self, name: str = "vector", **kwargs):

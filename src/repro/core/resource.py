@@ -40,6 +40,11 @@ class ResourceProclet(Proclet):
         #: structure, so controllers can find the owner on size changes.
         self.shard_owner = None
 
+    def twin(self) -> "ResourceProclet":
+        twin = super().twin()
+        twin.shard_owner = self.shard_owner
+        return twin
+
     @property
     def is_memory(self) -> bool:
         return self.kind is ResourceKind.MEMORY

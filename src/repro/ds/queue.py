@@ -18,6 +18,7 @@ from ..cluster import Machine
 from ..runtime import DeadProclet, Payload, ProcletStatus
 from ..units import US
 from ..core.resource import ResourceKind, ResourceProclet
+from .sharding import ROUTE_ATTEMPTS
 
 _OP_CPU = 0.2 * US
 _EMPTY = object()
@@ -142,7 +143,7 @@ class ShardedQueue(ReshardHooks):
         """
         def attempt():
             last_exc = None
-            for _try in range(8):
+            for _try in range(ROUTE_ATTEMPTS):
                 ref = self._pick_push_shard(ctx)
                 ev = (ctx.call(ref, "qp_push", nbytes, value,
                                req_bytes=nbytes)

@@ -34,9 +34,7 @@ from typing import List, Optional, Tuple
 from ..apps.dnn.images import DatasetSpec, load_dataset
 from ..cluster import Priority
 from ..core import Quicksand, QuicksandConfig
-from ..core.computeproclet import ComputeProclet, Task
-from ..core.memproclet import MemoryProclet
-from ..ds.queue import QueueShardProclet
+from ..core.computeproclet import Task
 from ..ft import LineageLog, RecoveryConfig, RecoveryManager, RecoveryPolicy
 from ..units import KiB, MiB
 from .fig2_imbalance import FOUR_WAY_CONFIG, cluster_for
@@ -97,25 +95,12 @@ def _protect_shards(manager: RecoveryManager, vector, queue,
     # The routing-table index proclet carries only bookkeeping bytes,
     # rebuilt host-side as shards come and go: RESTART is exact for it.
     manager.protect(vector.index_ref, RecoveryPolicy.RESTART,
-                    factory=MemoryProclet, priority=Priority.HIGH)
+                    priority=Priority.HIGH)
     for shard in vector.shards:
-        owner = vector
-
-        def make_shard(owner=owner):
-            p = MemoryProclet()
-            p.shard_owner = owner
-            return p
-
-        manager.protect(shard.ref, policy, factory=make_shard,
-                        priority=Priority.HIGH, lineage=lineage)
+        manager.protect(shard.ref, policy, priority=Priority.HIGH,
+                        lineage=lineage)
     for ref in queue.shards:  # a ShardedQueue holds bare refs
-        def make_qshard(owner=queue):
-            p = QueueShardProclet()
-            p.shard_owner = owner
-            return p
-
-        manager.protect(ref, RecoveryPolicy.RESTART,
-                        factory=make_qshard, priority=Priority.HIGH)
+        manager.protect(ref, RecoveryPolicy.RESTART, priority=Priority.HIGH)
 
 
 def _synthesize_lineage(vector) -> LineageLog:
@@ -182,15 +167,9 @@ def run_recovery_fig2(policy: Optional[str] = None,
     pool = qs.compute_pool(name="preproc", parallelism=1,
                            initial_members=workers)
     if manager is not None:
-        def make_member():
-            p = ComputeProclet(parallelism=pool.parallelism)
-            p.on_task_done = pool._on_task_done
-            p.shard_owner = pool
-            return p
-
         for ref in pool.members:
             manager.protect(ref, RecoveryPolicy.RESTART,
-                            factory=make_member, priority=Priority.NORMAL)
+                            priority=Priority.NORMAL)
 
     n = len(vector)
     if chunk_elems is None:

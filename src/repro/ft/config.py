@@ -17,8 +17,10 @@ class RecoveryPolicy(enum.Enum):
         application's policy.  Trajectories are bit-identical to runs
         without :mod:`repro.ft`.
     ``RESTART``
-        Respawn an empty incarnation from the registered factory.  All
-        state is lost; the id (and every outstanding ref) stays valid.
+        Respawn an empty incarnation, the lost proclet's
+        :meth:`~repro.runtime.Proclet.twin` (wired like it: shard
+        owner, task source).  All state is lost; the id (and every
+        outstanding ref) stays valid.
     ``CHECKPOINT``
         Periodic asynchronous heap snapshots to a peer machine (NIC and
         peer-DRAM costs through the fluid engine); restore from the last

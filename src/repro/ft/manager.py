@@ -28,7 +28,7 @@ state by replaying its log through real invocations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Generator, List, Optional, Set, Tuple
+from typing import Any, Dict, Generator, List, Optional, Set, Tuple
 
 from ..cluster import Machine, OutOfMemory, Priority
 from ..runtime import (DeadProclet, InvalidPlacement, MachineFailed, Proclet,
@@ -46,7 +46,6 @@ class _Protection:
     """Registration record for one protected proclet id."""
 
     policy: RecoveryPolicy
-    factory: Callable[[], Proclet]
     priority: Priority
     lineage: Optional[LineageLog]
 
@@ -127,13 +126,13 @@ class RecoveryManager:
 
     # -- registration ---------------------------------------------------------
     def protect(self, ref: ProcletRef, policy: RecoveryPolicy,
-                factory: Optional[Callable[[], Proclet]] = None,
                 priority: Priority = Priority.NORMAL,
                 lineage: Optional[LineageLog] = None) -> "RecoveryManager":
         """Register *ref* for recovery under *policy*.
 
-        *factory* builds the empty replacement incarnation (default: the
-        proclet's class with no arguments).  LINEAGE requires a
+        The replacement incarnation is the lost proclet's
+        :meth:`~repro.runtime.Proclet.twin`: empty, and wired like it
+        (shard owner, task source).  LINEAGE requires a
         :class:`LineageLog` the application records mutations into.
         *priority* orders shedding: when post-crash capacity cannot host
         a recovering proclet, strictly lower-priority registrations are
@@ -142,9 +141,8 @@ class RecoveryManager:
         proclet = self.runtime.get_proclet(ref.proclet_id)
         if policy is RecoveryPolicy.LINEAGE and lineage is None:
             raise ValueError("LINEAGE protection needs a LineageLog")
-        spec = _Protection(policy=policy,
-                           factory=factory or type(proclet),
-                           priority=priority, lineage=lineage)
+        spec = _Protection(policy=policy, priority=priority,
+                           lineage=lineage)
         self._specs[ref.proclet_id] = spec
         if policy is RecoveryPolicy.CHECKPOINT:
             self.sim.process(self._checkpoint_loop(ref.proclet_id),
@@ -291,8 +289,8 @@ class RecoveryManager:
     def _recover_one(self, pid: int, spec: _Protection) -> Generator:
         config = self.config
         policy = spec.policy
-        corpse = self._corpses.get(pid)
-        name = corpse.name if corpse is not None else f"recovered#{pid}"
+        corpse = self._corpses[pid]
+        name = corpse.name
         tr = self.sim.tracer
         span = None
         if tr is not None:
@@ -300,7 +298,7 @@ class RecoveryManager:
                             track=f"proclet:{name}", policy=policy.value)
         yield self.sim.timeout(config.restart_overhead)
 
-        fresh = spec.factory()
+        fresh = corpse.twin()
         restore_bytes, snap, standby = self._restore_plan(pid, spec)
         machine = self._pick_machine(fresh, restore_bytes, spec, standby)
         if machine is None:
@@ -327,22 +325,13 @@ class RecoveryManager:
                 # restore would be overwritten (or collide with) the
                 # snapshot install.  Blocked callers resume — and see
                 # restored state — once the gate opens.
-                gate = self.sim.event()
-                fresh._status = ProcletStatus.MIGRATING
-                fresh._migration_gate = gate
-                self.runtime._notify_proclet_state(pid)
+                self.runtime.gate(fresh)
                 try:
                     yield self.runtime.fabric.transfer(
                         snap.peer, machine, snap.nbytes,
                         name=f"ft-restore:{name}")
                 finally:
-                    if fresh._status is ProcletStatus.MIGRATING:
-                        fresh._status = ProcletStatus.RUNNING
-                    if fresh._migration_gate is gate:
-                        fresh._migration_gate = None
-                    if not gate.triggered:
-                        gate.succeed()
-                    self.runtime._notify_proclet_state(pid)
+                    self.runtime.ungate(fresh)
             if self.runtime._proclets.get(pid) is not fresh:
                 # The new host crashed while the snapshot was on the
                 # wire (a transfer only fails with its *source*; the
@@ -351,7 +340,7 @@ class RecoveryManager:
                 raise MachineFailed(f"{name} died again mid-restore")
             fresh.ft_restore(snap.state)
             self._check_convergence(fresh, snap.nbytes, policy)
-            if corpse is not None and self.metrics is not None:
+            if self.metrics is not None:
                 self.metrics.observe(
                     "ft.data_loss_bytes",
                     max(0.0, corpse.heap_bytes - snap.nbytes))

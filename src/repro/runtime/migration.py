@@ -169,9 +169,6 @@ class MigrationEngine:
 
         self.migrations_started += 1
         t0 = sim.now
-        proclet._status = ProcletStatus.MIGRATING
-        proclet._migration_gate = sim.event()
-        self.runtime._notify_proclet_state(proclet.id)
         # Heap size is snapshotted once for the reservation and the copy;
         # the commit settles any heap change made mid-flight.
         nbytes = proclet.footprint
@@ -183,9 +180,8 @@ class MigrationEngine:
                 "migration", f"{proclet.name} {src.name}->{dst.name}",
                 parent=parent, track=f"proclet:{proclet.name}",
                 bytes=int(nbytes), path=f"{src.name}->{dst.name}")
-            proclet._gate_span = tr.begin(
-                "gate", f"gated:{proclet.name}", parent=mig_span,
-                track=f"proclet:{proclet.name}")
+        self.runtime.gate(proclet, parent=mig_span)
+        if tr is not None:
             # Checkpoint phase: pause, destination reservation (with any
             # retries), and the pre-copy control overhead.
             phase = tr.begin("checkpoint", "checkpoint", parent=mig_span,
@@ -204,14 +200,7 @@ class MigrationEngine:
             for item in paused:
                 if not item.active and not item.triggered:
                     src.cpu.sched.attach(item)
-            proclet._status = ProcletStatus.RUNNING
-            gate, proclet._migration_gate = proclet._migration_gate, None
-            if gate is not None and not gate.triggered:
-                gate.succeed()
-            self.runtime._notify_proclet_state(proclet.id)
-            if tr is not None:
-                tr.end(proclet._gate_span, outcome="aborted")
-                proclet._gate_span = None
+            self.runtime.ungate(proclet, outcome="aborted")
 
         def _fail(msg: str, cause: Optional[BaseException] = None):
             self.migrations_failed += 1
@@ -322,16 +311,11 @@ class MigrationEngine:
             if not item.active and not item.triggered:
                 dst.cpu.sched.attach(item)
 
-        proclet._status = ProcletStatus.RUNNING
         proclet.migrations += 1
-        gate, proclet._migration_gate = proclet._migration_gate, None
-        gate.succeed()
-        self.runtime._notify_proclet_state(proclet.id)
+        self.runtime.ungate(proclet)
 
         latency = sim.now - t0
         if tr is not None:
-            tr.end(proclet._gate_span)
-            proclet._gate_span = None
             tr.end(phase)
         self.migrations_completed += 1
         m = self.runtime.metrics

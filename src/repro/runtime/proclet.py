@@ -123,6 +123,12 @@ class Proclet:
             self._runtime._notify_heap_change(self)
 
     # -- lifecycle hooks -----------------------------------------------------
+    def twin(self) -> "Proclet":
+        """An unspawned, empty proclet wired like this one: the
+        successor a split child or a recovered incarnation starts from.
+        Subclasses that hold wiring (an owner, a task source) copy it."""
+        return type(self)()
+
     def on_start(self, ctx):
         """Optional startup method (generator or plain); invoked at spawn."""
 

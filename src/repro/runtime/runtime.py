@@ -14,7 +14,7 @@ from typing import Callable, Dict, Generator, List, Optional
 
 from ..cluster import Cluster, Machine, Priority
 from ..obs import Decision
-from ..sim import Process
+from ..sim import Event, Process
 from .context import Context
 from .errors import DeadProclet, MachineFailed, ProcletLost, UnknownMethod
 from .locator import Locator
@@ -93,27 +93,7 @@ class NuRuntime:
         machine.memory.reserve(proclet.footprint)
         pid = self._next_id
         self._next_id += 1
-        proclet._runtime = self
-        proclet._id = pid
-        proclet._name = name or f"{type(proclet).__name__}#{pid}"
-        proclet._machine = machine
-        proclet._status = ProcletStatus.RUNNING
-        self._proclets[pid] = proclet
-        self.locator.place(pid, machine)
-        if self.metrics is not None:
-            self.metrics.count("runtime.spawns")
-        tr = self.sim.tracer
-        if tr is not None:
-            proclet._span = tr.begin(
-                "proclet", proclet._name, track=f"proclet:{proclet._name}",
-                machine=machine.name, footprint=proclet.footprint)
-            tr.instant("lifecycle", f"spawn {proclet._name}",
-                       parent=proclet._span, track=f"machine:{machine.name}")
-        ref = ProcletRef(self, pid, proclet._name)
-        if type(proclet).on_start is not Proclet.on_start:
-            self.invoke(ref, "on_start", caller_machine=machine,
-                        retryable=False)
-        return ref
+        return self._start(proclet, machine, pid, name, "spawn")
 
     def destroy(self, ref: ProcletRef) -> None:
         """Tear down a proclet, releasing its DRAM immediately."""
@@ -195,28 +175,76 @@ class NuRuntime:
         self._lost.discard(proclet_id)
         incarnation = self._incarnations.get(proclet_id, 0) + 1
         self._incarnations[proclet_id] = incarnation
+        return self._start(proclet, machine, proclet_id, name, "respawn",
+                           incarnation=incarnation)
+
+    def _start(self, proclet: Proclet, machine: Machine, pid: int,
+               name: str, verb: str, **span_args) -> ProcletRef:
+        """The body :meth:`spawn` and :meth:`respawn` share: wire
+        *proclet* (its DRAM already reserved on *machine*) in as *pid*,
+        register and place it, count and trace the *verb*, and run its
+        ``on_start`` hook as its first invocation."""
         proclet._runtime = self
-        proclet._id = proclet_id
-        proclet._name = name or f"{type(proclet).__name__}#{proclet_id}"
+        proclet._id = pid
+        proclet._name = name or f"{type(proclet).__name__}#{pid}"
         proclet._machine = machine
         proclet._status = ProcletStatus.RUNNING
-        self._proclets[proclet_id] = proclet
-        self.locator.place(proclet_id, machine)
+        self._proclets[pid] = proclet
+        self.locator.place(pid, machine)
         if self.metrics is not None:
-            self.metrics.count("runtime.respawns")
+            self.metrics.count(f"runtime.{verb}s")
         tr = self.sim.tracer
         if tr is not None:
             proclet._span = tr.begin(
                 "proclet", proclet._name, track=f"proclet:{proclet._name}",
                 machine=machine.name, footprint=proclet.footprint,
-                incarnation=incarnation)
-            tr.instant("lifecycle", f"respawn {proclet._name}",
+                **span_args)
+            tr.instant("lifecycle", f"{verb} {proclet._name}",
                        parent=proclet._span, track=f"machine:{machine.name}")
-        ref = ProcletRef(self, proclet_id, proclet._name)
+        ref = ProcletRef(self, pid, proclet._name)
         if type(proclet).on_start is not Proclet.on_start:
             self.invoke(ref, "on_start", caller_machine=machine,
                         retryable=False)
         return ref
+
+    # -- gating ---------------------------------------------------------------
+    def gate(self, proclet: Proclet, parent=None) -> Event:
+        """Close *proclet*'s gate and return it: new invocations block
+        until :meth:`ungate` (or a crash of its machine) opens it.
+
+        Migration, shard split/merge and checkpoint restore all hold a
+        proclet dark this way.  The ``gate`` span nests under *parent*,
+        or under the proclet's lifetime span when none is given.
+        """
+        proclet._status = ProcletStatus.MIGRATING
+        gate = proclet._migration_gate = self.sim.event()
+        self._notify_proclet_state(proclet.id)
+        tr = self.sim.tracer
+        if tr is not None:
+            proclet._gate_span = tr.begin(
+                "gate", f"gated:{proclet.name}",
+                parent=proclet._span if parent is None else parent,
+                track=f"proclet:{proclet.name}")
+        return gate
+
+    def ungate(self, proclet: Proclet, **outcome) -> None:
+        """Open *proclet*'s gate, waking blocked callers; a live proclet
+        runs again.  *outcome* becomes the ``gate`` span's end args.
+        Does nothing when the proclet is not gated (a crash of its
+        machine already opened the gate)."""
+        gate = proclet._migration_gate
+        if gate is None:
+            return
+        proclet._migration_gate = None
+        if proclet._status is ProcletStatus.MIGRATING:
+            proclet._status = ProcletStatus.RUNNING
+        if not gate.triggered:
+            gate.succeed()
+        self._notify_proclet_state(proclet.id)
+        tr = self.sim.tracer
+        if tr is not None:
+            tr.end(proclet._gate_span, **outcome)
+            proclet._gate_span = None
 
     # -- invocation -------------------------------------------------------------
     def invoke(self, ref: ProcletRef, method: str, *args,
@@ -399,15 +427,12 @@ class NuRuntime:
         tr = self.sim.tracer
         for proclet in lost:
             proclet._status = ProcletStatus.DEAD
-            gate = proclet._migration_gate
-            if gate is not None and not gate.triggered:
-                proclet._migration_gate = None
-                gate.succeed()  # blocked callers re-check and see DEAD
+            # Blocked callers re-check and see DEAD.
+            self.ungate(proclet, outcome="machine-failed")
             self.locator.remove(proclet.id)
             del self._proclets[proclet.id]
             self._lost.add(proclet.id)
             if tr is not None:
-                tr.end(proclet._gate_span, outcome="machine-failed")
                 tr.end(proclet._span, outcome="machine-failed")
         # Fail all in-flight work on the machine's resources (method
         # bodies and remote waiters observe MachineFailed).

@@ -49,20 +49,24 @@ class TestEviction:
         assert cache.used_bytes <= 4.6 * MiB  # budget + one in-flight put
         assert cache.evictions > 0
 
-    def test_recently_used_survive(self, qs):
+    # "n36" has the lowest hash_key of n0..n199: every eviction scan
+    # reaches it first, so only its reference bit can save it.
+    @pytest.mark.parametrize("hot", ["hot", "n36"])
+    def test_recently_used_survive(self, qs, hot):
         """CLOCK keeps hot keys: re-referenced entries get a second
-        chance over cold ones."""
+        chance over cold ones, wherever the hot key sorts."""
+        assert hash_key("n36") == min(hash_key(f"n{i}") for i in range(200))
         cache = ElasticCache(qs, budget_bytes=3 * MiB)
-        qs.run(until_event=cache.put("hot", "H", 1 * MiB))
+        qs.run(until_event=cache.put(hot, "H", 1 * MiB))
         qs.run(until_event=cache.put("cold1", None, 1 * MiB))
         # Touch the hot key so its reference bit is set.
-        qs.run(until_event=cache.get("hot"))
-        qs.run(until_event=cache.get("hot"))
+        qs.run(until_event=cache.get(hot))
+        qs.run(until_event=cache.get(hot))
         # Overflow: someone must go.
         qs.run(until_event=cache.put("cold2", None, 1 * MiB))
         qs.run(until_event=cache.put("cold3", None, 1 * MiB))
         qs.run(until=qs.sim.now + 0.05)
-        assert qs.run(until_event=cache.get("hot")) == "H"
+        assert qs.run(until_event=cache.get(hot)) == "H"
 
     def test_hit_rate_tracks_working_set(self, qs):
         cache = ElasticCache(qs, budget_bytes=32 * MiB)

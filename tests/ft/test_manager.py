@@ -3,6 +3,8 @@
 import pytest
 
 from repro import MachineSpec
+from repro.apps import ElasticCache
+from repro.chaos import InvariantChecker
 from repro.cluster import Priority
 from repro.ft import RecoveryConfig, RecoveryPolicy
 from repro.runtime import ProcletLost
@@ -115,6 +117,40 @@ class TestShedding:
         assert manager.sheds == 0
         assert manager.failed_recoveries >= 1
         assert qs.runtime._proclets.get(victim.proclet_id) is not None
+
+
+class TestRecoveredWiring:
+    def test_recovered_shard_and_member_keep_their_owner(self):
+        """A recovered incarnation is its corpse's twin: a cache shard
+        still answers for its cache and a pool member still reports its
+        tasks to its pool."""
+        qs = tiny_qs([MachineSpec(name=f"m{i}", cores=4,
+                                  dram_bytes=4 * GiB) for i in range(3)])
+        checker = InvariantChecker(qs.runtime).attach(qs.sim)
+        manager = qs.enable_recovery(CFG)
+        cache = ElasticCache(qs, budget_bytes=64 * MiB)
+        qs.run(until_event=cache.put("k", "V", 1 * MiB))
+        shard = cache.shards[0].ref
+        victim = shard.machine
+        pool = qs.compute_pool(name="pool", initial_members=2,
+                               machine=victim)
+        manager.protect(shard, RecoveryPolicy.CHECKPOINT)
+        for ref in pool.members:
+            manager.protect(ref, RecoveryPolicy.RESTART)
+        # Let a checkpoint of the shard commit before the kill.
+        qs.run(until=qs.sim.now + 0.05)
+        assert manager.checkpoint_bytes_held > 0
+        qs.runtime.fail_machine(victim)
+        qs.run(until=qs.sim.now + 0.2)
+        assert manager.recoveries == {"checkpoint": 1, "restart": 2}
+        assert qs.run(until_event=cache.get("k")) == "V"
+        assert cache.hits == 1
+        done = [pool.run(1e-3) for _ in range(4)]
+        qs.run(until_event=qs.sim.all_of(done))
+        assert pool.total_done == 4
+        assert shard.proclet.shard_owner is cache
+        assert all(ref.proclet.shard_owner is pool for ref in pool.members)
+        assert checker.checks > 0
 
 
 class TestDeterminism:

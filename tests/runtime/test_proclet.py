@@ -241,3 +241,71 @@ class TestRef:
         m0 = rt.cluster.machine(0)
         ref = rt.spawn(Counter(), m0)
         assert ref.machine is m0
+
+
+class TestGate:
+    def test_gate_holds_invocations_until_ungate(self, rt):
+        ref = rt.spawn(Counter(), rt.cluster.machine(0))
+        p = ref.proclet
+        gate = rt.gate(p)
+        assert p.status is ProcletStatus.MIGRATING
+        assert p._migration_gate is gate
+        ev = ref.call("increment")
+        rt.sim.run(until=1.0)
+        assert not ev.triggered
+        rt.ungate(p)
+        assert gate.triggered and p._migration_gate is None
+        assert p.status is ProcletStatus.RUNNING
+        assert rt.sim.run(until_event=ev) == 1
+
+    def test_ungate_after_crash_is_a_noop(self, rt):
+        """A crash opens the gate itself; a later ungate must not
+        revive the dead proclet."""
+        m = rt.cluster.machine(0)
+        ref = rt.spawn(Counter(), m)
+        p = ref.proclet
+        gate = rt.gate(p)
+        ev = ref.call("increment")
+        rt.fail_machine(m)
+        assert gate.triggered and p._migration_gate is None
+        rt.ungate(p)
+        assert p.status is ProcletStatus.DEAD
+        with pytest.raises(DeadProclet):
+            rt.sim.run(until_event=ev)
+
+    def test_gate_span_nests_under_parent_and_records_outcome(self, rt):
+        from repro.obs import SpanTracer
+
+        tr = SpanTracer(rt.sim)
+        p = rt.spawn(Counter(), rt.cluster.machine(0)).proclet
+        rt.gate(p)
+        rt.ungate(p, outcome="aborted")
+        parent = tr.begin("op", "op")
+        rt.gate(p, parent=parent)
+        rt.ungate(p)
+        first, second = [s for s in tr.spans if s.category == "gate"]
+        assert first.parent_id == p._span.sid
+        assert first.args == {"outcome": "aborted"}
+        assert second.parent_id == parent.sid and second.closed
+
+
+class TestTwin:
+    def test_twin_is_an_unspawned_empty_copy(self, rt):
+        ref = rt.spawn(Counter(), rt.cluster.machine(0))
+        rt.sim.run(until_event=ref.call("increment"))
+        twin = ref.proclet.twin()
+        assert type(twin) is Counter
+        assert twin.id is None and twin.value == 0
+        assert twin.status is ProcletStatus.CREATED
+
+    def test_compute_twin_keeps_its_wiring(self):
+        from repro.core.computeproclet import ComputeProclet, TaskSource
+
+        owner, source = object(), TaskSource()
+        p = ComputeProclet(parallelism=3, source=source)
+        p.shard_owner = owner
+        p.on_task_done = print
+        twin = p.twin()
+        assert type(twin) is ComputeProclet
+        assert (twin.parallelism, twin.source, twin.on_task_done,
+                twin.shard_owner) == (3, source, print, owner)
