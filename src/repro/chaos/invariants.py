@@ -74,8 +74,8 @@ extra work:
 * each machine's :class:`~repro.cluster.Memory` listener marks the
   machine (heap charges, ballast, migration and checkpoint
   reservations);
-* the runtime's heap listener marks the proclet's machine, and its
-  failure and restore listeners mark the machine and its schedulers;
+* the runtime's failure and restore listeners mark the machine and its
+  schedulers, and drop the kept reservation views (below);
 * each machine scheduler's observer marks it when rates change, and
   every scheduler waiting on the simulator's pending-flush list is
   marked too (its inputs changed; it is re-checked once the flush has
@@ -84,12 +84,18 @@ extra work:
   restore-flag writes in migration, split/merge gating and recovery
   (spawn, destroy, respawn and crash already reach the locator);
 * the runtime's reservation listener marks a machine when the
-  migration or checkpoint reservation ledgers change;
+  migration or checkpoint reservation ledgers change, and drops the
+  kept reservation views;
 * the reshard ledger's listener marks a structure (and its op's pids)
   on every op transition, track/untrack and routing-table write.
 
 A dirty pid listed in a routing table also marks that table, and a
 re-examined table marks the pids it dropped (for the orphan check).
+The per-machine migration and checkpoint reservations and the
+checkpoint bytes the live machines hold are kept between incremental
+passes and rebuilt only after a reservation, crash or restore has
+been reported (every mutation of those ledgers reports one); the full
+pass always rebuilds them.
 When one state breaks several invariants at once, the one reported is
 the first its pass reaches.
 
@@ -133,6 +139,14 @@ class InvariantViolation(Exception):
     """A global invariant failed to hold after an event."""
 
 
+def _bytes_close(a: float, b: float) -> bool:
+    """Byte ledgers agree: ``math.isclose`` at ``rel_tol=1e-9`` and
+    ``abs_tol=_MEM_EPS``, without the call when they are within
+    ``_MEM_EPS`` (a NaN still takes it)."""
+    return abs(a - b) <= _MEM_EPS or math.isclose(
+        a, b, rel_tol=1e-9, abs_tol=_MEM_EPS)
+
+
 def _schedulers(machine) -> List:
     """*machine*'s fluid schedulers, in the order the passes check them."""
     scheds = [machine.cpu.sched, machine.nic.tx]
@@ -151,6 +165,7 @@ class InvariantChecker:
     def __init__(self, runtime, oracle: bool = False,
                  gate_timeout: float = 1.0):
         self.runtime = runtime
+        self._sim = runtime.sim
         self.oracle = oracle
         self.gate_timeout = gate_timeout
         self.checks = 0
@@ -167,9 +182,11 @@ class InvariantChecker:
         self._hooks: List[Tuple[List, Any]] = []
         # Dirty sets, filled by the hooks and drained by each
         # incremental pass.  The hooks hold bound ``add`` methods, so
-        # the sets are cleared in place, never rebound.
+        # the sets are cleared in place, never rebound.  A dirty machine
+        # is held as its Memory (hashed by identity; a Machine hashes in
+        # Python), or in _dirty_reserved when its reservations changed.
         self._dirty_memories: Set = set()
-        self._dirty_machines: Set = set()
+        self._dirty_reserved: Set = set()
         self._dirty_scheds: Set = set()
         self._dirty_pids: Set[int] = set()
         self._dirty_tables: Set = set()
@@ -181,12 +198,19 @@ class InvariantChecker:
         self._table_pids: Dict[int, Set[int]] = {}
         self._entry_of: Dict[int, Any] = {}
         # Cluster shape, fixed at attach().
+        # Each machine's Memory -> the machine's rank in the cluster.
         self._rank: Dict[Any, int] = {}
         self._machine_of: Dict[Any, Any] = {}
         self._scheds_of: Dict[Any, List] = {}
         self._sched_rank: Dict[Any, int] = {}
         self._pending_flushes: List = []
-        self._residency_sets = self._live_ids = self._live_and_placed = ()
+        self._residency_sets = self._live_ids = ()
+        self._live = self._placed = {}
+        self._lost: Set[int] = set()
+        # The incremental pass's (inflight, reserved, held) reservation
+        # views, kept until a reservation, crash or restore changes them.
+        self._reserved: Optional[Tuple[Dict[int, float], Dict[int, float],
+                                       float]] = None
 
     # -- observer plumbing ---------------------------------------------------
     def attach(self, sim=None) -> "InvariantChecker":
@@ -196,22 +220,21 @@ class InvariantChecker:
         self._attached_to = sim
         self._pending_flushes = sim._pending_flushes
         # The listener lists behind Locator.add_listener, the runtime's
-        # on_heap_change and on_machine_failure/restore, its proclet-state
+        # on_machine_failure/restore, its proclet-state
         # and reservation notifications, the reshard ledger's
         # notifications, Memory.add_listener and
         # FluidScheduler.add_observer; detach() removes the same entries.
         hooks = [
             (runtime.locator._listeners, self._on_locate),
-            (runtime._heap_listeners, self._on_heap),
             (runtime._failure_listeners, self._on_failure),
             (runtime._restore_listeners, self._on_restore),
             (runtime._proclet_state_listeners, self._dirty_pids.add),
-            (runtime._reservation_listeners, self._dirty_machines.add),
+            (runtime._reservation_listeners, self._dirty_reserved.add),
             (runtime.reshard_ledger._listeners, self._on_reshard),
         ]
         for rank, machine in enumerate(runtime.cluster.machines):
             scheds = _schedulers(machine)
-            self._rank[machine] = rank
+            self._rank[machine.memory] = rank
             self._machine_of[machine.memory] = machine
             self._scheds_of[machine] = scheds
             hooks.append((machine.memory._listeners,
@@ -222,12 +245,14 @@ class InvariantChecker:
         for listeners, fn in hooks:
             listeners.append(fn)
         self._hooks = hooks
-        # Live views for the per-event cardinality checks.
+        # Live views for the per-event global checks.
         self._residency_sets = runtime.locator._by_machine.values()
+        self._live = runtime._proclets
         self._live_ids = runtime._proclets.keys()
-        self._live_and_placed = (runtime._proclets, runtime.locator._table)
+        self._placed = runtime.locator._table
+        self._lost = runtime._lost
         # The first incremental pass examines everything.
-        self._dirty_machines.update(self._rank)
+        self._dirty_memories.update(self._rank)
         self._dirty_scheds.update(self._sched_rank)
         self._dirty_pids.update(runtime._proclets)
         self._dirty_tables.update(runtime.reshard_ledger._structures)
@@ -245,20 +270,17 @@ class InvariantChecker:
     def _on_locate(self, pid: int, src, dst) -> None:
         self._dirty_pids.add(pid)
         if src is not None:
-            self._dirty_machines.add(src)
+            self._dirty_memories.add(src.memory)
         if dst is not None:
-            self._dirty_machines.add(dst)
-
-    def _on_heap(self, proclet) -> None:
-        self._dirty_machines.add(proclet._machine)
+            self._dirty_memories.add(dst.memory)
 
     def _on_failure(self, machine, _lost) -> None:
         self._on_restore(machine)
 
     def _on_restore(self, machine) -> None:
-        # Up/down flips the machine's ledger and its schedulers'
-        # capacities.
-        self._dirty_machines.add(machine)
+        # Up/down flips the machine's ledger, its schedulers' capacities
+        # and which reservations count.
+        self._dirty_reserved.add(machine)
         self._dirty_scheds.update(self._scheds_of.get(machine, ()))
 
     def _on_reshard(self, structure, pids) -> None:
@@ -285,49 +307,47 @@ class InvariantChecker:
             self.check()
             return
         self.checks += 1
-        runtime = self.runtime
         pending = self._pending_flushes
         waiting = self._waiting
         if waiting or pending:
             # Schedulers mutated this instant wait on the pending-flush
             # list; once a drain has run (the list emptied or time
             # moved) they are clean and due for a check.
-            now = runtime.sim._now
+            now = self._sim._now
             if waiting and (not pending or now != self._waiting_at):
                 self._dirty_scheds.update(waiting)
                 waiting.clear()
             if pending:
                 waiting.update(pending)
                 self._waiting_at = now
-        if (self._dirty_machines or self._dirty_memories
-                or self._dirty_scheds or self._dirty_pids
-                or self._dirty_tables):
+        if (self._dirty_memories or self._dirty_reserved or self._dirty_scheds
+                or self._dirty_pids or self._dirty_tables):
             machines, scheds, pids, tables = self._take_dirty()
         else:
             machines = scheds = pids = tables = ()
         if machines:
-            by_machine = runtime.locator._by_machine
-            resident = {m.id: self._check_residents(m, by_machine.get(m, ()))
-                        for m in machines}
-        live, placed = map(len, self._live_and_placed)
-        if live != placed \
+            by_machine = self.runtime.locator._by_machine
+            footprints = [self._check_residents(m, by_machine.get(m, ()))
+                          for m in machines]
+        placed = len(self._placed)
+        if len(self._live) != placed \
                 or sum(map(len, self._residency_sets)) != placed:
             self._check_cardinality()
         if machines:
-            self._check_changed_machines(machines, resident)
+            self._check_changed_machines(machines, footprints)
         for sched in scheds:
             self._check_fluid(sched)
-        lost = runtime._lost
+        lost = self._lost
         if lost and not self._live_ids.isdisjoint(lost):
             self._check_lost()
         if pids:
             self._check_incarnations(pids)
-        recovery = runtime.recovery
+        recovery = self.runtime.recovery
         if recovery is not None and recovery.convergence_errors:
             self._check_convergence()
         if pids or tables:
             self._check_changed_proclets(pids, tables)
-        now = runtime.sim._now
+        now = self._sim._now
         if now - self._oldest_gate > self.gate_timeout:
             self._check_gated(now)
 
@@ -338,31 +358,44 @@ class InvariantChecker:
         flush is skipped by the check and comes back through the
         pending-flush list."""
         machines = scheds = pids = tables = ()
-        dirty_machines = self._dirty_machines
         memories = self._dirty_memories
+        reserved = self._dirty_reserved
+        if reserved:
+            memories.update([machine.memory for machine in reserved])
+            reserved.clear()
+            self._reserved = None
         if memories:
-            dirty_machines.update(map(self._machine_of.__getitem__, memories))
-            memories.clear()
-        if dirty_machines:
-            machines = sorted(dirty_machines, key=self._rank.__getitem__)
-            dirty_machines.clear()
+            machine_of = self._machine_of
+            if len(memories) == 1:
+                machines = (machine_of[memories.pop()],)
+            else:
+                machines = [machine_of[memory] for memory
+                            in sorted(memories, key=self._rank.__getitem__)]
+                memories.clear()
         dirty_scheds = self._dirty_scheds
         if dirty_scheds:
             rank = self._sched_rank
-            scheds = sorted(filter(rank.__contains__, dirty_scheds),
-                            key=rank.__getitem__)
-            dirty_scheds.clear()
-        if self._dirty_pids:
-            pids = set(self._dirty_pids)
-            self._dirty_pids.clear()
+            if len(dirty_scheds) == 1:
+                sched = dirty_scheds.pop()
+                if sched in rank:
+                    scheds = (sched,)
+            else:
+                scheds = sorted(filter(rank.__contains__, dirty_scheds),
+                                key=rank.__getitem__)
+                dirty_scheds.clear()
+        dirty_pids = self._dirty_pids
+        if dirty_pids:
+            pids = tuple(dirty_pids)
+            dirty_pids.clear()
         if self._dirty_tables or pids:
-            tables = set(self._dirty_tables)
-            self._dirty_tables.clear()
+            tables = self._dirty_tables
             entry_of = self._entry_of
             for pid in pids:
                 structure = entry_of.get(pid)
                 if structure is not None:
                     tables.add(structure)
+            tables = tuple(tables)
+            self._dirty_tables.clear()
         return machines, scheds, pids, tables
 
     def _fail(self, what: str) -> None:
@@ -386,22 +419,32 @@ class InvariantChecker:
     def _check_residents(self, machine, pids) -> float:
         """Invariant 1 over one machine's residency set; returns the
         residents' total footprint."""
-        placed_on = self.runtime.locator._table.get
-        live = self.runtime._proclets.get
+        placed = self.runtime.locator._table
+        live = self.runtime._proclets
         footprint = 0
-        for pid in pids:
-            if placed_on(pid) is not machine:
-                self._fail_misplaced(machine, pid)
-            proclet = live(pid)
-            if proclet is None:
-                self._fail(f"locator maps dead proclet #{pid}")
-            if proclet._machine is not machine:
-                self._fail(
-                    f"{proclet.name}: locator says {machine.name}, "
-                    f"proclet says "
-                    f"{getattr(proclet._machine, 'name', None)}")
-            footprint += proclet.footprint
+        try:
+            for pid in pids:
+                proclet = live[pid]
+                if placed[pid] is not machine \
+                        or proclet._machine is not machine:
+                    self._fail_resident(machine, pid)
+                # Proclet.footprint, without the property call.
+                footprint += proclet._heap_bytes + proclet.BASE_FOOTPRINT
+        except KeyError as missing:
+            self._fail_resident(machine, missing.args[0])
         return footprint
+
+    def _fail_resident(self, machine, pid: int) -> None:
+        """Report the first of invariant 1's checks that resident *pid*
+        of *machine* fails."""
+        if self.runtime.locator._table.get(pid) is not machine:
+            self._fail_misplaced(machine, pid)
+        proclet = self.runtime._proclets.get(pid)
+        if proclet is None:
+            self._fail(f"locator maps dead proclet #{pid}")
+        self._fail(f"{proclet.name}: locator says {machine.name}, "
+                   f"proclet says "
+                   f"{getattr(proclet._machine, 'name', None)}")
 
     def _check_cardinality(self) -> None:
         """Invariant 1's global half.  Once every residency entry agrees
@@ -435,33 +478,42 @@ class InvariantChecker:
             f"says {getattr(loc._table.get(pid), 'name', None)}")
 
     # -- invariants 2 and 3 ------------------------------------------------------
-    def _reservations(self) -> Tuple[Dict[int, float], Dict[int, float]]:
-        """In-flight migration and checkpoint bytes per machine id."""
-        runtime = self.runtime
-        recovery = runtime.recovery
-        return (runtime.migration.inflight_reserved(),
-                recovery.reserved_by_machine() if recovery is not None
-                else {})
+    def _reservations(self) -> Tuple[Dict[int, float], Dict[int, float],
+                                     float]:
+        """In-flight migration and checkpoint bytes per machine id, and
+        the checkpoint bytes the live machines hold.  Rebuilt only when
+        a reservation listener, crash or restore has reported a change
+        since the last build (the full pass always rebuilds)."""
+        views = self._reserved
+        if views is None:
+            runtime = self.runtime
+            recovery = runtime.recovery
+            reserved = (recovery.reserved_by_machine()
+                        if recovery is not None else {})
+            views = self._reserved = (
+                runtime.migration.inflight_reserved(), reserved,
+                self._held(runtime.cluster.machines, reserved))
+        return views
 
     def _check_machines(self, resident: Dict[int, float]) -> float:
         """Invariants 2 and 3, in one pass over the machines.  Returns
         the checkpoint bytes the machines hold, for invariant 6."""
-        inflight, reserved = self._reservations()
-        machines = self.runtime.cluster.machines
-        for m in machines:
+        self._reserved = None
+        inflight, reserved, held = self._reservations()
+        for m in self.runtime.cluster.machines:
             self._check_dram(m, resident.get(m.id, 0), inflight, reserved)
             for sched in _schedulers(m):
                 self._check_fluid(sched)
-        return self._held(machines, reserved)
+        return held
 
     def _check_changed_machines(self, machines,
-                                resident: Dict[int, float]) -> None:
-        """Invariants 2 and 6 over the dirty machines."""
-        inflight, reserved = self._reservations()
-        for m in machines:
-            self._check_dram(m, resident[m.id], inflight, reserved)
-        self._check_checkpoints(
-            self._held(self.runtime.cluster.machines, reserved))
+                                footprints: List[float]) -> None:
+        """Invariants 2 and 6 over the dirty machines, given their
+        residents' footprints."""
+        inflight, reserved, held = self._reserved or self._reservations()
+        for m, footprint in zip(machines, footprints):
+            self._check_dram(m, footprint, inflight, reserved)
+        self._check_checkpoints(held)
 
     @staticmethod
     def _held(machines, reserved: Dict[int, float]) -> float:
@@ -488,8 +540,7 @@ class InvariantChecker:
         in_flight = inflight.get(mid, 0.0)
         ckpt = reserved.get(mid, 0.0)
         expected = footprints + memory.ballast + in_flight + ckpt
-        if not math.isclose(used, expected,
-                            rel_tol=1e-9, abs_tol=_MEM_EPS):
+        if not _bytes_close(used, expected):
             self._fail(
                 f"{m.name} DRAM ledger {used:.1f} B != "
                 f"{expected:.1f} B (residents {footprints:.1f} + "
@@ -574,8 +625,7 @@ class InvariantChecker:
         recovery = self.runtime.recovery
         if recovery is None:
             return
-        if not math.isclose(held, recovery.checkpoint_bytes_held,
-                            rel_tol=1e-9, abs_tol=_MEM_EPS):
+        if not _bytes_close(held, recovery.checkpoint_bytes_held):
             self._fail(
                 f"checkpoint bytes not conserved: machines hold "
                 f"{held:.1f} B, manager ledger says "

@@ -27,7 +27,7 @@ from ..runtime import (
     ProcletRef,
     ProcletStatus,
 )
-from ..runtime.errors import InvalidPlacement
+from ..runtime.errors import InvalidPlacement, MachineFailed
 from .computeproclet import TASK_WIRE_BYTES, ComputeProclet, TaskSource
 from .config import QuicksandConfig
 from .gpuproclet import GpuProclet
@@ -236,22 +236,42 @@ class Quicksand:
             span = tr.begin("split", f"split {src.name}",
                             track=f"proclet:{src.name}", kind="compute")
         self.runtime.gate(src)
+
+        def abort(new_ref=None, moved=()):
+            # A machine crashed under the split: retire the twin, give a
+            # surviving source its tasks back and reopen it.
+            if new_ref is not None:
+                self.runtime.destroy(new_ref)
+            if src.status is ProcletStatus.MIGRATING:
+                src._queue.extend(moved)
+            self.runtime.ungate(src)
+            if tr is not None:
+                tr.end(span, outcome="machine-failed")
+            return None
+
         yield self.sim.timeout(self.config.split_overhead)
+        if src.status is not ProcletStatus.MIGRATING or not dst.up:
+            return abort()
 
         new = src.twin()
         new_ref = self.runtime.spawn(new, dst, name=f"{src.name}.split")
 
         n = len(src._queue) // 2
-        if n > 0:
-            moved = [src._queue.pop() for _ in range(n)]
-            moved.reverse()
-            if dst is not src.machine:
+        moved = [src._queue.pop() for _ in range(n)]
+        moved.reverse()
+        if n > 0 and dst is not src.machine:
+            try:
                 yield self.cluster.fabric.transfer(
                     src.machine, dst, TASK_WIRE_BYTES * n,
                     name=f"split:{src.name}",
                 )
-            for task in moved:
-                new._enqueue(task)
+            except MachineFailed:
+                return abort(new_ref, moved)
+            if src.status is not ProcletStatus.MIGRATING \
+                    or new.status is ProcletStatus.DEAD:
+                return abort(new_ref, moved)
+        for task in moved:
+            new._enqueue(task)
         self.runtime.ungate(src)
         self.splits += 1
         if self.metrics is not None:

@@ -96,12 +96,15 @@ class NuRuntime:
         return self._start(proclet, machine, pid, name, "spawn")
 
     def destroy(self, ref: ProcletRef) -> None:
-        """Tear down a proclet, releasing its DRAM immediately."""
+        """Tear down a proclet, releasing its DRAM immediately.  A gated
+        proclet's gate opens, so its blocked callers see it DEAD and
+        fail with :class:`DeadProclet`."""
         proclet = self._proclets.get(ref.proclet_id)
         if proclet is None or proclet._status is ProcletStatus.DEAD:
             return  # destroy is idempotent
         proclet._machine.memory.release(proclet.footprint)
         proclet._status = ProcletStatus.DEAD
+        self.ungate(proclet, outcome="destroyed")
         self.locator.remove(proclet.id)
         del self._proclets[proclet.id]
         if self.metrics is not None:
@@ -111,7 +114,6 @@ class NuRuntime:
             tr.instant("lifecycle", f"destroy {proclet._name}",
                        parent=proclet._span,
                        track=f"machine:{proclet._machine.name}")
-            tr.end(proclet._gate_span, outcome="destroyed")
             tr.end(proclet._span, outcome="destroyed")
 
     # -- lookup ----------------------------------------------------------------

@@ -8,12 +8,15 @@ unattached checker, and asserts two things:
 * both passes reach the same verdict;
 * every machine, scheduler, proclet and routing table the incremental
   pass skipped still has the predicate inputs it had when it was last
-  examined — so skipping it could not have hidden a violation.
+  examined — so skipping it could not have hidden a violation;
+* the reservation views the checker keeps between passes equal
+  freshly computed ones.
 
 The audit is a test helper, not a checker option.  Tier-1 runs seeds
 0-4; CI runs ``[audit(s) for s in range(45)]`` directly.
 """
 
+import math
 from unittest import mock
 
 import pytest
@@ -32,12 +35,22 @@ def _verdict(fn, *args):
     return None
 
 
+def reservations(runtime):
+    """In-flight migration and checkpoint bytes per machine id, and the
+    checkpoint bytes the live machines hold, computed afresh."""
+    recovery = runtime.recovery
+    reserved = recovery.reserved_by_machine() if recovery is not None else {}
+    held = sum(reserved.get(m.id, 0.0) for m in runtime.cluster.machines
+               if m.up)
+    return runtime.migration.inflight_reserved(), reserved, held
+
+
 def predicate_inputs(checker):
     """Every entity's predicate inputs, keyed ``(kind, entity)``."""
     runtime = checker.runtime
     live = runtime._proclets
     by_machine = runtime.locator._by_machine
-    inflight, reserved = checker._reservations()
+    inflight, reserved, _held = reservations(runtime)
     inputs = {}
     for m in runtime.cluster.machines:
         memory = m.memory
@@ -97,6 +110,7 @@ class AuditedChecker(InvariantChecker):
             f"{'full' if full else 'incremental'} pass says {mine!r}, "
             f"the full pass says {reference!r}")
         self._audit_skipped(full)
+        self._audit_reservations()
         if mine is not None:
             raise InvariantViolation(mine)
 
@@ -114,6 +128,18 @@ class AuditedChecker(InvariantChecker):
             keys.update(("range", pid) for pid
                         in self._table_pids.get(id(ds), ()))
         return keys
+
+    def _audit_reservations(self):
+        """The reservation views the checker keeps must be current."""
+        kept = self._reserved
+        if kept is None:
+            return
+        inflight, reserved, held = reservations(self.runtime)
+        assert (kept[0], kept[1]) == (inflight, reserved) \
+            and math.isclose(kept[2], held, rel_tol=1e-12, abs_tol=1e-6), (
+                f"event {self.events_seen} (t={self.runtime.sim.now:.6f}s): "
+                f"kept reservations {kept!r} != current "
+                f"{(inflight, reserved, held)!r}")
 
     def _audit_skipped(self, full):
         now = predicate_inputs(self)
@@ -174,3 +200,20 @@ def test_audit_fails_without_the_memory_listener():
     with pytest.raises(AssertionError, match="skipped machine"):
         for seed in range(5):
             audit(seed, tamper=unsubscribe_memory)
+
+
+def unsubscribe_reservations(checker):
+    """Drop the checker's reservation listener."""
+    for listeners, fn in list(checker._hooks):
+        if fn == checker._dirty_reserved.add:
+            listeners.remove(fn)
+            checker._hooks.remove((listeners, fn))
+
+
+def test_audit_fails_without_the_reservation_listener():
+    # A stale view fails the verdict check or the view check, whichever
+    # sees it first.
+    with pytest.raises(AssertionError,
+                       match="kept reservations|the full pass says"):
+        for seed in range(5):
+            audit(seed, tamper=unsubscribe_reservations)

@@ -9,10 +9,12 @@ from repro import (
     Proclet,
     Quicksand,
     QuicksandConfig,
+    ProcletStatus,
     ResourceKind,
+    Task,
     symmetric_cluster,
 )
-from repro.units import GiB, MiB
+from repro.units import GiB, MS, US, MiB
 
 from ..conftest import make_qs
 
@@ -118,6 +120,66 @@ class TestSplitMergeEdges:
         new_ref = qs.run(until_event=qs.split_compute(ref))
         assert new_ref is not None
         assert new_ref.proclet.source is src  # shared stream
+
+
+class TestSplitComputeCrash:
+    """A machine crashes under a compute split."""
+
+    @staticmethod
+    def _loaded_worker(qs, name="w"):
+        ref = qs.spawn_compute(parallelism=1, machine=qs.machine("m0"),
+                               name=name)
+        for _ in range(6):
+            ref.call("cp_submit", Task(work=1.0))
+        qs.run(until=qs.sim.now + 1 * MS)
+        return ref
+
+    @staticmethod
+    def _running(qs, suffix):
+        return [p.name for p in qs.runtime._proclets.values()
+                if p.name.endswith(suffix)]
+
+    def test_source_crash_in_overhead_spawns_nothing(self, qs_quiet):
+        qs = qs_quiet
+        ref = self._loaded_worker(qs)
+        assert ref.proclet.queue_length >= 5
+        ev = qs.split_compute(ref, dst=qs.machine("m1"))
+        qs.run(until=qs.sim.now + 1 * US)
+        qs.runtime.fail_machine(qs.machine("m0"))
+        qs.run(until=qs.sim.now + 10 * MS)
+        assert ev.ok and ev.value is None
+        assert self._running(qs, ".split") == []
+
+    def test_growing_pool_does_not_raise(self, qs_quiet):
+        qs = qs_quiet
+        pool = qs.compute_pool(name="p", parallelism=1,
+                               machine=qs.machine("m0"))
+        for _ in range(6):
+            pool.run(1.0)
+        qs.run(until=qs.sim.now + 1 * MS)
+        assert pool.grow(1) == 1
+        qs.run(until=qs.sim.now + 1 * US)
+        qs.runtime.fail_machine(qs.machine("m0"))
+        qs.run(until=qs.sim.now + 10 * MS)
+        assert pool.effective_size == 1
+        assert self._running(qs, ".split") == []
+
+    @pytest.mark.parametrize("victim", ["m0", "m1"])
+    def test_crash_during_task_transfer(self, qs_quiet, victim):
+        qs = qs_quiet
+        ref = self._loaded_worker(qs)
+        queued = ref.proclet.queue_length
+        ev = qs.split_compute(ref, dst=qs.machine("m1"))
+        while not self._running(qs, ".split"):
+            qs.sim.step()  # up to the twin's spawn; the tasks are in flight
+        qs.runtime.fail_machine(qs.machine(victim))
+        qs.run(until=qs.sim.now + 10 * MS)
+        assert ev.ok and ev.value is None
+        assert self._running(qs, ".split") == []
+        if victim == "m1":
+            # The surviving source has its moved tasks back.
+            assert ref.proclet.queue_length == queued
+            assert ref.proclet.status is ProcletStatus.RUNNING
 
 
 class TestConfigDefaults:

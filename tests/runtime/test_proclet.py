@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster import Cluster, OutOfMemory, symmetric_cluster
+from repro.core.memproclet import MemoryProclet
 from repro.runtime import (
     DeadProclet,
     NuRuntime,
@@ -226,6 +227,19 @@ class TestDestroy:
         ref = rt.spawn(Counter(), rt.cluster.machine(0))
         rt.destroy(ref)
         rt.destroy(ref)
+
+    def test_destroy_fails_callers_blocked_on_its_gate(self, rt):
+        ref = rt.spawn(MemoryProclet(), rt.cluster.machine(0))
+        proclet = ref.proclet
+        rt.gate(proclet)
+        ev = ref.call("mp_get", 0)
+        rt.sim.run(until=rt.sim.now + 1e-3)
+        assert not ev.triggered  # blocked on the closed gate
+        rt.destroy(ref)
+        assert proclet._migration_gate is None
+        rt.sim.run(until=rt.sim.now + 1.0)
+        assert ev.triggered and not ev.ok
+        assert isinstance(ev.value, DeadProclet)
 
 
 class TestRef:
