@@ -37,8 +37,8 @@ class TrainerApp:
 
     def start(self) -> None:
         for i in range(self.consumers):
-            proc = self.qs.sim.process(self._consume_loop(),
-                                       name=f"{self.name}.c{i}")
+            proc = self.qs.sim.spawn(self._consume_loop(),
+                                     name=f"{self.name}.c{i}")
             self._loops.append(proc)
 
     def _consume_loop(self) -> Generator:
@@ -78,7 +78,7 @@ class GpuAvailabilityDriver:
     def start(self) -> Event:
         self._running = True
         sim = self.machine.sim
-        return sim.process(self._loop(sim), name="gpu-driver")
+        return sim.spawn(self._loop(sim), name="gpu-driver")
 
     def stop(self) -> None:
         self._running = False

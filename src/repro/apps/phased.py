@@ -39,8 +39,8 @@ class PhasedApp:
             raise RuntimeError("phased app already started")
         self._running = True
         sim = self.machine.sim
-        self._process = sim.process(self._loop(sim),
-                                    name=f"phased:{self.machine.name}")
+        self._process = sim.spawn(self._loop(sim),
+                                  name=f"phased:{self.machine.name}")
 
     def stop(self) -> None:
         self._running = False

@@ -59,8 +59,8 @@ class LatencyService:
         if self._running:
             raise RuntimeError("service already started")
         self._running = True
-        self.machine.sim.process(self._arrivals(),
-                                 name=f"{self.name}.arrivals")
+        self.machine.sim.spawn(self._arrivals(),
+                               name=f"{self.name}.arrivals")
 
     def stop(self) -> None:
         self._running = False
@@ -183,7 +183,7 @@ class CloneService:
         if self._running:
             raise RuntimeError("service already started")
         self._running = True
-        self.sim.process(self._arrivals(), name=f"{self.name}.arrivals")
+        self.sim.spawn(self._arrivals(), name=f"{self.name}.arrivals")
 
     def stop(self) -> None:
         self._running = False

@@ -359,8 +359,8 @@ class ServingScheduler:
         self._capacity = sum(m.cpu.cores for m in self.qs.machines)
         self.qs.runtime.on_machine_failure(self._on_failure)
         self.qs.runtime.on_machine_restore(self._on_restore)
-        self._process = self.qs.sim.process(self._loop(),
-                                            name="serving-sched")
+        self._process = self.qs.sim.spawn(self._loop(),
+                                          name="serving-sched")
 
     # -- capacity tracking (event-driven, no fleet sums) -------------------
     def _on_failure(self, machine, _lost) -> None:

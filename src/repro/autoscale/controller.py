@@ -102,8 +102,8 @@ class ShardAutoscaler:
         for listeners, fn in self._hooks:
             listeners.append(fn)
         self._stale.update(ledger._structures)
-        self._process = qs.sim.process(self._loop(),
-                                       name="shard-autoscaler")
+        self._process = qs.sim.spawn(self._loop(),
+                                     name="shard-autoscaler")
 
     def stop(self) -> None:
         self._stopped = True

@@ -344,9 +344,9 @@ class _Workload:
             # Routed traffic against a range-sharded map: splits/merges
             # re-route keys while faults land at every protocol phase.
             self.map = self.qs.sharded_map(name="chaos-map")
-            self.qs.sim.process(self._map_driver(), name="chaos-map-churn")
-        self.qs.sim.process(self._task_driver(), name="chaos-tasks")
-        self.qs.sim.process(self._churn_driver(), name="chaos-churn")
+            self.qs.sim.spawn(self._map_driver(), name="chaos-map-churn")
+        self.qs.sim.spawn(self._task_driver(), name="chaos-tasks")
+        self.qs.sim.spawn(self._churn_driver(), name="chaos-churn")
 
     # -- fault recovery ------------------------------------------------------
     def heal(self) -> None:

@@ -1,19 +1,27 @@
 """Distributed thread pool over compute proclets (§3.2).
 
 A :class:`ComputePool` is a set of compute proclets acting as one
-elastic executor.  Growing the pool uses the §3.3 split mechanism (queue
-division + placement on a machine with idle cores); shrinking merges a
-member away.  The :class:`repro.core.ComputeAutoscaler` drives
-``grow``/``shrink`` automatically in the Fig. 3 pipeline.
+elastic executor, and the one home of compute resizing (§3.3): ``grow``
+splits a member's task queue with a twin on a machine with idle cores,
+``shrink`` merges a member away, and both roll back when a machine
+crashes under them (docs/api.md lists the outcomes).  The
+:class:`repro.core.ComputeAutoscaler` drives ``grow``/``shrink``
+automatically in the Fig. 3 pipeline.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Generator, List, Optional
 
 from ..cluster import Machine
-from ..core.computeproclet import ComputeProclet, Task, TaskSource
-from ..runtime import ProcletRef
+from ..core.computeproclet import (
+    TASK_WIRE_BYTES,
+    ComputeProclet,
+    Task,
+    TaskSource,
+)
+from ..runtime import ProcletRef, ProcletStatus
+from ..runtime.errors import MachineFailed
 from ..sim import Event
 
 
@@ -33,7 +41,6 @@ class ComputePool:
         self.members: List[ProcletRef] = []
         self.total_done = 0
         self._pending_growth = 0
-        self._retired: List[ProcletRef] = []
         # Tasks submitted but not yet finished, per member proclet id.
         # Routing balances on this rather than on queue_length, which
         # only updates once the simulated submission lands.
@@ -70,8 +77,15 @@ class ComputePool:
 
     @property
     def backlog(self) -> int:
-        return sum(ref.proclet.queue_length for ref in self.members)
+        return sum(p.queue_length for p in self._live())
 
+    def _live(self) -> List[ComputeProclet]:
+        """Member proclets not lost to a crash (``heal`` replaces those)."""
+        proclets = self.qs.runtime._proclets
+        live = (proclets.get(r.proclet_id) for r in self.members)
+        return [p for p in live if p is not None]
+
+    # -- resizing (§3.3) ----------------------------------------------------
     def grow(self, count: int = 1) -> int:
         """Add up to *count* members by splitting (§3.3); returns how
         many splits were actually initiated (0 when the cluster has no
@@ -81,18 +95,15 @@ class ComputePool:
         seed, so a second concurrent split of the same proclet would
         abort against the gate.
         """
-        from repro.runtime import ProcletStatus
-
         started = 0
         seeds = sorted(
-            (r for r in self.members
-             if r.proclet.status is ProcletStatus.RUNNING),
-            key=lambda r: -r.proclet.queue_length,
+            (p for p in self._live() if p.status is ProcletStatus.RUNNING),
+            key=lambda p: -p.queue_length,
         )
-        for seed in seeds[:count]:
+        for src in seeds[:count]:
             if self.qs.placement.best_for_compute(self.parallelism) is None:
                 break
-            ev = self.qs.split_compute(seed)
+            ev = self.qs.sim.spawn(self._split(src), name=f"split:{src.name}")
             self._pending_growth += 1
             ev.subscribe(self._on_grow_done)
             started += 1
@@ -100,28 +111,126 @@ class ComputePool:
 
     def _on_grow_done(self, event: Event) -> None:
         self._pending_growth -= 1
-        if not event.ok:
-            raise event.value
-        new_ref = event.value
-        if new_ref is not None:
-            self.members.append(new_ref)
+        if event.value is not None:
+            self.members.append(event.value)
 
     def shrink(self, count: int = 1) -> int:
         """Retire up to *count* members by merging them away."""
         removed = 0
         while removed < count and len(self.members) > 1:
-            victim = self.members.pop()
+            donor = self.members.pop()
             survivor = self.members[0]
-            self._retired.append(victim)
-            ev = self.qs.merge_compute(survivor, victim)
-            ev.subscribe(self._raise_on_failure)
+            self.qs.sim.spawn(self._merge(survivor, donor),
+                              name=f"merge:{donor.name}->{survivor.name}")
             removed += 1
         return removed
 
-    @staticmethod
-    def _raise_on_failure(event: Event) -> None:
-        if not event.ok:
-            raise event.value
+    def _split(self, src: ComputeProclet) -> Generator:
+        """Divide *src*'s task queue with a twin; the value is the
+        twin's ref, or None (no CPU headroom, or a machine crashed)."""
+        if src.status is not ProcletStatus.RUNNING:
+            return None
+        dst = self.qs.placement.best_for_compute(src.parallelism)
+        if dst is None:
+            return None  # no CPU headroom anywhere
+        qs = self.qs
+        runtime = qs.runtime
+        tr = qs.sim.tracer
+        span = None
+        if tr is not None:
+            span = tr.begin("split", f"split {src.name}",
+                            track=f"proclet:{src.name}", kind="compute")
+        runtime.gate(src)
+        yield qs.sim.timeout(qs.config.split_overhead)
+        if src.status is not ProcletStatus.DEAD and dst.up:
+            twin = src.twin()
+            twin_ref = runtime.spawn(twin, dst, name=f"{src.name}.split")
+            n = len(src._queue) // 2
+            moved = [src._queue.pop() for _ in range(n)]
+            moved.reverse()
+            if (yield from self._handoff(src, twin, moved,
+                                         f"split:{src.name}")):
+                runtime.ungate(src)
+                qs.splits += 1
+                if qs.metrics is not None:
+                    qs.metrics.count("quicksand.splits.compute")
+                runtime.decide(
+                    "split", f"{src.name} queue-division -> {twin.name}",
+                    span=span, moved_tasks=n, dst=dst.name,
+                )
+                return twin_ref
+            runtime.destroy(twin_ref)
+        runtime.ungate(src)
+        if tr is not None:
+            tr.end(span, outcome="machine-failed")
+        return None
+
+    def _merge(self, survivor_ref: ProcletRef,
+               donor_ref: ProcletRef) -> Generator:
+        """Hand the donor's queue to the survivor and destroy the donor
+        once its workers exit; the value is True, or None when the merge
+        declined or a machine crashed (a live donor stays a member)."""
+        qs = self.qs
+        runtime = qs.runtime
+        survivor = runtime._proclets.get(survivor_ref.proclet_id)
+        donor = runtime._proclets.get(donor_ref.proclet_id)
+        if (survivor is None or donor is None
+                or survivor.status is not ProcletStatus.RUNNING
+                or donor.status is not ProcletStatus.RUNNING):
+            self.members.append(donor_ref)
+            return None
+        tr = qs.sim.tracer
+        span = None
+        if tr is not None:
+            span = tr.begin("merge", f"merge {donor.name} -> {survivor.name}",
+                            track=f"proclet:{survivor.name}", kind="compute")
+        yield qs.sim.timeout(qs.config.split_overhead)
+        pending = []
+        handed = False
+        if (donor.status is not ProcletStatus.DEAD
+                and survivor.status is not ProcletStatus.DEAD):
+            pending = list(donor._queue)
+            donor._queue.clear()
+            handed = yield from self._handoff(donor, survivor, pending,
+                                              f"merge:{donor.name}")
+        if not handed:
+            if donor.status is not ProcletStatus.DEAD:
+                self.members.append(donor_ref)
+            if tr is not None:
+                tr.end(span, outcome="machine-failed")
+            return None
+        yield donor.request_stop()  # workers finish their in-flight tasks
+        runtime.destroy(donor_ref)
+        qs.merges += 1
+        if qs.metrics is not None:
+            qs.metrics.count("quicksand.merges.compute")
+        if tr is not None:
+            tr.end(span, moved_tasks=len(pending))
+        return True
+
+    def _handoff(self, src: ComputeProclet, dst: ComputeProclet,
+                 tasks: List[Task], name: str) -> Generator:
+        """Move *tasks* from *src* to *dst*'s queue (``TASK_WIRE_BYTES``
+        each over the fabric between machines).  False when a machine
+        crashed meanwhile: a surviving *src* then has them back."""
+        if tasks and dst.machine is not src.machine:
+            try:
+                yield self.qs.cluster.fabric.transfer(
+                    src.machine, dst.machine,
+                    TASK_WIRE_BYTES * len(tasks), name=name,
+                )
+                ok = (src.status is not ProcletStatus.DEAD
+                      and dst.status is not ProcletStatus.DEAD)
+            except MachineFailed:
+                ok = False
+            if not ok:
+                if src.status is not ProcletStatus.DEAD:
+                    for task in tasks:
+                        src._enqueue(task)
+                return False
+        for task in tasks:
+            dst._enqueue(task)
+        return True
 
     # -- work submission ------------------------------------------------------------
     def submit(self, task: Task) -> Event:
@@ -154,8 +263,6 @@ class ComputePool:
         died with the machine — redo logic is the application's policy).
         Returns the number of members replaced.
         """
-        from repro.runtime import ProcletStatus
-
         dead = [
             ref for ref in self.members
             if self.qs.runtime._proclets.get(ref.proclet_id) is None

@@ -4,7 +4,8 @@ A compute proclet owns a task queue and ``parallelism`` worker threads;
 its heap stays nearly empty (§3.2: "the heaps within each shard are left
 empty, except for any objects temporarily allocated by threads"), which
 is what makes it cheap to migrate and split.  Oversized compute proclets
-split by dividing their task queue (§3.3); undersized ones merge.
+split by dividing their task queue (§3.3) and undersized ones merge;
+:class:`repro.compute.ComputePool` runs both.
 
 Tasks either carry a plain CPU cost or a generator ``fn(ctx, task)`` for
 work that touches other proclets (reading images from memory proclets,
@@ -17,7 +18,7 @@ import collections
 from dataclasses import dataclass
 from typing import Any, Callable, Deque, List, Optional
 
-from ..runtime import Payload, ProcletRef
+from ..runtime import ProcletRef
 from ..units import US
 from .resource import ResourceKind, ResourceProclet
 
@@ -121,30 +122,6 @@ class ComputeProclet(ResourceProclet):
         """Enqueue one task (wakes an idle worker)."""
         yield ctx.cpu(_DISPATCH_CPU)
         self._enqueue(task)
-
-    def cp_submit_many(self, ctx, tasks: List[Task]):
-        yield ctx.cpu(_DISPATCH_CPU * max(1, len(tasks)))
-        for task in tasks:
-            self._enqueue(task)
-
-    def cp_extract_half(self, ctx):
-        """Give away the back half of the queue (split mechanism, §3.3).
-
-        Returns the extracted tasks; wire cost is proportional to the
-        number of task descriptors.
-        """
-        yield ctx.cpu(_DISPATCH_CPU)
-        n = len(self._queue) // 2
-        extracted = [self._queue.pop() for _ in range(n)]
-        extracted.reverse()
-        return Payload(extracted, nbytes=TASK_WIRE_BYTES * len(extracted))
-
-    def cp_drain(self, ctx):
-        """Give away the entire pending queue (merge mechanism, §3.3)."""
-        yield ctx.cpu(_DISPATCH_CPU)
-        extracted = list(self._queue)
-        self._queue.clear()
-        return Payload(extracted, nbytes=TASK_WIRE_BYTES * len(extracted))
 
     # -- the worker loop --------------------------------------------------------
     def cp_worker(self, ctx, wid: int):

@@ -17,7 +17,7 @@ scheduler, split/merge, and the high-level data structures::
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional, Union
+from typing import List, Optional, Union
 
 from ..cluster import Cluster, ClusterSpec, Machine
 from ..runtime import (
@@ -25,10 +25,9 @@ from ..runtime import (
     NuRuntime,
     Proclet,
     ProcletRef,
-    ProcletStatus,
 )
-from ..runtime.errors import InvalidPlacement, MachineFailed
-from .computeproclet import TASK_WIRE_BYTES, ComputeProclet, TaskSource
+from ..runtime.errors import InvalidPlacement
+from .computeproclet import ComputeProclet, TaskSource
 from .config import QuicksandConfig
 from .gpuproclet import GpuProclet
 from .memproclet import MemoryProclet
@@ -208,124 +207,6 @@ class Quicksand:
     def spawn_storage(self, machine: Optional[Machine] = None,
                       name: str = "") -> ProcletRef:
         return self.spawn(StorageProclet(), machine, name=name)
-
-    # -- compute split / merge primitives (§3.3) ------------------------------------
-    def split_compute(self, ref: ProcletRef,
-                      dst: Optional[Machine] = None):
-        """Split a compute proclet by dividing its task queue (§3.3).
-
-        Honors the paper's rule that splits happen "only if there are
-        enough CPU resources in the cluster": returns ``None`` when no
-        machine has idle cores.  The event value is the new proclet's ref.
-        """
-        proclet = self.runtime.get_proclet(ref.proclet_id)
-        return self.sim.process(self._split_compute_proc(proclet, dst),
-                                name=f"split:{proclet.name}")
-
-    def _split_compute_proc(self, src: ComputeProclet,
-                            dst: Optional[Machine]) -> Generator:
-        if src.status is not ProcletStatus.RUNNING:
-            return None
-        if dst is None:
-            dst = self.placement.best_for_compute(src.parallelism)
-        if dst is None:
-            return None  # no CPU headroom anywhere
-        tr = self.sim.tracer
-        span = None
-        if tr is not None:
-            span = tr.begin("split", f"split {src.name}",
-                            track=f"proclet:{src.name}", kind="compute")
-        self.runtime.gate(src)
-
-        def abort(new_ref=None, moved=()):
-            # A machine crashed under the split: retire the twin, give a
-            # surviving source its tasks back and reopen it.
-            if new_ref is not None:
-                self.runtime.destroy(new_ref)
-            if src.status is ProcletStatus.MIGRATING:
-                src._queue.extend(moved)
-            self.runtime.ungate(src)
-            if tr is not None:
-                tr.end(span, outcome="machine-failed")
-            return None
-
-        yield self.sim.timeout(self.config.split_overhead)
-        if src.status is not ProcletStatus.MIGRATING or not dst.up:
-            return abort()
-
-        new = src.twin()
-        new_ref = self.runtime.spawn(new, dst, name=f"{src.name}.split")
-
-        n = len(src._queue) // 2
-        moved = [src._queue.pop() for _ in range(n)]
-        moved.reverse()
-        if n > 0 and dst is not src.machine:
-            try:
-                yield self.cluster.fabric.transfer(
-                    src.machine, dst, TASK_WIRE_BYTES * n,
-                    name=f"split:{src.name}",
-                )
-            except MachineFailed:
-                return abort(new_ref, moved)
-            if src.status is not ProcletStatus.MIGRATING \
-                    or new.status is ProcletStatus.DEAD:
-                return abort(new_ref, moved)
-        for task in moved:
-            new._enqueue(task)
-        self.runtime.ungate(src)
-        self.splits += 1
-        if self.metrics is not None:
-            self.metrics.count("quicksand.splits.compute")
-        self.runtime.decide(
-            "split", f"{src.name} queue-division -> {new.name}",
-            span=span, moved_tasks=n, dst=dst.name,
-        )
-        return new_ref
-
-    def merge_compute(self, dst_ref: ProcletRef, src_ref: ProcletRef):
-        """Merge compute proclet *src* into *dst*: move its pending tasks,
-        stop its workers, destroy it once drained (§3.3)."""
-        dst_p = self.runtime.get_proclet(dst_ref.proclet_id)
-        src_p = self.runtime.get_proclet(src_ref.proclet_id)
-        return self.sim.process(
-            self._merge_compute_proc(dst_p, src_p, src_ref),
-            name=f"merge:{src_p.name}->{dst_p.name}",
-        )
-
-    def _merge_compute_proc(self, dst_p: ComputeProclet,
-                            src_p: ComputeProclet,
-                            src_ref: ProcletRef) -> Generator:
-        if dst_p is src_p:
-            return None  # self-merge would destroy the survivor
-        if (dst_p.status is not ProcletStatus.RUNNING
-                or src_p.status is not ProcletStatus.RUNNING):
-            return None
-        tr = self.sim.tracer
-        span = None
-        if tr is not None:
-            span = tr.begin("merge", f"merge {src_p.name} -> {dst_p.name}",
-                            track=f"proclet:{dst_p.name}", kind="compute")
-        yield self.sim.timeout(self.config.split_overhead)
-        pending = list(src_p._queue)
-        src_p._queue.clear()
-        stopped = src_p.request_stop()
-        if pending:
-            if dst_p.machine is not src_p.machine:
-                yield self.cluster.fabric.transfer(
-                    src_p.machine, dst_p.machine,
-                    TASK_WIRE_BYTES * len(pending),
-                    name=f"merge:{src_p.name}",
-                )
-            for task in pending:
-                dst_p._enqueue(task)
-        yield stopped  # workers finish their in-flight tasks
-        self.runtime.destroy(src_ref)
-        self.merges += 1
-        if self.metrics is not None:
-            self.metrics.count("quicksand.merges.compute")
-        if tr is not None:
-            tr.end(span, moved_tasks=len(pending))
-        return True
 
     # -- high-level abstractions -----------------------------------------------------
     def sharded_vector(self, name: str = "vector", **kwargs):

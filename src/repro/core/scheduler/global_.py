@@ -39,7 +39,7 @@ class GlobalScheduler:
         self.config = config
         self.rounds = 0
         self.moves = 0
-        self._process = qs.sim.process(self._loop(), name="global-sched")
+        self._process = qs.sim.spawn(self._loop(), name="global-sched")
 
     def _loop(self) -> Generator:
         while True:

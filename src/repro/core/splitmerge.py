@@ -209,7 +209,7 @@ class ComputeAutoscaler:
         self.scale_downs = 0
         self.decisions = []  # (time, desired, actual) trace for Fig. 3
         self._stopped = False
-        self._process = qs.sim.process(self._loop(), name="autoscaler")
+        self._process = qs.sim.spawn(self._loop(), name="autoscaler")
 
     def stop(self) -> None:
         self._stopped = True

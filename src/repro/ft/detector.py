@@ -74,7 +74,7 @@ class FailureDetector:
         self._suspect_listeners: List[Callable] = []
         self._confirm_listeners: List[Callable] = []
         self._alive_listeners: List[Callable] = []
-        self._process = self.sim.process(self._loop(), name="ft-detector")
+        self._process = self.sim.spawn(self._loop(), name="ft-detector")
 
     # -- queries -------------------------------------------------------------
     def state(self, machine) -> MachineHealth:

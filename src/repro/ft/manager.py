@@ -145,12 +145,12 @@ class RecoveryManager:
                            lineage=lineage)
         self._specs[ref.proclet_id] = spec
         if policy is RecoveryPolicy.CHECKPOINT:
-            self.sim.process(self._checkpoint_loop(ref.proclet_id),
-                             name=f"ft-ckpt:{proclet.name}")
+            self.sim.spawn(self._checkpoint_loop(ref.proclet_id),
+                           name=f"ft-ckpt:{proclet.name}")
         elif policy is RecoveryPolicy.REPLICATE:
             self._arm_standby(ref.proclet_id, proclet)
-            self.sim.process(self._mirror_loop(ref.proclet_id),
-                             name=f"ft-mirror:{proclet.name}")
+            self.sim.spawn(self._mirror_loop(ref.proclet_id),
+                           name=f"ft-mirror:{proclet.name}")
         return self
 
     def unprotect(self, proclet_id: int) -> None:
@@ -249,8 +249,8 @@ class RecoveryManager:
         pids = sorted(pid for pid, host in self._lost_host.items()
                       if host is machine and self.covers(pid))
         if pids:
-            self.sim.process(self._recover_proc(machine, pids),
-                             name=f"ft-recover:{machine.name}")
+            self.sim.spawn(self._recover_proc(machine, pids),
+                           name=f"ft-recover:{machine.name}")
 
     def _recover_proc(self, machine: Machine,
                       pids: List[int]) -> Generator:

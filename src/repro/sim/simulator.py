@@ -86,6 +86,12 @@ def get_tracer_factory():
     return _tracer_factory
 
 
+def _raise_failure(proc: Process) -> None:
+    """Re-raise a spawned process's exception (see Simulator.spawn)."""
+    if not proc._ok:
+        raise proc._value
+
+
 class Simulator:
     """Deterministic discrete-event simulator.
 
@@ -204,11 +210,17 @@ class Simulator:
         return Timeout(self, delay, value)
 
     def process(self, generator: Generator, name: str = "") -> Process:
-        """Spawn *generator* as a simulation process."""
+        """Start *generator* as a simulation process; its failure
+        reaches only those waiting on it (compare :meth:`spawn`)."""
         return Process(self, generator, name=name)
 
-    # alias that reads better at call sites spawning background work
-    spawn = process
+    def spawn(self, generator: Generator, name: str = "") -> Process:
+        """Start *generator* as a background process whose raise fails
+        the run: the exception propagates out of :meth:`run`.  Control
+        loops and drivers, which nobody waits on, start this way."""
+        proc = Process(self, generator, name=name)
+        proc.callbacks = [_raise_failure]
+        return proc
 
     def all_of(self, events: Iterable[Event]) -> Event:
         from .events import AllOf

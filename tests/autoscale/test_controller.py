@@ -326,3 +326,26 @@ class TestConfigValidation:
     def test_shed_threshold_floor(self):
         with pytest.raises(ValueError):
             AutoscaleConfig(fault_shed_threshold=0)
+
+
+class TestLoopFailure:
+    def test_raise_in_tick_fails_the_chaos_run(self, monkeypatch):
+        """A control loop runs as a spawned process: a raise inside a
+        tick ends the run instead of silently stopping the loop."""
+        from repro.autoscale import ShardAutoscaler
+        from repro.chaos import ChaosConfig, run_chaos
+
+        real_tick = ShardAutoscaler._tick
+        ticks = []
+
+        def tick(self, now):
+            ticks.append(now)
+            if len(ticks) == 48:
+                raise RuntimeError("tick 48 broke")
+            return real_tick(self, now)
+
+        monkeypatch.setattr(ShardAutoscaler, "_tick", tick)
+        with pytest.raises(RuntimeError, match="tick 48 broke"):
+            run_chaos(ChaosConfig(seed=0, duration=0.5, autoscale=True,
+                                  recovery_policy="checkpoint"))
+        assert len(ticks) == 48

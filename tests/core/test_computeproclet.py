@@ -1,4 +1,6 @@
-"""Unit tests for compute proclets: task execution, queue division, stop."""
+"""Unit tests for compute proclets: task execution, stop, streaming.
+
+Queue division (split and merge) is the pool's: tests/compute/test_pool.py."""
 
 import pytest
 
@@ -83,13 +85,6 @@ class TestBasics:
         qs.sim.run(until_event=done)
         assert calls == ["t1"]
 
-    def test_submit_many(self, qs):
-        ref = qs.spawn_compute(parallelism=2)
-        tasks = [Task(work=0.01, done=qs.sim.event()) for _ in range(6)]
-        qs.sim.run(until_event=ref.call("cp_submit_many", tasks))
-        qs.sim.run(until_event=qs.sim.all_of([t.done for t in tasks]))
-        assert ref.proclet.tasks_done == 6
-
 
 class TestStopAndDrain:
     def test_request_stop_fires_after_inflight_tasks(self, qs):
@@ -108,24 +103,6 @@ class TestStopAndDrain:
         stopped = ref.proclet.request_stop()
         qs.sim.run(until_event=stopped)
         assert qs.sim.now < 0.02
-
-    def test_cp_drain_returns_pending(self, qs):
-        ref = qs.spawn_compute(parallelism=1)
-        for i in range(5):
-            submit(qs, ref, Task(work=1.0, key=i))
-        qs.sim.run(until=0.01)
-        drained = qs.sim.run(until_event=ref.call("cp_drain"))
-        assert [t.key for t in drained] == [1, 2, 3, 4]
-        assert ref.proclet.queue_length == 0
-
-    def test_cp_extract_half(self, qs):
-        ref = qs.spawn_compute(parallelism=1)
-        for i in range(9):
-            submit(qs, ref, Task(work=1.0, key=i))
-        qs.sim.run(until=0.01)  # key 0 executing; 8 queued
-        half = qs.sim.run(until_event=ref.call("cp_extract_half"))
-        assert [t.key for t in half] == [5, 6, 7, 8]
-        assert ref.proclet.queue_length == 4
 
 
 class TestStreamingSource:

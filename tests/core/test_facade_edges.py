@@ -11,7 +11,6 @@ from repro import (
     QuicksandConfig,
     ProcletStatus,
     ResourceKind,
-    Task,
     symmetric_cluster,
 )
 from repro.units import GiB, MS, US, MiB
@@ -116,23 +115,25 @@ class TestSplitMergeEdges:
                 return Task(work=0.001)
 
         src = CountingSource()
-        ref = qs.spawn_compute(parallelism=1, source=src)
-        new_ref = qs.run(until_event=qs.split_compute(ref))
-        assert new_ref is not None
-        assert new_ref.proclet.source is src  # shared stream
+        pool = qs.compute_pool(parallelism=1, source=src)
+        assert pool.grow(1) == 1
+        while pool.size < pool.effective_size:
+            qs.sim.step()
+        assert pool.size == 2
+        assert pool.members[1].proclet.source is src  # shared stream
 
 
 class TestSplitComputeCrash:
-    """A machine crashes under a compute split."""
+    """A machine crashes under a compute pool's split."""
 
     @staticmethod
-    def _loaded_worker(qs, name="w"):
-        ref = qs.spawn_compute(parallelism=1, machine=qs.machine("m0"),
-                               name=name)
+    def _loaded_pool(qs):
+        pool = qs.compute_pool(name="p", parallelism=1,
+                               machine=qs.machine("m0"))
         for _ in range(6):
-            ref.call("cp_submit", Task(work=1.0))
+            pool.run(1.0)
         qs.run(until=qs.sim.now + 1 * MS)
-        return ref
+        return pool
 
     @staticmethod
     def _running(qs, suffix):
@@ -141,22 +142,19 @@ class TestSplitComputeCrash:
 
     def test_source_crash_in_overhead_spawns_nothing(self, qs_quiet):
         qs = qs_quiet
-        ref = self._loaded_worker(qs)
-        assert ref.proclet.queue_length >= 5
-        ev = qs.split_compute(ref, dst=qs.machine("m1"))
+        pool = self._loaded_pool(qs)
+        assert pool.members[0].proclet.queue_length >= 5
+        assert pool.grow(1) == 1
         qs.run(until=qs.sim.now + 1 * US)
         qs.runtime.fail_machine(qs.machine("m0"))
         qs.run(until=qs.sim.now + 10 * MS)
-        assert ev.ok and ev.value is None
+        assert pool.effective_size == pool.size == 1
+        assert qs.splits == 0
         assert self._running(qs, ".split") == []
 
     def test_growing_pool_does_not_raise(self, qs_quiet):
         qs = qs_quiet
-        pool = qs.compute_pool(name="p", parallelism=1,
-                               machine=qs.machine("m0"))
-        for _ in range(6):
-            pool.run(1.0)
-        qs.run(until=qs.sim.now + 1 * MS)
+        pool = self._loaded_pool(qs)
         assert pool.grow(1) == 1
         qs.run(until=qs.sim.now + 1 * US)
         qs.runtime.fail_machine(qs.machine("m0"))
@@ -167,19 +165,23 @@ class TestSplitComputeCrash:
     @pytest.mark.parametrize("victim", ["m0", "m1"])
     def test_crash_during_task_transfer(self, qs_quiet, victim):
         qs = qs_quiet
-        ref = self._loaded_worker(qs)
-        queued = ref.proclet.queue_length
-        ev = qs.split_compute(ref, dst=qs.machine("m1"))
+        pool = self._loaded_pool(qs)
+        src = pool.members[0].proclet
+        queued = src.queue_length
+        assert pool.grow(1) == 1
         while not self._running(qs, ".split"):
             qs.sim.step()  # up to the twin's spawn; the tasks are in flight
+        twin = [p for p in qs.runtime._proclets.values()
+                if p.name == "p.w0.split"]
+        assert [p.machine.name for p in twin] == ["m1"]
         qs.runtime.fail_machine(qs.machine(victim))
         qs.run(until=qs.sim.now + 10 * MS)
-        assert ev.ok and ev.value is None
+        assert pool.effective_size == pool.size == 1
         assert self._running(qs, ".split") == []
         if victim == "m1":
             # The surviving source has its moved tasks back.
-            assert ref.proclet.queue_length == queued
-            assert ref.proclet.status is ProcletStatus.RUNNING
+            assert src.queue_length == queued
+            assert src.status is ProcletStatus.RUNNING
 
 
 class TestConfigDefaults:

@@ -188,17 +188,21 @@ class TestMergeMemory:
         assert m.shard_count == 2
 
 
+def _grown(qs, pool):
+    """Step until every split the pool started has finished."""
+    while pool.size < pool.effective_size:
+        qs.sim.step()
+
+
 class TestSplitCompute:
     def test_split_divides_queue(self, qs):
-        ref = qs.spawn_compute(parallelism=1, machine=qs.machines[0])
-        events = []
-        for i in range(9):
-            t = Task(work=0.05, key=i, done=qs.sim.event())
-            ref.call("cp_submit", t)
-            events.append(t.done)
+        pool = qs.compute_pool(parallelism=1, machine=qs.machines[0])
+        events = [pool.submit(Task(work=0.05, key=i)) for i in range(9)]
         qs.sim.run(until=0.01)
-        new_ref = qs.sim.run(until_event=qs.split_compute(ref))
-        assert new_ref is not None
+        assert pool.grow(1) == 1
+        _grown(qs, pool)
+        ref, new_ref = pool.members
+        assert new_ref.machine is qs.machines[1]
         assert new_ref.proclet.queue_length + ref.proclet.queue_length \
             + ref.proclet.busy_workers + new_ref.proclet.busy_workers == 9 - ref.proclet.tasks_done
         # all tasks still complete exactly once
@@ -206,41 +210,41 @@ class TestSplitCompute:
         assert ref.proclet.tasks_done + new_ref.proclet.tasks_done == 9
 
     def test_split_finishes_faster_than_serial(self, qs):
-        ref = qs.spawn_compute(parallelism=1, machine=qs.machines[0])
-        events = []
-        for i in range(8):
-            t = Task(work=0.1, key=i, done=qs.sim.event())
-            ref.call("cp_submit", t)
-            events.append(t.done)
+        pool = qs.compute_pool(parallelism=1, machine=qs.machines[0])
+        events = [pool.submit(Task(work=0.1, key=i)) for i in range(8)]
         qs.sim.run(until=0.01)
-        qs.sim.run(until_event=qs.split_compute(ref))
+        assert pool.grow(1) == 1
         qs.sim.run(until_event=qs.sim.all_of(events))
         assert qs.sim.now < 0.55  # serial would be 0.8s
 
     def test_split_denied_without_cpu_headroom(self, qs):
         from repro.cluster import Priority
 
+        pool = qs.compute_pool()
         for m in qs.machines:
             m.cpu.hold(threads=m.cpu.cores, priority=Priority.HIGH)
-        ref = qs.spawn_compute()
-        result = qs.sim.run(until_event=qs.split_compute(ref))
-        assert result is None
+        assert pool.grow(1) == 0
+        assert pool.effective_size == 1
+        assert qs.splits == 0
 
 
 class TestMergeCompute:
     def test_merge_transfers_queue_and_destroys(self, qs):
-        a = qs.spawn_compute(parallelism=1, machine=qs.machines[0])
-        b = qs.spawn_compute(parallelism=1, machine=qs.machines[1])
+        pool = qs.compute_pool(parallelism=1, initial_members=2)
+        a, b = pool.members
+        assert (a.machine, b.machine) == tuple(qs.machines)
         events = []
         for i in range(6):
             t = Task(work=0.02, key=i, done=qs.sim.event())
             b.call("cp_submit", t)
             events.append(t.done)
         qs.sim.run(until=0.005)
-        ok = qs.sim.run(until_event=qs.merge_compute(a, b))
-        assert ok is True
+        assert pool.shrink(1) == 1
+        assert pool.members == [a]
         qs.sim.run(until_event=qs.sim.all_of(events))
         assert a.proclet.tasks_done + 1 >= 6 - 1  # b finished its in-flight
+        assert qs.merges == 1
+        assert qs.runtime._proclets.get(b.proclet_id) is None
 
 
 class TestFacadeMisc:

@@ -178,3 +178,44 @@ class TestSimulatorRun:
 
         assert run_once(7) == run_once(7)
         assert run_once(7) != run_once(8)
+
+
+class TestSpawn:
+    """``sim.spawn`` starts background work whose raise fails the run;
+    a ``sim.process`` failure stays on its own event."""
+
+    @staticmethod
+    def _failing(sim):
+        yield sim.timeout(1.0)
+        raise RuntimeError("loop broke")
+
+    def test_failed_process_does_not_fail_the_run(self, sim):
+        p = sim.process(self._failing(sim))
+        sim.timeout(5.0)
+        sim.run()
+        assert not p.ok and isinstance(p.value, RuntimeError)
+        assert sim.now == 5.0
+
+    def test_failed_spawn_fails_the_run(self, sim):
+        sim.spawn(self._failing(sim))
+        sim.timeout(5.0)
+        with pytest.raises(RuntimeError, match="loop broke"):
+            sim.run()
+        assert sim.now == 1.0
+
+    def test_failed_spawn_fails_a_step(self, sim):
+        sim.spawn(self._failing(sim))
+        with pytest.raises(RuntimeError, match="loop broke"):
+            for _ in range(10):
+                sim.step()
+
+    def test_spawn_returns_value_and_composes(self, sim):
+        def worker():
+            yield sim.timeout(1.0)
+            return 7
+
+        def waiter():
+            v = yield sim.spawn(worker())
+            return v * 2
+
+        assert sim.run(until_event=sim.process(waiter())) == 14
