@@ -107,8 +107,10 @@ class ElasticCache(ShardedBase):
         over = self.used_bytes - self.budget_bytes - self._evicting
         if over <= 0:
             return
-        # Ask the fullest shard to shed the overage.
-        fullest = max(self.shards, key=lambda s: s.proclet.heap_bytes)
+        # Ask the fullest live shard to shed the overage (a lost shard
+        # holds nothing, so with bytes over budget one is live).
+        fullest, _p = max(self.live_shards(),
+                          key=lambda sp: sp[1].heap_bytes)
         self._evicting += over
         fullest.ref.call("cs_evict", over).subscribe(
             lambda ev: self._evicted(ev, over))

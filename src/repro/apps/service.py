@@ -115,8 +115,9 @@ class CloneService:
 
     A clone stranded on a crashed machine fails without failing the
     request while any sibling survives (cloning doubles as fault
-    tolerance); only requests losing *all* clones count as
-    ``failed_requests``.
+    tolerance), and a crashed server gets no clones; only requests
+    losing *all* clones, or routed to a group with every server down,
+    count as ``failed_requests``.
     """
 
     def __init__(self, machines: Sequence[Machine], arrival_rate: float,
@@ -211,7 +212,8 @@ class CloneService:
         sim = self.sim
         items: List = []
         for server in group:
-            self._launch(server, items)
+            if server.up:  # a crashed server takes no clone
+                self._launch(server, items)
         winner = None
         try:
             while True:

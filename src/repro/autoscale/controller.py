@@ -236,8 +236,7 @@ class ShardAutoscaler:
             if inflight is None:
                 inflight = len(ledger.active_for_structure(ds))
             self.decision_count += 1
-            if m is not None:
-                m.count(f"autoscale.decision.{action}")
+            m.count(f"autoscale.decision.{action}")
             runtime.decide(
                 "autoscale", f"{action} {proclet.name}: {reason}",
                 structure=ds.name, state=state)
@@ -248,8 +247,7 @@ class ShardAutoscaler:
                     self.frozen_skips += 1
                 else:
                     self.shed_skips += 1
-                if m is not None:
-                    m.count(f"autoscale.skipped.{state}")
+                m.count(f"autoscale.skipped.{state}")
                 self._due.add(pid)
                 continue
             if inflight >= self.config.max_concurrent:
@@ -293,15 +291,13 @@ class ShardAutoscaler:
             raise event.value
         self.op_failures += 1
         m = self.qs.metrics
-        if m is not None:
-            m.count("autoscale.op_failures")
+        m.count("autoscale.op_failures")
         self._consecutive_failures += 1
         if self._consecutive_failures >= self.config.fault_shed_threshold:
             self._consecutive_failures = 0
             self._shed_until = self.qs.sim.now + self.config.shed_backoff
             self.sheds += 1
-            if m is not None:
-                m.count("autoscale.sheds")
+            m.count("autoscale.sheds")
             self.qs.runtime.decide(
                 "autoscale", "shedding to read-only decision logging",
                 until=round(self._shed_until, 6))

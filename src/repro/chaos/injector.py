@@ -89,7 +89,7 @@ class ChaosInjector:
             self.runtime.restore_machine(machine)
             self._window_end(f"crash:{fault.machine}")
             crashed = self._crashed_at.pop(fault.machine, None)
-            if crashed is not None and self.metrics is not None:
+            if crashed is not None:
                 self.metrics.observe("chaos.downtime",
                                      self.sim.now - crashed)
         elif isinstance(fault, NicDegrade):
@@ -170,11 +170,10 @@ class ChaosInjector:
         return rng.random() < self._flaky_probability
 
     def _note(self, kind: str, fault: Fault, skipped: bool = False) -> None:
-        if self.metrics is not None:
-            self.metrics.count("chaos.faults.skipped" if skipped
-                               else "chaos.faults")
-            if not skipped:
-                self.metrics.count(f"chaos.faults.{kind}")
+        self.metrics.count("chaos.faults.skipped" if skipped
+                           else "chaos.faults")
+        if not skipped:
+            self.metrics.count(f"chaos.faults.{kind}")
         self.runtime.decide(
             "chaos", ("skipped " if skipped else "") + fault.describe())
 

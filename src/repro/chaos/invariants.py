@@ -18,10 +18,12 @@ injected:
    never exceeds capacity, and priority is strict (a hungry class
    starves everything below it).  Optionally each scheduler is also
    diffed against the brute-force oracle (:mod:`repro.chaos.oracle`).
-4. **No permanently-gated proclet** — a MIGRATING proclet always has an
-   untriggered gate, and no single gate stays closed longer than
-   ``gate_timeout`` virtual seconds.  The clock is kept per proclet and
-   restarts whenever the proclet's gate object changes.
+4. **No permanently-gated proclet** — a proclet is MIGRATING exactly
+   when the runtime's gate ledger (``NuRuntime.gates``) holds an open
+   window for it whose gate event is the proclet's untriggered gate,
+   and no window stays open longer than ``gate_timeout`` virtual
+   seconds.  Each :meth:`NuRuntime.gate` opens a new window, so a
+   replaced gate restarts the clock.
 5. **No double incarnation** — an id is never simultaneously live and
    lost, and its incarnation number never regresses.
 6. **Checkpoint byte conservation** — the per-machine view of checkpoint
@@ -60,10 +62,9 @@ Two passes evaluate the same predicates with the same messages.
   Every event it also runs the checks that are global or
   time-dependent: the table/residency/proclet cardinalities, live/lost
   disjointness, the convergence ledger and the gate timeout (against
-  the oldest recorded gate; the gated proclets are re-walked once that
-  one may have outlived it).  Every :data:`FULL_PASS_EVERY`-th event
-  runs the full pass instead.  Both passes count once in
-  :attr:`checks`.
+  the gate ledger's first entry, its oldest open window).  Every
+  :data:`FULL_PASS_EVERY`-th event runs the full pass instead.  Both
+  passes count once in :attr:`checks`.
 
 What marks an entity dirty.  :meth:`attach` subscribes to mutation
 points the program already has, so a run without a checker does no
@@ -171,10 +172,9 @@ class InvariantChecker:
         self.checks = 0
         self.events_seen = 0
         self.oracle_comparisons = 0
-        # pid -> (gate, first time that gate was seen closed), and a
-        # lower bound on those times (inf when none is recorded).
-        self._gate_seen: Dict[int, Tuple[Any, float]] = {}
-        self._oldest_gate = math.inf
+        # The runtime's gate ledger: pid -> (kind, opened at, gate, span),
+        # oldest first.
+        self._gates = runtime.gates
         # pid -> highest incarnation ever observed (must never regress).
         self._incarnation_seen: Dict[int, int] = {}
         self._attached_to = None
@@ -347,9 +347,8 @@ class InvariantChecker:
             self._check_convergence()
         if pids or tables:
             self._check_changed_proclets(pids, tables)
-        now = self._sim._now
-        if now - self._oldest_gate > self.gate_timeout:
-            self._check_gated(now)
+        if self._gates:
+            self._check_oldest_gate()
 
     def _take_dirty(self):
         """Drain the dirty sets into one incremental pass's scope:
@@ -733,22 +732,14 @@ class InvariantChecker:
         """Invariant 4 and invariant 8's orphan check, in one pass over
         the live proclets; *tables* is :meth:`_check_shard_tables`'s
         result."""
-        now = self.runtime.sim.now
         owned = protected = None
         if tables is not None:
             owned, protected = tables
-        gated: Set[int] = set()
         check = self._check_proclet
         for pid, proclet in self.runtime._proclets.items():
-            if check(pid, proclet, now, owned, protected):
-                gated.add(pid)
-        # Forget proclets whose gate opened.  Every gated proclet was
-        # just recorded, so equal sizes mean none opened.
-        gate_seen = self._gate_seen
-        if len(gate_seen) != len(gated):
-            for pid in list(gate_seen):
-                if pid not in gated:
-                    del gate_seen[pid]
+            check(pid, proclet, owned, protected)
+        if self._gates:
+            self._check_oldest_gate()
 
     def _check_changed_proclets(self, pids, tables) -> None:
         """The incremental pass's invariant 8 over the dirty tables, then
@@ -765,30 +756,22 @@ class InvariantChecker:
         if tables:
             check = self._recheck_tables(structures, tables, context)
             check.update(pids)
-        now = runtime.sim.now
         live = runtime._proclets.get
-        gate_seen = self._gate_seen
         for pid in check:
             proclet = live(pid)
-            if proclet is None \
-                    or not self._check_proclet(pid, proclet, now, owned,
-                                               protected):
-                gate_seen.pop(pid, None)
+            if proclet is not None:
+                self._check_proclet(pid, proclet, owned, protected)
 
-    def _check_gated(self, now: float) -> None:
-        """Invariant 4 over the gated proclets, once the oldest recorded
-        gate may have outlived the timeout; forgets gates that opened
-        and refreshes the lower bound."""
-        gate_seen = self._gate_seen
-        live = self.runtime._proclets.get
-        for pid in list(gate_seen):
-            proclet = live(pid)
-            if proclet is None or proclet._status is not _MIGRATING:
-                del gate_seen[pid]
-            else:
-                self._check_gate(pid, proclet, now)
-        self._oldest_gate = min((first for _gate, first
-                                 in gate_seen.values()), default=math.inf)
+    def _check_oldest_gate(self) -> None:
+        """Invariant 4's timeout, against the oldest open gate window:
+        the gate ledger's first entry (windows open in time order)."""
+        pid, (_kind, opened, _gate, _span) = next(iter(self._gates.items()))
+        held = self._sim._now - opened
+        if held > self.gate_timeout:
+            proclet = self.runtime._proclets.get(pid)
+            name = f"proclet #{pid}" if proclet is None else proclet.name
+            self._fail(f"{name} gated for {held:.3f}s > "
+                       f"{self.gate_timeout:.3f}s (permanently gated?)")
 
     def _recheck_tables(self, structures, tables, context) -> Set[int]:
         """Re-examine the dirty tables in ledger order, refresh their
@@ -815,19 +798,27 @@ class InvariantChecker:
                         del entry_of[pid]
         return departed
 
-    def _check_proclet(self, pid: int, proclet, now: float, owned,
-                       protected) -> bool:
-        """Invariant 4 and invariant 8's orphan check for one live
-        proclet; returns whether it is gated."""
+    def _check_proclet(self, pid: int, proclet, owned, protected) -> None:
+        """Invariant 4, all but its timeout, and invariant 8's orphan
+        check for one live proclet."""
         status = proclet._status
-        gated = False
-        if status is not _RUNNING:
-            if status is _DEAD:
-                self._fail(f"{proclet.name} is DEAD but still "
-                           f"registered")
-            if status is _MIGRATING:
-                self._check_gate(pid, proclet, now)
-                gated = True
+        if status is _RUNNING:
+            if pid in self._gates:
+                self._fail(f"{proclet.name} is RUNNING with an open gate "
+                           f"window")
+        elif status is _DEAD:
+            self._fail(f"{proclet.name} is DEAD but still registered")
+        elif status is _MIGRATING:
+            gate = proclet._migration_gate
+            if gate is None:
+                self._fail(f"{proclet.name} MIGRATING without a gate")
+            if gate.triggered:
+                self._fail(f"{proclet.name} MIGRATING behind an "
+                           f"already-open gate")
+            entry = self._gates.get(pid)
+            if entry is None or entry[2] is not gate:
+                self._fail(f"{proclet.name} MIGRATING behind a gate "
+                           f"the runtime did not open")
         if owned is not None:
             # No orphaned children: a live shard proclet outside its
             # owner's routing table is legal only mid-reshard
@@ -841,25 +832,6 @@ class InvariantChecker:
                         f"{owner.name}: live shard {proclet.name} is "
                         f"missing from the routing table and no active "
                         f"reshard op protects it (orphaned child shard)")
-        return gated
-
-    def _check_gate(self, pid: int, proclet, now: float) -> None:
-        gate = proclet._migration_gate
-        if gate is None:
-            self._fail(f"{proclet.name} MIGRATING without a gate")
-        if gate.triggered:
-            self._fail(f"{proclet.name} MIGRATING behind an "
-                       f"already-open gate")
-        seen = self._gate_seen.get(pid)
-        if seen is None or seen[0] is not gate:
-            # A new gate (or a first sighting) restarts the clock.
-            self._gate_seen[pid] = (gate, now)
-            if now < self._oldest_gate:
-                self._oldest_gate = now
-        elif now - seen[1] > self.gate_timeout:
-            self._fail(
-                f"{proclet.name} gated for {now - seen[1]:.3f}s > "
-                f"{self.gate_timeout:.3f}s (permanently gated?)")
 
     def __repr__(self) -> str:
         return (f"<InvariantChecker checks={self.checks} "

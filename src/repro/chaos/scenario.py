@@ -27,10 +27,11 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Generator, List, Optional
+from typing import Dict, Generator, List, Optional
 
 from ..cluster import ClusterSpec, MachineSpec, OutOfMemory
 from ..core import Quicksand, QuicksandConfig
+from ..metrics import Summary
 from ..obs import Decision
 from ..runtime import MachineFailed, MigrationFailed, ProcletLost
 from ..runtime.errors import DeadProclet, InvalidPlacement
@@ -111,6 +112,9 @@ class ChaosResult:
     #: The run's ``runtime.decisions``.
     decisions: List[Decision] = field(repr=False, default_factory=list)
     counters: List[str] = field(repr=False, default_factory=list)
+    #: The run's closed gate windows (seconds) per kind; not digested.
+    gate_windows: Dict[str, Summary] = field(repr=False,
+                                             default_factory=dict)
 
     def digest(self) -> str:
         """Hex digest of everything observable about the run.  Two runs
@@ -157,6 +161,12 @@ class ChaosResult:
                 f"{self.reshard_merges} merges committed, "
                 f"{self.reshard_aborts} aborted, "
                 f"{self.autoscale_sheds} sheds")
+        if self.gate_windows:
+            lines.append("  gate windows      :")
+            lines += [f"    {kind:<14}: {s.count} windows, "
+                      f"p50 {s.p50 * 1e3:.3f} ms, p99 {s.p99 * 1e3:.3f} ms, "
+                      f"max {s.maximum * 1e3:.3f} ms"
+                      for kind, s in self.gate_windows.items()]
         lines += [
             f"  digest            : {self.digest()}",
             "fault schedule:",
@@ -246,6 +256,7 @@ def run_chaos(config: ChaosConfig = ChaosConfig()) -> ChaosResult:
         autoscale_sheds=autoscaler.sheds if autoscaler else 0,
         decisions=qs.runtime.decisions,
         counters=counters,
+        gate_windows=qs.runtime.gate_summary(),
     )
 
 

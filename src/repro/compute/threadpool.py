@@ -140,7 +140,7 @@ class ComputePool:
         if tr is not None:
             span = tr.begin("split", f"split {src.name}",
                             track=f"proclet:{src.name}", kind="compute")
-        runtime.gate(src)
+        runtime.gate(src, "compute.split")
         yield qs.sim.timeout(qs.config.split_overhead)
         if src.status is not ProcletStatus.DEAD and dst.up:
             twin = src.twin()
@@ -152,8 +152,7 @@ class ComputePool:
                                          f"split:{src.name}")):
                 runtime.ungate(src)
                 qs.splits += 1
-                if qs.metrics is not None:
-                    qs.metrics.count("quicksand.splits.compute")
+                qs.metrics.count("quicksand.splits.compute")
                 runtime.decide(
                     "split", f"{src.name} queue-division -> {twin.name}",
                     span=span, moved_tasks=n, dst=dst.name,
@@ -202,8 +201,7 @@ class ComputePool:
         yield donor.request_stop()  # workers finish their in-flight tasks
         runtime.destroy(donor_ref)
         qs.merges += 1
-        if qs.metrics is not None:
-            qs.metrics.count("quicksand.merges.compute")
+        qs.metrics.count("quicksand.merges.compute")
         if tr is not None:
             tr.end(span, moved_tasks=len(pending))
         return True

@@ -243,13 +243,20 @@ class ShardedBase(ReshardHooks):
     def shard_count(self) -> int:
         return len(self.shards)
 
+    def live_shards(self) -> List[Tuple[Shard, Any]]:
+        """``(shard, proclet)`` for every shard whose proclet is live: a
+        shard lost with its machine holds nothing until recovered."""
+        live = self.qs.runtime._proclets.get
+        return [(shard, proclet) for shard in self.shards
+                if (proclet := live(shard.ref.proclet_id)) is not None]
+
     @property
     def total_bytes(self) -> float:
-        return sum(self.shard_bytes(s.proclet) for s in self.shards)
+        return sum(self.shard_bytes(p) for _s, p in self.live_shards())
 
     @property
     def total_objects(self) -> int:
-        return sum(s.proclet.object_count for s in self.shards)
+        return sum(p.object_count for _s, p in self.live_shards())
 
     def shard_machines(self):
         """Multiset of machines hosting shards (placement diagnostics)."""

@@ -93,8 +93,7 @@ class ShardedVector(ShardedBase):
         """
         new = self._spawn_shard(self._length)
         self._insert_shard(new)
-        if self.qs.metrics is not None:
-            self.qs.metrics.count("quicksand.vector.seals")
+        self.qs.metrics.count("quicksand.vector.seals")
         tr = self.qs.sim.tracer
         if tr is not None:
             shard_name = new.proclet.name

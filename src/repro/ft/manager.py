@@ -267,8 +267,7 @@ class RecoveryManager:
                 # or filled up while the restore copy was in flight; a
                 # new crash re-queues this pid for the next confirm.
                 self.failed_recoveries += 1
-                if self.metrics is not None:
-                    self.metrics.count("ft.failed_recoveries")
+                self.metrics.count("ft.failed_recoveries")
             finally:
                 self._restoring.discard(pid)
                 self.runtime._notify_proclet_state(pid)
@@ -303,8 +302,7 @@ class RecoveryManager:
         machine = self._pick_machine(fresh, restore_bytes, spec, standby)
         if machine is None:
             self.failed_recoveries += 1
-            if self.metrics is not None:
-                self.metrics.count("ft.failed_recoveries")
+            self.metrics.count("ft.failed_recoveries")
             if tr is not None:
                 tr.end(span, outcome="no-capacity")
             return None
@@ -325,7 +323,7 @@ class RecoveryManager:
                 # restore would be overwritten (or collide with) the
                 # snapshot install.  Blocked callers resume — and see
                 # restored state — once the gate opens.
-                self.runtime.gate(fresh)
+                self.runtime.gate(fresh, "restore")
                 try:
                     yield self.runtime.fabric.transfer(
                         snap.peer, machine, snap.nbytes,
@@ -340,17 +338,15 @@ class RecoveryManager:
                 raise MachineFailed(f"{name} died again mid-restore")
             fresh.ft_restore(snap.state)
             self._check_convergence(fresh, snap.nbytes, policy)
-            if self.metrics is not None:
-                self.metrics.observe(
-                    "ft.data_loss_bytes",
-                    max(0.0, corpse.heap_bytes - snap.nbytes))
+            self.metrics.observe(
+                "ft.data_loss_bytes",
+                max(0.0, corpse.heap_bytes - snap.nbytes))
         elif policy is RecoveryPolicy.REPLICATE:
             state, nbytes = self._death_state.pop(pid, (None, 0.0))
             if standby is not None and state is not None:
                 fresh.ft_restore(state)
                 self._check_convergence(fresh, nbytes, policy)
-                if self.metrics is not None:
-                    self.metrics.observe("ft.data_loss_bytes", 0.0)
+                self.metrics.observe("ft.data_loss_bytes", 0.0)
             # else: standby was lost too — empty respawn (RESTART-grade).
             self._arm_standby(pid, fresh)
         elif policy is RecoveryPolicy.LINEAGE:
@@ -373,11 +369,10 @@ class RecoveryManager:
         crash_t = self._crash_time.pop(pid, None)
         self.recoveries[policy.value] = \
             self.recoveries.get(policy.value, 0) + 1
-        if self.metrics is not None:
-            self.metrics.count("ft.recoveries")
-            self.metrics.count(f"ft.recoveries.{policy.value}")
-            if crash_t is not None:
-                self.metrics.observe("ft.mttr", self.sim.now - crash_t)
+        self.metrics.count("ft.recoveries")
+        self.metrics.count(f"ft.recoveries.{policy.value}")
+        if crash_t is not None:
+            self.metrics.observe("ft.mttr", self.sim.now - crash_t)
         if tr is not None:
             tr.end(span, machine=machine.name,
                    heap=int(fresh.heap_bytes))
@@ -454,8 +449,7 @@ class RecoveryManager:
             self.runtime.destroy(ProcletRef(self.runtime, pid,
                                             victim.name))
             self.sheds += 1
-            if self.metrics is not None:
-                self.metrics.count("ft.sheds")
+            self.metrics.count("ft.sheds")
 
     def _check_convergence(self, fresh: Proclet, expected_bytes: float,
                            policy: RecoveryPolicy) -> None:
@@ -486,8 +480,7 @@ class RecoveryManager:
             peer = self.qs.placement.best_for_memory(
                 nbytes, exclude=(proclet.machine,))
             if peer is None:
-                if self.metrics is not None:
-                    self.metrics.count("ft.checkpoint.skipped")
+                self.metrics.count("ft.checkpoint.skipped")
                 continue
             yield from self._copy_snapshot(pid, proclet, state, nbytes,
                                            peer)
@@ -497,8 +490,7 @@ class RecoveryManager:
         try:
             peer.memory.reserve(nbytes)
         except OutOfMemory:
-            if self.metrics is not None:
-                self.metrics.count("ft.checkpoint.skipped")
+            self.metrics.count("ft.checkpoint.skipped")
             return
         self._pending[pid] = (peer, nbytes, peer.incarnation)
         self.checkpoint_bytes_held += nbytes
@@ -540,9 +532,8 @@ class RecoveryManager:
         self.runtime._notify_reservation(peer)
         # _pending already added these bytes to the held total; storing
         # the snapshot keeps them held, so no adjustment here.
-        if self.metrics is not None:
-            self.metrics.count("ft.checkpoints")
-            self.metrics.count("ft.checkpoint.bytes", nbytes)
+        self.metrics.count("ft.checkpoints")
+        self.metrics.count("ft.checkpoint.bytes", nbytes)
         if tr is not None:
             tr.end(span)
 
@@ -562,8 +553,7 @@ class RecoveryManager:
             primary.footprint + standby.BASE_FOOTPRINT,
             exclude=(primary.machine,))
         if peer is None:
-            if self.metrics is not None:
-                self.metrics.count("ft.standby.unplaced")
+            self.metrics.count("ft.standby.unplaced")
             return  # the mirror loop retries on its next tick
         ref = self.runtime.spawn(standby, peer,
                                  name=f"{primary.name}.standby")
@@ -573,8 +563,7 @@ class RecoveryManager:
         # initial copy.
         self._dirty[pid] = primary.heap_bytes
         self._last_heap[pid] = primary.heap_bytes
-        if self.metrics is not None:
-            self.metrics.count("ft.standbys")
+        self.metrics.count("ft.standbys")
 
     def _mirror_loop(self, pid: int) -> Generator:
         config = self.config
@@ -602,8 +591,7 @@ class RecoveryManager:
                         name=f"ft-mirror:{primary.name}")
                 except MachineFailed:
                     continue  # an endpoint died mid-sync; re-assess
-                if self.metrics is not None:
-                    self.metrics.count("ft.mirror.bytes", dirty)
+                self.metrics.count("ft.mirror.bytes", dirty)
             self._dirty[pid] = max(0.0, self._dirty.get(pid, 0.0) - dirty)
             # Size-sync the standby's mirrored ballast.
             primary = self.runtime._proclets.get(pid)
@@ -617,8 +605,7 @@ class RecoveryManager:
                 elif diff < 0:
                     standby.heap_free(-diff)
             except OutOfMemory:
-                if self.metrics is not None:
-                    self.metrics.count("ft.mirror.stalled")
+                self.metrics.count("ft.mirror.stalled")
 
     def _on_heap_change(self, proclet: Proclet) -> None:
         pid = proclet.id

@@ -92,26 +92,6 @@ class MigrationEngine:
         # Destination DRAM held by in-flight migrations:
         # proclet id -> (dst, bytes, dst incarnation at reserve time).
         self._inflight: Dict[int, Tuple[Machine, float, int]] = {}
-        # Gate-window accounting: every interval a proclet spends behind
-        # its migration gate for a non-migration reason (the reshard
-        # protocol's dual-route window) is reported here, so callers can
-        # prove "no key unroutable for longer than one migration gate".
-        self.gate_windows: Dict[str, int] = {}
-        self.gate_window_time: Dict[str, float] = {}
-        self.max_gate_window: float = 0.0
-
-    def note_gate_window(self, kind: str, duration: float) -> None:
-        """Record one closed gate window of *kind* (e.g. ``reshard.split``)
-        that held callers out for *duration* seconds."""
-        self.gate_windows[kind] = self.gate_windows.get(kind, 0) + 1
-        self.gate_window_time[kind] = (
-            self.gate_window_time.get(kind, 0.0) + duration)
-        if duration > self.max_gate_window:
-            self.max_gate_window = duration
-        m = self.runtime.metrics
-        if m is not None:
-            m.count(f"runtime.gate.{kind}")
-            m.observe("runtime.gate.window", duration)
 
     def inflight_reserved_on(self, machine: Machine) -> float:
         """Bytes of *machine*'s DRAM reserved by in-flight migrations
@@ -180,7 +160,7 @@ class MigrationEngine:
                 "migration", f"{proclet.name} {src.name}->{dst.name}",
                 parent=parent, track=f"proclet:{proclet.name}",
                 bytes=int(nbytes), path=f"{src.name}->{dst.name}")
-        self.runtime.gate(proclet, parent=mig_span)
+        self.runtime.gate(proclet, "migration", parent=mig_span)
         if tr is not None:
             # Checkpoint phase: pause, destination reservation (with any
             # retries), and the pre-copy control overhead.
@@ -241,8 +221,7 @@ class MigrationEngine:
                             cause=transient)
             attempt += 1
             self.migrations_retried += 1
-            if self.runtime.metrics is not None:
-                self.runtime.metrics.count("runtime.migration.retries")
+            self.runtime.metrics.count("runtime.migration.retries")
             delay = backoff
             if config.retry_jitter > 0.0:
                 rng = sim.random.stream("runtime.migration.jitter")
@@ -319,10 +298,9 @@ class MigrationEngine:
             tr.end(phase)
         self.migrations_completed += 1
         m = self.runtime.metrics
-        if m is not None:
-            m.count("runtime.migrations")
-            m.observe("runtime.migration.latency", latency)
-            m.observe("runtime.migration.bytes", nbytes)
+        m.count("runtime.migrations")
+        m.observe("runtime.migration.latency", latency)
+        m.observe("runtime.migration.bytes", nbytes)
         self.runtime.decide(
             "migration", f"{proclet.name} {src.name}->{dst.name}",
             span=mig_span, bytes=int(nbytes),

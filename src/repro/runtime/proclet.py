@@ -56,9 +56,9 @@ class Proclet:
         self._migration_gate = None  # Event released when migration ends
         self._active_cpu: Set = set()  # FluidItems owned by running methods
         self.migrations = 0
-        # Open obs spans (repro.obs), or None when tracing is off:
-        self._span = None       # lifetime span, spawn -> destroy
-        self._gate_span = None  # current gated window, gate -> ungate
+        # Lifetime obs span (repro.obs), spawn -> destroy, or None when
+        # tracing is off.
+        self._span = None
 
     # -- identity -----------------------------------------------------------
     @property

@@ -13,6 +13,7 @@ import inspect
 from typing import Callable, Dict, Generator, List, Optional
 
 from ..cluster import Cluster, Machine, Priority
+from ..metrics import Summary
 from ..obs import Decision
 from ..sim import Event, Process
 from .context import Context
@@ -41,6 +42,12 @@ class NuRuntime:
         #: Ledger of in-flight shard split/merge operations; the chaos
         #: invariant checker audits every structural change through it.
         self.reshard_ledger = ReshardLedger(self.sim)
+        #: The gate ledger: each open gate window, oldest first, as
+        #: ``pid -> (kind, opened at, gate event, span)``.  Written only
+        #: by :meth:`gate` and :meth:`ungate`, which files each closed
+        #: window's duration under its kind in :attr:`gate_windows`.
+        self.gates: Dict[int, tuple] = {}
+        self.gate_windows: Dict[str, List[float]] = {}
         self._proclets: Dict[int, Proclet] = {}
         # Ids of proclets killed by machine failures: lookups through a
         # stale ref raise ProcletLost instead of the generic DeadProclet.
@@ -107,8 +114,7 @@ class NuRuntime:
         self.ungate(proclet, outcome="destroyed")
         self.locator.remove(proclet.id)
         del self._proclets[proclet.id]
-        if self.metrics is not None:
-            self.metrics.count("runtime.destroys")
+        self.metrics.count("runtime.destroys")
         tr = self.sim.tracer
         if tr is not None:
             tr.instant("lifecycle", f"destroy {proclet._name}",
@@ -193,8 +199,7 @@ class NuRuntime:
         proclet._status = ProcletStatus.RUNNING
         self._proclets[pid] = proclet
         self.locator.place(pid, machine)
-        if self.metrics is not None:
-            self.metrics.count(f"runtime.{verb}s")
+        self.metrics.count(f"runtime.{verb}s")
         tr = self.sim.tracer
         if tr is not None:
             proclet._span = tr.begin(
@@ -210,30 +215,36 @@ class NuRuntime:
         return ref
 
     # -- gating ---------------------------------------------------------------
-    def gate(self, proclet: Proclet, parent=None) -> Event:
+    def gate(self, proclet: Proclet, kind: str, parent=None) -> Event:
         """Close *proclet*'s gate and return it: new invocations block
         until :meth:`ungate` (or a crash of its machine) opens it.
 
-        Migration, shard split/merge and checkpoint restore all hold a
-        proclet dark this way.  The ``gate`` span nests under *parent*,
-        or under the proclet's lifetime span when none is given.
+        Migration, shard split/merge, compute split and checkpoint
+        restore all hold a proclet dark this way; *kind* names which
+        (``migration``, ``reshard.split``, ``reshard.merge``,
+        ``compute.split`` or ``restore``) in the gate ledger.  The
+        ``gate`` span nests under *parent*, or under the proclet's
+        lifetime span when none is given.
         """
         proclet._status = ProcletStatus.MIGRATING
         gate = proclet._migration_gate = self.sim.event()
-        self._notify_proclet_state(proclet.id)
+        span = None
         tr = self.sim.tracer
         if tr is not None:
-            proclet._gate_span = tr.begin(
+            span = tr.begin(
                 "gate", f"gated:{proclet.name}",
                 parent=proclet._span if parent is None else parent,
                 track=f"proclet:{proclet.name}")
+        self.gates[proclet.id] = (kind, self.sim._now, gate, span)
+        self._notify_proclet_state(proclet.id)
         return gate
 
     def ungate(self, proclet: Proclet, **outcome) -> None:
         """Open *proclet*'s gate, waking blocked callers; a live proclet
-        runs again.  *outcome* becomes the ``gate`` span's end args.
-        Does nothing when the proclet is not gated (a crash of its
-        machine already opened the gate)."""
+        runs again.  The window's duration is filed under its kind, and
+        *outcome* becomes the ``gate`` span's end args.  Does nothing
+        when the proclet is not gated (a crash of its machine already
+        opened the gate)."""
         gate = proclet._migration_gate
         if gate is None:
             return
@@ -242,11 +253,18 @@ class NuRuntime:
             proclet._status = ProcletStatus.RUNNING
         if not gate.triggered:
             gate.succeed()
+        kind, opened, _gate, span = self.gates.pop(proclet.id)
+        self.gate_windows.setdefault(kind, []).append(self.sim._now - opened)
         self._notify_proclet_state(proclet.id)
         tr = self.sim.tracer
         if tr is not None:
-            tr.end(proclet._gate_span, **outcome)
-            proclet._gate_span = None
+            tr.end(span, **outcome)
+
+    def gate_summary(self) -> Dict[str, Summary]:
+        """The closed gate windows' durations (seconds), summarised per
+        kind."""
+        return {kind: Summary.of(windows)
+                for kind, windows in sorted(self.gate_windows.items())}
 
     # -- invocation -------------------------------------------------------------
     def invoke(self, ref: ProcletRef, method: str, *args,
@@ -396,8 +414,7 @@ class NuRuntime:
                 if delay is None:
                     raise
                 attempt += 1
-                if self.metrics is not None:
-                    self.metrics.count("ft.call_retries")
+                self.metrics.count("ft.call_retries")
                 yield self.sim.timeout(delay)
 
     # -- migration ----------------------------------------------------------------
@@ -448,8 +465,7 @@ class NuRuntime:
             machine.storage.write_bw.fail_all(exc)
         # Fail-stop the hardware: cores offline, NIC down, DRAM wiped.
         machine.fail()
-        if self.metrics is not None:
-            self.metrics.count("runtime.machine_failures")
+        self.metrics.count("runtime.machine_failures")
         self.decide("failure", f"machine {machine.name} crashed",
                     lost_proclets=len(lost))
         # Recovery bookkeeping hooks run last, against the settled
@@ -466,8 +482,7 @@ class NuRuntime:
         if machine.up:
             return
         machine.restore()
-        if self.metrics is not None:
-            self.metrics.count("runtime.machine_restores")
+        self.metrics.count("runtime.machine_restores")
         self.decide("failure", f"machine {machine.name} restored")
         for listener in self._restore_listeners:
             listener(machine)

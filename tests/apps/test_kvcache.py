@@ -182,3 +182,19 @@ def test_cache_churn_passes_invariant_checks():
         assert qs.run(until_event=cache.get(f"k{i}")) == i
     checker.check()
     assert checker.checks > 0
+
+
+def test_lost_shard_does_not_fail_the_run(qs):
+    """A put landing after the cache's only shard died with its machine
+    fails on its own; the eviction check it triggers skips the lost
+    shard instead of raising inside the run."""
+    from repro.runtime import ProcletLost
+
+    cache = ElasticCache(qs, budget_bytes=16 * MiB)
+    for i in range(4):
+        qs.run(until_event=cache.put(f"k{i}", i, 1 * MiB))
+    qs.runtime.fail_machine(cache.shards[0].ref.machine)
+    put = cache.put("k4", 4, 1 * MiB)
+    qs.run(until=qs.sim.now + 0.01)
+    assert put.triggered and isinstance(put.value, ProcletLost)
+    assert cache.used_bytes == 0.0

@@ -171,6 +171,36 @@ class TestCloneService:
         assert svc.requests_done > 10
         assert svc.failed_requests == 0
 
+    def test_requests_after_a_server_crash_are_served(self):
+        """Requests arriving after a server of their group crashed run
+        on the surviving sibling alone."""
+        qs = quiet_qs()
+        m0, _m1 = qs.machines
+        svc = CloneService(qs.machines, 100.0, Exponential(mean=1 * MS),
+                           clone_factor=2)
+        svc.start()
+        qs.run(until=0.1)
+        qs.runtime.fail_machine(m0)
+        qs.run(until=0.2)
+        svc.stop()
+        qs.run(until=0.3)
+        assert sum(1 for arrived, _ in svc.samples if arrived > 0.1) > 5
+        assert svc.failed_requests == 0
+
+    def test_requests_to_a_crashed_group_fail(self):
+        """With no clone to launch, a request routed to a group whose
+        every server is down counts as failed."""
+        qs = quiet_qs()
+        m0, _m1 = qs.machines
+        svc = CloneService(qs.machines, 100.0, Exponential(mean=1 * MS))
+        svc.start()
+        qs.runtime.fail_machine(m0)
+        qs.run(until=0.2)
+        svc.stop()
+        qs.run(until=0.3)
+        assert svc.failed_requests > 0
+        assert svc.requests_done == svc.clones_launched > 0
+
     def test_latency_summary_trims_warmup(self):
         qs = quiet_qs()
         svc = CloneService(qs.machines, 500.0, Exponential(mean=1 * MS))

@@ -45,6 +45,17 @@ def step_until(qs, pred, step=20 * US, limit=20_000):
     raise AssertionError("condition never became true")
 
 
+def two_shards(qs, m, n=8):
+    """Split once so the map has two shards on different machines."""
+    fill(qs, m, n)
+    donor = m.shards[0]
+    force_cross_machine(qs, donor.ref.machine)
+    assert qs.run(until_event=m.reshard_split_by_id(
+        donor.ref.proclet_id)) is not None
+    assert m.shard_count == 2
+    assert m.shards[0].ref.machine is not m.shards[1].ref.machine
+
+
 def force_cross_machine(qs, donor_machine):
     """Pin child placement to a machine that is not the donor's."""
     other = next(mach for mach in qs.machines if mach is not donor_machine)
@@ -158,22 +169,62 @@ class TestSplitProtocol:
         assert checker.checks > 0
 
 
-class TestMergeProtocol:
-    def _two_shards(self, qs, m, n=8):
-        """Split once so the map has two shards on different machines."""
-        fill(qs, m, n)
-        donor = m.shards[0]
-        force_cross_machine(qs, donor.ref.machine)
-        assert qs.run(until_event=m.reshard_split_by_id(
-            donor.ref.proclet_id)) is not None
-        assert m.shard_count == 2
-        assert m.shards[0].ref.machine is not m.shards[1].ref.machine
+class TestGateLedger:
+    """The runtime's gate ledger times every window a reshard op holds."""
 
+    def test_split_records_donor_and_child_windows(self):
+        qs = make_quiet_qs()
+        checker = checked(qs)
+        runtime = qs.runtime
+        m = qs.sharded_map(name="kv")
+        fill(qs, m, 8)
+        donor_id = m.shards[0].ref.proclet_id
+        force_cross_machine(qs, m.shards[0].ref.machine)
+        ev = m.reshard_split_by_id(donor_id)
+        step_until(qs, lambda: len(runtime.gates) == 2)
+        (donor_pid, donor_entry), (child_pid, child_entry) = \
+            runtime.gates.items()
+        assert donor_pid == donor_id
+        assert donor_entry[0] == child_entry[0] == "reshard.split"
+        assert donor_entry[1] < child_entry[1]
+        _split_key, child_ref = qs.run(until_event=ev)
+        assert child_pid == child_ref.proclet_id
+        # Both gates open at commit, the child's first.
+        assert runtime.gate_windows["reshard.split"] == [
+            pytest.approx(qs.sim.now - child_entry[1]),
+            pytest.approx(qs.sim.now - donor_entry[1])]
+        assert checker.checks > 0
+
+    def test_merge_donor_crash_in_prepare_files_the_crash_window(self):
+        """The donor's window ends at its machine's crash, not when the
+        op notices the crash at the end of its prepare overhead."""
+        qs = make_quiet_qs()
+        checker = checked(qs)
+        runtime = qs.runtime
+        m = qs.sharded_map(name="kv")
+        two_shards(qs, m)
+        donor = m.shards[1]
+        ev = m.reshard_merge_by_id(donor.ref.proclet_id)
+        step_until(qs, lambda: len(runtime.gates) == 2, step=1 * US)
+        opened = runtime.gates[donor.ref.proclet_id][1]
+        qs.run(until=opened + 30 * US)  # inside the prepare gate
+        runtime.fail_machine(donor.ref.machine)
+        crashed = qs.sim.now
+        assert qs.run(until_event=ev) is None
+        assert runtime.gate_windows["reshard.merge"] == [
+            pytest.approx(crashed - opened),
+            pytest.approx(qs.config.split_overhead)]
+        assert qs.config.split_overhead > crashed - opened
+        assert runtime.gates == {}
+        assert checker.checks > 0
+
+
+class TestMergeProtocol:
     def test_commit_merges_and_preserves_keys(self):
         qs = make_quiet_qs()
         checker = checked(qs)
         m = qs.sharded_map(name="kv")
-        self._two_shards(qs, m)
+        two_shards(qs, m)
         right = m.shards[1]
         ev = m.reshard_merge_by_id(right.ref.proclet_id)
         assert qs.run(until_event=ev) is True
@@ -190,7 +241,7 @@ class TestMergeProtocol:
     def test_left_donor_range_absorbed_by_survivor(self):
         qs = make_quiet_qs()
         m = qs.sharded_map(name="kv")
-        self._two_shards(qs, m)
+        two_shards(qs, m)
         left = m.shards[0]
         split_key = m.shards[1].lo
         ev = m.reshard_merge_by_id(left.ref.proclet_id)
@@ -206,7 +257,7 @@ class TestMergeProtocol:
         qs = make_quiet_qs()
         checker = checked(qs)
         m = qs.sharded_map(name="kv")
-        self._two_shards(qs, m)
+        two_shards(qs, m)
         right = m.shards[1]
         ev = m.reshard_merge_by_id(right.ref.proclet_id)
         qs.run(until=qs.sim.now + 30 * US)  # inside the prepare gate
@@ -222,7 +273,7 @@ class TestMergeProtocol:
         qs = make_quiet_qs()
         checker = checked(qs)
         m = qs.sharded_map(name="kv")
-        self._two_shards(qs, m)
+        two_shards(qs, m)
         left, right = m.shards
         split_key = right.lo
         ledger = qs.runtime.reshard_ledger
@@ -272,17 +323,18 @@ class TestServicePreservation:
         assert checker.checks > 0
 
     def test_gate_window_is_bounded(self):
-        """The dual-route window is accounted and bounded: one gate
-        window per committed op, no window left open."""
+        """The dual-route window is timed and bounded: a committed split
+        files two gate windows (donor and child), none left open."""
         qs = make_quiet_qs()
         m = qs.sharded_map(name="kv")
         fill(qs, m, 8)
         donor = m.shards[0]
         force_cross_machine(qs, donor.ref.machine)
         qs.run(until_event=m.reshard_split_by_id(donor.ref.proclet_id))
-        mig = qs.runtime.migration
-        assert mig.gate_windows.get("reshard.split") == 1
-        assert 0.0 < mig.max_gate_window < 50 * MS
+        windows = qs.runtime.gate_windows["reshard.split"]
+        assert len(windows) == 2
+        assert all(0.0 < w < 50 * MS for w in windows)
+        assert qs.runtime.gates == {}
         # All gates reopened: every shard answers immediately.
         from repro.runtime.proclet import ProcletStatus
         for s in m.shards:

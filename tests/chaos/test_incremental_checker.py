@@ -70,7 +70,8 @@ def predicate_inputs(checker):
     for pid, proclet in live.items():
         gate = proclet._migration_gate
         inputs["proclet", pid] = (proclet._status, proclet._machine, gate,
-                                  gate is not None and gate.triggered)
+                                  gate is not None and gate.triggered,
+                                  runtime.gates.get(pid))
     for ds in runtime.reshard_ledger._structures:
         los = getattr(ds, "_los", None)
         pids = tuple(ds._shard_ref(s).proclet_id for s in ds.shards)

@@ -124,35 +124,33 @@ class TestHealthyRuns:
     def test_replaced_gate_restarts_the_clock(self, qs):
         checker = checked(qs, gate_timeout=0.01)
         proclet = qs.spawn_memory().proclet
-        proclet._status = ProcletStatus.MIGRATING
-        proclet._migration_gate = qs.sim.event()
-        qs.runtime._notify_proclet_state(proclet.id)
-        checker.check()  # first sighting of gate 1 starts the clock
+        qs.runtime.gate(proclet, "migration")
+        checker.check()
         qs.sim.run(until=0.008)
-        # Gate 1 goes away and gate 2 closes before the next check
-        # (likely at gate 1's recycled address): gate 2 gets a fresh
-        # clock, not gate 1's.
-        proclet._migration_gate = None
-        proclet._migration_gate = qs.sim.event()
-        qs.runtime._notify_proclet_state(proclet.id)
+        # Gate 1 opens and gate 2 closes at once: gate 2's window starts
+        # its own clock, not gate 1's.
+        qs.runtime.ungate(proclet)
+        qs.runtime.gate(proclet, "migration")
         qs.sim.run(until=0.015)
         checker.check()
         checker._on_event()
         qs.sim.run(until=0.03)
-        with pytest.raises(InvariantViolation, match="gated for 0.015s"):
+        with pytest.raises(InvariantViolation, match="gated for 0.022s"):
             checker.check()
 
     def test_opened_gate_is_forgotten(self, qs):
         checker = checked(qs, gate_timeout=0.01)
         proclet = qs.spawn_memory().proclet
-        proclet._status = ProcletStatus.MIGRATING
-        proclet._migration_gate = qs.sim.event()
+        qs.runtime.gate(proclet, "migration")
         checker.check()
-        assert proclet.id in checker._gate_seen
-        proclet._status = ProcletStatus.RUNNING
-        proclet._migration_gate = None
+        assert list(qs.runtime.gates) == [proclet.id]
+        qs.sim.run(until=0.005)
+        qs.runtime.ungate(proclet)
+        assert qs.runtime.gates == {}
+        assert qs.runtime.gate_windows == {"migration": [0.005]}
+        qs.sim.run(until=0.1)
         checker.check()
-        assert checker._gate_seen == {}
+        checker._on_event()
 
 
 class FullPass:
@@ -259,10 +257,8 @@ class TestCorruptionDetected(FullPass):
         proclet = ref.proclet
         self.settle(checker)
         # Simulate a stuck migration: gate never opens.
-        proclet._status = ProcletStatus.MIGRATING
-        proclet._migration_gate = qs.sim.event()
-        fire(checker, qs.runtime._proclet_state_listeners, ref.proclet_id)
-        self.run_pass(checker)  # first sighting: starts the clock
+        qs.runtime.gate(proclet, "migration")
+        self.run_pass(checker)
         qs.sim.run(until=0.1)
         with pytest.raises(InvariantViolation, match="gated"):
             self.run_pass(checker)
@@ -425,11 +421,29 @@ class TestGateCorruptionDetected(FullPass):
         checker = checked(qs)
         proclet = qs.spawn_memory().proclet
         self.settle(checker)
+        qs.runtime.gate(proclet, "migration").succeed()
+        with pytest.raises(InvariantViolation, match="already-open gate"):
+            self.run_pass(checker)
+
+    def test_migrating_without_ledger_entry(self, qs):
+        """A hand-written MIGRATING status behind a gate the runtime's
+        gate ledger does not hold."""
+        checker = checked(qs)
+        proclet = qs.spawn_memory().proclet
+        self.settle(checker)
         proclet._status = ProcletStatus.MIGRATING
         proclet._migration_gate = qs.sim.event()
-        proclet._migration_gate.succeed()
         fire(checker, qs.runtime._proclet_state_listeners, proclet.id)
-        with pytest.raises(InvariantViolation, match="already-open gate"):
+        with pytest.raises(InvariantViolation, match="did not open"):
+            self.run_pass(checker)
+
+    def test_running_with_open_window(self, qs):
+        checker = checked(qs)
+        proclet = qs.spawn_memory().proclet
+        self.settle(checker)
+        qs.runtime.gate(proclet, "migration")
+        proclet._status = ProcletStatus.RUNNING
+        with pytest.raises(InvariantViolation, match="open gate window"):
             self.run_pass(checker)
 
 

@@ -165,7 +165,8 @@ class TestShrinkCrash:
         pool = self._pool(qs)
         survivor, donor = pool.members
         gated = pool.members[endpoint].proclet
-        qs.runtime.gate(gated)  # not RUNNING when the merge starts
+        # Not RUNNING when the merge starts.
+        qs.runtime.gate(gated, "compute.split")
         assert pool.shrink(1) == 1
         qs.run(until=qs.sim.now + 10 * MS)
         assert pool.members == [survivor, donor]

@@ -81,6 +81,27 @@ class TestFig1GoldenShape:
         assert fungible.migrations > 0
         assert fungible.migration_latency.p99 < 1 * MS
 
+    def test_every_migration_window_under_a_millisecond(self, monkeypatch):
+        """The paper's claim on the dark window itself, at the paper's
+        scale: the runtime's gate ledger files one window per completed
+        migration, and every one is under 1 ms."""
+        runtimes = []
+
+        class Recording(Quicksand):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                runtimes.append(self.runtime)
+
+        monkeypatch.setattr("repro.experiments.fig1_filler.Quicksand",
+                            Recording)
+        run_fig1(Fig1Config(fungible=True, seed=0))
+        (runtime,) = runtimes
+        windows = runtime.gate_windows
+        assert set(windows) == {"migration"}
+        assert len(windows["migration"]) \
+            == runtime.migration.migrations_completed > 0
+        assert max(windows["migration"]) < 1 * MS
+
     def test_fungible_actually_migrated(self, fig1_pair):
         fungible, static = fig1_pair
         assert fungible.migrations >= 8

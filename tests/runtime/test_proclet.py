@@ -231,7 +231,7 @@ class TestDestroy:
     def test_destroy_fails_callers_blocked_on_its_gate(self, rt):
         ref = rt.spawn(MemoryProclet(), rt.cluster.machine(0))
         proclet = ref.proclet
-        rt.gate(proclet)
+        rt.gate(proclet, "migration")
         ev = ref.call("mp_get", 0)
         rt.sim.run(until=rt.sim.now + 1e-3)
         assert not ev.triggered  # blocked on the closed gate
@@ -261,7 +261,7 @@ class TestGate:
     def test_gate_holds_invocations_until_ungate(self, rt):
         ref = rt.spawn(Counter(), rt.cluster.machine(0))
         p = ref.proclet
-        gate = rt.gate(p)
+        gate = rt.gate(p, "migration")
         assert p.status is ProcletStatus.MIGRATING
         assert p._migration_gate is gate
         ev = ref.call("increment")
@@ -278,7 +278,7 @@ class TestGate:
         m = rt.cluster.machine(0)
         ref = rt.spawn(Counter(), m)
         p = ref.proclet
-        gate = rt.gate(p)
+        gate = rt.gate(p, "migration")
         ev = ref.call("increment")
         rt.fail_machine(m)
         assert gate.triggered and p._migration_gate is None
@@ -292,10 +292,10 @@ class TestGate:
 
         tr = SpanTracer(rt.sim)
         p = rt.spawn(Counter(), rt.cluster.machine(0)).proclet
-        rt.gate(p)
+        rt.gate(p, "migration")
         rt.ungate(p, outcome="aborted")
         parent = tr.begin("op", "op")
-        rt.gate(p, parent=parent)
+        rt.gate(p, "migration", parent=parent)
         rt.ungate(p)
         first, second = [s for s in tr.spans if s.category == "gate"]
         assert first.parent_id == p._span.sid
