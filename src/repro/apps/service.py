@@ -17,10 +17,10 @@ distributions — the workload half of the
 
 from __future__ import annotations
 
-from typing import Generator, List, Sequence, Tuple
+from typing import Generator, List, Sequence
 
 from ..cluster import Machine, Priority
-from ..metrics import Summary
+from ..metrics import LatencyLog, Summary
 from ..runtime.errors import MachineFailed
 from ..units import US
 
@@ -40,15 +40,16 @@ class LatencyService:
         self.service_cpu = service_cpu
         self.name = name
         self.rng = machine.sim.random.stream(rng_stream)
-        #: (arrival time, response time) per completed request, in
-        #: completion order (same shape as :attr:`CloneService.samples`).
-        self.samples: List[Tuple[float, float]] = []
+        #: :class:`~repro.metrics.LatencyLog` of (arrival time, response
+        #: time) per completed request, in completion order (the same log
+        #: as :attr:`CloneService.samples`).
+        self.samples = LatencyLog()
         self.requests_done = 0
         self._running = False
 
     @property
     def latencies(self) -> List[float]:
-        return [latency for _arrived, latency in self.samples]
+        return self.samples.latencies()
 
     @property
     def offered_load(self) -> float:
@@ -81,14 +82,13 @@ class LatencyService:
         )
         yield item
         self.requests_done += 1
-        self.samples.append((arrived_at, sim.now - arrived_at))
+        self.samples.append(arrived_at, sim.now - arrived_at)
 
     def latency_summary(self, since: float = 0.0) -> Summary:
         """Summary of response times for requests arriving at or after
         *since* (the same warmup-trimming contract as
         :meth:`CloneService.latency_summary`)."""
-        return Summary.of([latency for arrived, latency in self.samples
-                           if arrived >= since])
+        return self.samples.summary(since)
 
     def __repr__(self) -> str:
         return (f"<LatencyService {self.name!r} on {self.machine.name} "
@@ -150,10 +150,11 @@ class CloneService:
         self.rng_arrival = self.sim.random.stream(f"{name}.arrival")
         self.rng_route = self.sim.random.stream(f"{name}.route")
         self.rng_service = self.sim.random.stream(f"{name}.service")
-        #: (arrival time, response time) per completed request, in
-        #: completion order — :meth:`latency_summary` slices by arrival
-        #: time so a warmup window can be discarded.
-        self.samples: List[Tuple[float, float]] = []
+        #: :class:`~repro.metrics.LatencyLog` of (arrival time, response
+        #: time) per completed request, in completion order —
+        #: :meth:`latency_summary` slices by arrival time so a warmup
+        #: window can be discarded.
+        self.samples = LatencyLog()
         self.requests_done = 0
         self.failed_requests = 0
         self.clones_launched = 0
@@ -171,13 +172,12 @@ class CloneService:
 
     @property
     def latencies(self) -> List[float]:
-        return [latency for _arrived, latency in self.samples]
+        return self.samples.latencies()
 
     def latency_summary(self, since: float = 0.0) -> Summary:
         """Summary of response times for requests arriving at or after
         *since* (use to trim the empty-system warmup transient)."""
-        return Summary.of([latency for arrived, latency in self.samples
-                           if arrived >= since])
+        return self.samples.summary(since)
 
     # -- lifecycle --------------------------------------------------------
     def start(self) -> None:
@@ -233,7 +233,7 @@ class CloneService:
                 except MachineFailed:
                     continue  # a clone died; re-wait on the rest
             self.requests_done += 1
-            self.samples.append((arrived_at, sim.now - arrived_at))
+            self.samples.append(arrived_at, sim.now - arrived_at)
         finally:
             # First-finished-wins: reclaim every losing clone's CPU at
             # this virtual instant.

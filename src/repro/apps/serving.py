@@ -46,7 +46,7 @@ from ..cluster import Machine, Priority, symmetric_cluster
 from ..core.config import QuicksandConfig
 from ..core.quicksand import Quicksand
 from ..core.resource import ResourceKind, ResourceProclet
-from ..metrics import Summary
+from ..metrics import LatencyLog, Summary
 from ..metrics.stats import percentile
 from ..runtime import MigrationFailed, ProcletStatus
 from ..runtime.errors import InvalidPlacement, MachineFailed
@@ -164,8 +164,13 @@ class Tenant:
         self.completed = 0
         self.slo_ok = 0
         self.failed = 0
-        #: (arrival time, response time) per completed request.
-        self.samples: List[Tuple[float, float]] = []
+        #: (arrival time, response time) per completed request, in
+        #: completion order.  :meth:`_finish` appends to the two columns
+        #: through their bound ``append``s, so recording a sample adds
+        #: no Python-level call per request.
+        self.samples = LatencyLog()
+        self._log_arrived = self.samples.arrived.append
+        self._log_latency = self.samples.latency.append
         #: Arrivals since the scheduler last sampled (demand estimator).
         self.window_arrivals = 0
         #: EWMA of core demand (rate x service_mean), seeded analytically.
@@ -247,7 +252,8 @@ class Tenant:
         arrived_at = item.submitted_at
         latency = self.sim._now - arrived_at
         self.completed += 1
-        self.samples.append((arrived_at, latency))
+        self._log_arrived(arrived_at)
+        self._log_latency(latency)
         if latency <= self.spec.slo_deadline:
             self.slo_ok += 1
 
@@ -262,7 +268,7 @@ class Tenant:
         base = self._base
         offered = self.offered - base.get("offered", 0)
         slo_ok = self.slo_ok - base.get("slo_ok", 0)
-        lats = [lat for arr, lat in self.samples if arr >= since]
+        lats = self.samples.latencies(since)
         summary = Summary.of(lats)
         return {
             "tenant": self.spec.name,
@@ -616,7 +622,7 @@ class ServingScenario:
         offered = sum(s["offered"] for s in per_tenant)
         slo_ok = sum(s["slo_ok"] for s in per_tenant)
         lats = [lat for t in self.tenants
-                for arr, lat in t.samples if arr >= self.warmup]
+                for lat in t.samples.latencies(self.warmup)]
         return {
             "mode": self.mode,
             "machines": len(self.qs.machines),

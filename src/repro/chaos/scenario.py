@@ -149,10 +149,12 @@ class ChaosResult:
             f"(oracle comparisons: {self.oracle_comparisons})",
         ]
         if self.config.recovery_policy is not None:
+            # Recoveries count proclets; confirms count machines.
             lines.append(
                 f"  recovery ({self.config.recovery_policy}): "
-                f"{self.recoveries} recovered of {self.confirms} confirmed "
-                f"deaths ({self.failed_recoveries} failed, {self.sheds} "
+                f"{_count(self.recoveries, 'proclet')} recovered after "
+                f"{_count(self.confirms, 'confirmed machine death')} "
+                f"({self.failed_recoveries} failed, {self.sheds} "
                 f"shed, {self.call_retries} calls retried)")
         if self.config.autoscale:
             lines.append(
@@ -173,6 +175,11 @@ class ChaosResult:
             self.schedule.describe(),
         ]
         return "\n".join(lines)
+
+
+def _count(n: int, noun: str) -> str:
+    """``n`` and *noun*, plural unless ``n`` is one."""
+    return f"{n} {noun}" if n == 1 else f"{n} {noun}s"
 
 
 def run_chaos(config: ChaosConfig = ChaosConfig()) -> ChaosResult:

@@ -2,12 +2,13 @@
 
 from .dashboard import machine_rows, snapshot
 from .recorder import MetricsRecorder
-from .stats import Summary, mean, percentile, stddev
+from .stats import LatencyLog, Summary, mean, percentile, stddev
 from .timeseries import Counter, Gauge, TimeSeries, merge_series
 
 __all__ = [
     "Counter",
     "Gauge",
+    "LatencyLog",
     "MetricsRecorder",
     "Summary",
     "TimeSeries",

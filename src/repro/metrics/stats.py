@@ -72,3 +72,42 @@ class Summary:
     def __str__(self) -> str:
         return (f"n={self.count} mean={self.mean:.6g} p50={self.p50:.6g} "
                 f"p90={self.p90:.6g} p99={self.p99:.6g} max={self.maximum:.6g}")
+
+
+class LatencyLog:
+    """Per-request ``(arrival time, latency)`` samples, in append order.
+
+    Two flat ``array('d')`` columns hold 16 B per sample, where a list of
+    tuples holds a tuple and two boxed floats (about 118 B).  A hot path
+    may bind ``log.arrived.append`` and ``log.latency.append`` once and
+    call them directly; the columns must then grow together.
+    """
+
+    __slots__ = ("arrived", "latency")
+
+    def __init__(self) -> None:
+        # Loaded on first use: the extension module adds about 0.15 MB
+        # of resident memory to runs that build no request plane.
+        from array import array
+        self.arrived = array("d")
+        self.latency = array("d")
+
+    def append(self, arrived: float, latency: float) -> None:
+        self.arrived.append(arrived)
+        self.latency.append(latency)
+
+    def __len__(self) -> int:
+        return len(self.latency)
+
+    def __iter__(self):
+        return zip(self.arrived, self.latency)
+
+    def latencies(self, since: float = 0.0) -> List[float]:
+        """Latencies of the samples that arrived at or after *since*,
+        in append order."""
+        return [lat for arr, lat in zip(self.arrived, self.latency)
+                if arr >= since]
+
+    def summary(self, since: float = 0.0) -> Summary:
+        """:meth:`Summary.of` the :meth:`latencies` since *since*."""
+        return Summary.of(self.latencies(since))

@@ -8,7 +8,9 @@ replica-fleet bookkeeping, the request path, and the scenario lifecycle
 in both modes.
 """
 
+import gc
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -345,3 +347,23 @@ class TestRequestPath:
             # Only scheduler migrations add processes, a few per round.
             assert procs_long - procs_short < \
                 (admitted_long - admitted_short) / 20
+
+    def test_completed_request_retains_under_forty_bytes(self):
+        """A completed request leaves its latency sample behind and
+        little else: two doubles in the tenant's log, not a tuple of two
+        boxed floats (about 118 B).  The marginal bytes per completed
+        request between two horizons stay flat."""
+        sc = _scenario("fungible", n=4, machines=6, duration=1.0)
+        tracemalloc.start()
+        try:
+            marks = []
+            for horizon in (0.4, 1.0):
+                sc.qs.run(until=horizon)
+                gc.collect()
+                marks.append((sum(t.completed for t in sc.tenants),
+                              tracemalloc.get_traced_memory()[0]))
+        finally:
+            tracemalloc.stop()
+        (done1, mem1), (done2, mem2) = marks
+        assert done2 - done1 > 2000
+        assert (mem2 - mem1) / (done2 - done1) <= 40

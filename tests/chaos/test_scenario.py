@@ -1,6 +1,8 @@
 """End-to-end chaos scenario tests: determinism, crash coverage, and
 the CLI entry point."""
 
+import dataclasses
+
 import pytest
 
 from repro.chaos import ChaosConfig, run_chaos
@@ -86,6 +88,28 @@ class TestRecoveryMode:
     def test_report_mentions_recovery(self):
         result = run_chaos(small(seed=13, recovery_policy="replicate"))
         assert "recovery (replicate)" in result.report()
+
+    def test_report_names_the_unit_of_each_recovery_count(self, capsys):
+        """Recoveries count proclets and confirms count machines.  At
+        seed 0 two machines crash, but m3 restarts before the detector
+        confirms it, so two proclets come back after one death."""
+        from repro.cli import main
+
+        rc = main(["chaos", "--seed", "0", "--duration", "0.5",
+                   "--autoscale", "--recovery", "checkpoint"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert ("  recovery (checkpoint): 2 proclets recovered after "
+                "1 confirmed machine death (0 failed, ") in out
+
+    def test_report_counts_are_plural_unless_one(self):
+        result = run_chaos(small(seed=13, recovery_policy="checkpoint"))
+        one = dataclasses.replace(result, recoveries=1, confirms=2)
+        assert ("1 proclet recovered after 2 confirmed machine deaths ("
+                in one.report())
+        none = dataclasses.replace(result, recoveries=0, confirms=1)
+        assert ("0 proclets recovered after 1 confirmed machine death ("
+                in none.report())
 
 
 class TestChaosCli:
